@@ -394,8 +394,8 @@ func BenchmarkScalingLive(b *testing.B) {
 }
 
 // BenchmarkProtocol2Online (B1): the end-to-end online coordination
-// decision with the incremental bounds.Online engine — every state of B
-// pays only for its view's growth.
+// decision with the agent's default incremental engine, a private
+// one-handle run — every state of B pays only for its view's growth.
 func BenchmarkProtocol2Online(b *testing.B) {
 	for _, n := range []int{8, 16, 32, 64} {
 		c := bench.Protocol2Online(n)
@@ -426,16 +426,6 @@ func BenchmarkProtocol2EarlyOnline(b *testing.B) {
 	}
 }
 
-// BenchmarkProtocol2EarlyShared is the Early-kind loop through a
-// bounds.Shared handle: the reverse cache under the restricted standing
-// graph.
-func BenchmarkProtocol2EarlyShared(b *testing.B) {
-	for _, n := range []int{8, 16, 32, 64} {
-		c := bench.Protocol2EarlyShared(n)
-		b.Run(fmt.Sprintf("n=%d", n), c.Run)
-	}
-}
-
 // BenchmarkProtocol2EarlyRebuild is the fresh-build-per-state baseline
 // recorded alongside the Early variants; like Protocol2Rebuild it stops at
 // n=32.
@@ -450,7 +440,7 @@ func BenchmarkProtocol2EarlyRebuild(b *testing.B) {
 // over one run through ONE shared per-run knowledge engine (bounds.Shared)
 // — the standing bounds graph is built once and every agent pays only its
 // frontier handle. Compare against BenchmarkProtocol2MultiOnline, the
-// identical workload on m independent bounds.Online engines.
+// identical workload on m private one-handle runs.
 func BenchmarkProtocol2Shared(b *testing.B) {
 	for _, m := range scenario.MultiAgentSizes {
 		c := bench.Protocol2Shared(m)

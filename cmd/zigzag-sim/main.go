@@ -297,9 +297,9 @@ func startProfiles(cpu, mem string) (func(), error) {
 
 // runLiveScenario executes a single scenario through the live environment
 // with one Protocol2 agent per coordination task on the chosen engine —
-// rebuild (fresh extended graph per state), online (private incremental
-// engine) or shared (one per-network knowledge engine, per-run standing
-// graph, per-agent frontier handles) — and cross-checks every agent's act
+// rebuild (fresh extended graph per state), online (each agent's handle on
+// its own private one-handle run) or shared (one per-network knowledge
+// engine, per-run standing graph, per-agent frontier handles) — and cross-checks every agent's act
 // against the offline optimum on the recorded run, which dump (when
 // non-empty) archives as JSON exactly like the offline path does.
 //
@@ -351,7 +351,8 @@ func runLiveScenario(sc *scenario.Scenario, pol sim.Policy, engine, kind string,
 			a.Rebuild = true
 		}
 	case "online":
-		// Protocol2's default: a private incremental engine per agent.
+		// Protocol2's default: each agent's handle on a private one-handle
+		// run.
 	case "shared":
 		cfg.Engine = bounds.NewNetworkEngine(sc.Net)
 	}

@@ -65,16 +65,17 @@
 // are horizon-indexed slices rather than maps, and the bounds graphs are
 // built over exact degree counts with no per-edge metadata — all guarded by
 // allocation-budget tests in internal/sim, internal/bounds and
-// internal/live. Online agents keep an incremental knowledge engine
-// (bounds.Online) that extends a standing extended bounds graph with each
-// state's delta — read off the view's append-only delivery log — and
-// re-relaxes longest paths from only the new edges, answering exactly as a
-// fresh per-state build would at a small fraction of the cost. Knowledge
-// state is stratified by lifetime into a three-tier hierarchy:
+// internal/live. Online agents keep one incremental knowledge engine that
+// extends a standing extended bounds graph with each state's delta — read
+// off the view's append-only delivery log — and re-relaxes longest paths
+// from only the new edges, answering exactly as a fresh per-state build
+// would at a small fraction of the cost. Knowledge state is stratified by
+// lifetime into a three-tier hierarchy:
 // bounds.NetworkEngine owns the network-derived structure (aux band
 // prototype, presizing hints, scratch pool) shared by every run of a
 // topology, bounds.Shared is the per-run standing graph stamped out of it,
-// and bounds.Handle carries one agent's frontier over that graph.
+// and bounds.Handle carries one agent's frontier over that graph. An agent
+// with no run to share gets a private one-handle run.
 //
 // The implementation details live in internal packages; this package
 // re-exports the stable API. See DESIGN.md for the system inventory and

@@ -144,9 +144,10 @@ func replayBatches(r *run.Run, bproc model.ProcID) []StateBatch {
 
 // protocol2 measures the per-state online decision loop of Protocol 2 for
 // B over a recorded scaling run: absorb each receive batch into B's view
-// and let the agent decide, under the selected engine. Only the engines
-// differ between the Online and Rebuild variants; the replayed view
-// maintenance is identical.
+// and let the agent decide, under the selected engine: the default private
+// one-handle run (Online) or a fresh build per state (Rebuild). Only the
+// engines differ between the variants; the replayed view maintenance is
+// identical.
 func protocol2(n int, name string, rebuild bool) Case {
 	return Case{
 		Name: fmt.Sprintf("%s/n=%d", name, n),
@@ -188,10 +189,10 @@ func protocol2(n int, name string, rebuild bool) Case {
 // Protocol2 agent over the same recorded scaling run as protocol2: the
 // query source is B's moving state while the target stays fixed on A's
 // node, so the forward (fixed-source) cache misses at every state and the
-// engines' reverse (fixed-target) caches carry the load. rebuild selects
-// the fresh-build-per-state baseline; shared routes the agent through a
-// bounds.Shared handle instead of a private bounds.Online.
-func protocol2Early(n int, name string, rebuild, shared bool) Case {
+// handle's reverse (fixed-target) cache carries the load. rebuild selects
+// the fresh-build-per-state baseline over the default private one-handle
+// run.
+func protocol2Early(n int, name string, rebuild bool) Case {
 	return Case{
 		Name: fmt.Sprintf("%s/n=%d", name, n),
 		Run: func(b *testing.B) {
@@ -213,9 +214,6 @@ func protocol2Early(n int, name string, rebuild, shared bool) Case {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agent := &live.Protocol2{Task: task, Rebuild: rebuild}
-				if shared {
-					agent.Shared = bounds.NewShared(in.Net)
-				}
 				view := run.NewLocalView(in.Net, task.B)
 				for bi := range batches {
 					if _, err := view.Absorb(batches[bi].Receipts, batches[bi].Externals); err != nil {
@@ -239,8 +237,7 @@ func protocol2Early(n int, name string, rebuild, shared bool) Case {
 // states; only the engine configuration differs between the variants:
 // shared=true subscribes every agent to one bounds.Shared engine (one
 // standing graph, per-agent frontier handles), shared=false gives each
-// agent its own incremental bounds.Online engine (the PR-3 configuration
-// the acceptance criterion compares against).
+// agent its default private one-handle run (one standing graph per agent).
 func protocol2Multi(m int, name string, shared bool) Case {
 	return Case{
 		Name: fmt.Sprintf("%s/m=%d", name, m),
@@ -268,7 +265,7 @@ func protocol2Multi(m int, name string, shared bool) Case {
 			for i := 0; i < b.N; i++ {
 				var eng *bounds.Shared
 				if shared {
-					eng = bounds.NewShared(sc.Net)
+					eng = bounds.NewNetworkEngine(sc.Net).NewRun()
 				}
 				agents := make(map[model.ProcID]*live.Protocol2, m)
 				views := make(map[model.ProcID]*run.View, m)
@@ -496,12 +493,13 @@ func SweepRebuildNetwork(m int) Case { return sweepNetwork(m, "SweepRebuildNetwo
 func Protocol2Shared(m int) Case { return protocol2Multi(m, "Protocol2Shared", true) }
 
 // Protocol2MultiOnline is the per-agent-engine baseline recorded alongside
-// Protocol2Shared: identical workload, m independent bounds.Online engines.
+// Protocol2Shared: identical workload, each agent on its own private
+// one-handle run.
 func Protocol2MultiOnline(m int) Case { return protocol2Multi(m, "Protocol2MultiOnline", false) }
 
 // Protocol2Online is the end-to-end online coordination decision with the
-// incremental bounds.Online engine: every state of B pays only for the
-// view's growth.
+// agent's default incremental engine, a private one-handle run: every
+// state of B pays only for the view's growth.
 func Protocol2Online(n int) Case { return protocol2(n, "Protocol2Online", false) }
 
 // Protocol2Rebuild is the rebuild-per-state baseline recorded alongside
@@ -510,19 +508,14 @@ func Protocol2Online(n int) Case { return protocol2(n, "Protocol2Online", false)
 func Protocol2Rebuild(n int) Case { return protocol2(n, "Protocol2Rebuild", true) }
 
 // Protocol2EarlyOnline is the Early-kind online decision loop with the
-// incremental bounds.Online engine: the moving-source query shape served by
-// the engine's reverse (fixed-target) cache.
-func Protocol2EarlyOnline(n int) Case { return protocol2Early(n, "Protocol2EarlyOnline", false, false) }
-
-// Protocol2EarlyShared is the Early-kind decision loop through a
-// bounds.Shared handle — the reverse cache under the restricted standing
-// graph.
-func Protocol2EarlyShared(n int) Case { return protocol2Early(n, "Protocol2EarlyShared", false, true) }
+// agent's default private one-handle run: the moving-source query shape
+// served by the handle's reverse (fixed-target) cache.
+func Protocol2EarlyOnline(n int) Case { return protocol2Early(n, "Protocol2EarlyOnline", false) }
 
 // Protocol2EarlyRebuild is the fresh-build-per-state baseline recorded
 // alongside the Early variants.
 func Protocol2EarlyRebuild(n int) Case {
-	return protocol2Early(n, "Protocol2EarlyRebuild", true, false)
+	return protocol2Early(n, "Protocol2EarlyRebuild", true)
 }
 
 // ScalingSimulate measures lockstep simulator throughput (the B1 row). The
@@ -777,9 +770,6 @@ func ExportCases() []Case {
 	}
 	for _, n := range []int{8, 16, 32, 64} {
 		cases = append(cases, Protocol2EarlyOnline(n))
-	}
-	for _, n := range []int{8, 16, 32, 64} {
-		cases = append(cases, Protocol2EarlyShared(n))
 	}
 	for _, m := range scenario.MultiAgentSizes {
 		cases = append(cases, Protocol2MultiOnline(m))

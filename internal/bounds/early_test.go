@@ -28,8 +28,8 @@ func earlyTargets(v *run.View) []run.GeneralNode {
 }
 
 // TestOnlineEarlyMatchesFreshBuild is the reverse cache's differential
-// acceptance test on the private engine: on every state of random
-// scenarios, Early-pattern queries — moving source sigma (and its
+// acceptance test on the private engine (a one-handle run): on every state
+// of random scenarios, Early-pattern queries — moving source sigma (and its
 // chain-crossing neighbours), fixed targets — through the incrementally
 // maintained reverse distances are identical to a fresh
 // NewExtendedFromView of the same view. Interleaved forward queries pin
@@ -51,10 +51,10 @@ func TestOnlineEarlyMatchesFreshBuild(t *testing.T) {
 		if r.LastIndex(p) == 0 {
 			continue
 		}
-		var eng *Online
+		var eng *Handle
 		replayViews(t, r, p, func(k int, v *run.View) {
 			if eng == nil {
-				eng = NewOnline(v)
+				_, eng = newPrivate(t, v)
 			}
 			fresh, err := NewExtendedFromView(v)
 			if err != nil {
@@ -129,7 +129,7 @@ func TestSharedEarlyMatchesFreshBuild(t *testing.T) {
 			procs[(int(seed)+1)%len(procs)]: true,
 			procs[(int(seed)+3)%len(procs)]: true,
 		}
-		eng := NewShared(in.Net)
+		eng := NewNetworkEngine(in.Net).NewRun()
 		handles := make(map[model.ProcID]*Handle)
 		replayAll(t, r, observers, func(p model.ProcID, k int, v *run.View) {
 			h, ok := handles[p]
@@ -179,7 +179,7 @@ func TestSharedEarlyAllocationGuard(t *testing.T) {
 	r := sim.MustSimulate(sim.Config{
 		Net: net, Horizon: 40, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go"),
 	})
-	eng := NewShared(net)
+	eng := NewNetworkEngine(net).NewRun()
 	var h *Handle
 	var view *run.View
 	observers := map[model.ProcID]bool{2: true}

@@ -219,8 +219,8 @@ func TestNetworkEngineRunIsolation(t *testing.T) {
 
 // TestNetworkEngineAllocationGuard pins the amortization the network tier
 // buys: stamping a run out of a prebuilt engine (NewRun) must allocate
-// strictly less than deriving the whole engine per run (NewShared, which is
-// now NewNetworkEngine + NewRun) — the aux band prototype is cloned in O(1)
+// strictly less than deriving the whole engine per run (NewNetworkEngine +
+// NewRun, as a private one-handle engine does) — the aux band prototype is cloned in O(1)
 // allocations and the hint tables are shared, not rebuilt.
 func TestNetworkEngineAllocationGuard(t *testing.T) {
 	net := model.MustComplete(6, 1, 5)
@@ -231,12 +231,12 @@ func TestNetworkEngineAllocationGuard(t *testing.T) {
 		}
 	})
 	fresh := testing.AllocsPerRun(100, func() {
-		if bounds.NewShared(net) == nil {
+		if bounds.NewNetworkEngine(net).NewRun() == nil {
 			t.Fatal("no engine")
 		}
 	})
 	if perRun >= fresh {
-		t.Errorf("NewRun allocates %.0f times per run, fresh NewShared %.0f — the network tier amortizes nothing", perRun, fresh)
+		t.Errorf("NewRun allocates %.0f times per run, fresh engine + NewRun %.0f — the network tier amortizes nothing", perRun, fresh)
 	}
 	// The run stamp itself must stay O(1) in the network: struct, frontier
 	// tables, coordinate copies and a constant-allocation graph clone.

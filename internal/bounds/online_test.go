@@ -1,7 +1,6 @@
 package bounds
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
@@ -75,12 +74,21 @@ func queryNodes(v *run.View) []run.GeneralNode {
 	return out
 }
 
-// TestOnlineMatchesFreshBuild is the engine's differential acceptance test:
-// on every state of random scenarios, every knowledge answer of the
-// incrementally maintained graph — knowledge weight, knownness and error
-// class, over basic and chain-crossing general node pairs, in both
-// directions — is identical to a fresh NewExtendedFromView of the same
-// view.
+// newPrivate subscribes v to a one-handle run of its own network: the
+// private incremental engine Protocol2 runs by default (the "online"
+// engine). It returns the run too, for tests that inspect the standing
+// graph.
+func newPrivate(tb testing.TB, v *run.View) (*Shared, *Handle) {
+	tb.Helper()
+	s := NewNetworkEngine(v.Net()).NewRun()
+	return s, mustHandle(tb, s, v)
+}
+
+// TestOnlineMatchesFreshBuild is the private engine's differential
+// acceptance test: on every state of random scenarios, every knowledge
+// answer of a one-handle run — knowledge weight, knownness and error class,
+// over basic and chain-crossing general node pairs, in both directions — is
+// identical to a fresh NewExtendedFromView of the same view.
 func TestOnlineMatchesFreshBuild(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := workload.DefaultConfig(seed)
@@ -98,15 +106,15 @@ func TestOnlineMatchesFreshBuild(t *testing.T) {
 			if r.LastIndex(p) == 0 {
 				continue
 			}
-			var eng *Online
+			var eng *Handle
 			// fixed is a source queried both last and first around every
-			// state transition, so the warm-started RelaxFrom path — cached
-			// distances re-relaxed across a sync that added and removed
+			// state transition, so the warm-started forward path — cached
+			// distances re-relaxed across a sync that added and retired
 			// edges — is exercised and compared at every state.
 			fixed := run.At(run.BasicNode{Proc: p, Index: 1})
 			replayViews(t, r, p, func(k int, v *run.View) {
 				if eng == nil {
-					eng = NewOnline(v)
+					_, eng = newPrivate(t, v)
 				}
 				fresh, err := NewExtendedFromView(v)
 				if err != nil {
@@ -152,10 +160,11 @@ func TestOnlineQueriesAreRepeatable(t *testing.T) {
 	if r.LastIndex(p) == 0 {
 		t.Skip("process never moves")
 	}
-	var eng *Online
+	var s *Shared
+	var eng *Handle
 	replayViews(t, r, p, func(k int, v *run.View) {
 		if eng == nil {
-			eng = NewOnline(v)
+			s, eng = newPrivate(t, v)
 		}
 		qs := queryNodes(v)
 		type key struct{ i, j int }
@@ -171,43 +180,14 @@ func TestOnlineQueriesAreRepeatable(t *testing.T) {
 						t.Fatalf("state %d: %s->%s changed between rounds: %q vs %q",
 							k, t1, t2, first[key{i, j}], got)
 					}
-					if before := eng.NumVertices(); true {
-						if kw2, known2, err2 := eng.KnowledgeWeight(t1, t2); kw2 != kw || known2 != known || (err2 == nil) != (err == nil) {
-							t.Fatalf("state %d: %s->%s not repeatable", k, t1, t2)
-						} else if eng.NumVertices() != before {
-							t.Fatalf("state %d: query leaked %d vertices", k, eng.NumVertices()-before)
-						}
+					before := s.NumVertices()
+					if kw2, known2, err2 := eng.KnowledgeWeight(t1, t2); kw2 != kw || known2 != known || (err2 == nil) != (err == nil) {
+						t.Fatalf("state %d: %s->%s not repeatable", k, t1, t2)
+					} else if s.NumVertices() != before {
+						t.Fatalf("state %d: query leaked %d vertices", k, s.NumVertices()-before)
 					}
 				}
 			}
 		}
 	})
-}
-
-// TestOnlineRejectsUnmodeledChannel mirrors the fresh-build error path: a
-// delivery over a channel the network does not model surfaces as
-// model.ErrNoChannel from the online engine too — and keeps doing so on
-// every retry (the log watermark stays on the bad entry), matching a fresh
-// build's stable answer instead of degrading into an internal error.
-func TestOnlineRejectsUnmodeledChannel(t *testing.T) {
-	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).MustBuild()
-	sender := run.NewLocalView(net, 3)
-	from, err := sender.Absorb(nil, []string{"go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver := run.NewLocalView(net, 2)
-	eng := NewOnline(receiver)
-	if _, err := receiver.Absorb([]run.Receipt{{From: from, Payload: sender.Snapshot()}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 3; round++ {
-		if err := eng.Sync(); !errors.Is(err, model.ErrNoChannel) {
-			t.Fatalf("round %d: got %v, want model.ErrNoChannel", round, err)
-		}
-		sigma := run.At(receiver.Origin())
-		if _, _, err := eng.KnowledgeWeight(sigma, sigma); !errors.Is(err, model.ErrNoChannel) {
-			t.Fatalf("round %d: query error = %v, want model.ErrNoChannel", round, err)
-		}
-	}
 }

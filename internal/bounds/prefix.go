@@ -54,7 +54,7 @@ type EngineStats struct {
 	ReplayBatches int64
 	ReplayChunks  int64
 	// BatchQueries / BatchHits count the batched knowledge-query plane:
-	// answers served through handle KnowsAt/QueryBatch grids, and the subset
+	// answers served through handle KnowsAt grids, and the subset
 	// answered from an already-computed distance array (no SPFA of their
 	// own). XFanout counts live executions SAVED by x-axis fanout — sweep
 	// cells whose per-x rows were derived from another cell's single

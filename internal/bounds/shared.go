@@ -12,10 +12,9 @@ import (
 
 // Shared is the run-lifetime tier of the knowledge engine hierarchy
 // (NetworkEngine → PrefixEngine → Shared → Handle): one standing extended
-// graph, grown
-// over the union of every subscribed agent's view, serving all of them. A
-// live run with m knowledge-based agents would otherwise maintain m
-// bounds.Online engines whose graphs overlap almost entirely — every agent's
+// graph, grown over the union of every subscribed agent's view, serving
+// all of them. A live run with m knowledge-based agents would otherwise
+// maintain m private graphs that overlap almost entirely — every agent's
 // view is a restriction of the same run — so the standing vertex and edge
 // tables are built once here and each agent keeps only what is genuinely
 // its own: a Handle with its view frontier, its private E” horizon edges
@@ -38,8 +37,8 @@ import (
 // of a message whose delivery the agent has not seen — differ per agent: a
 // delivery inside the run but beyond an agent's frontier must still
 // constrain that agent. Each handle therefore maintains its own E” set as
-// a per-psi overlay adjacency, retiring entries exactly as bounds.Online
-// removes its leaving edges.
+// a per-psi overlay adjacency, retiring an entry when the agent sees the
+// delivery.
 //
 // A query relaxes the standing graph restricted to the handle's frontier
 // (graph.LongestRestricted / RelaxRestrictedFrom), which by construction is
@@ -48,6 +47,11 @@ import (
 // frontier that the mask hides — so Knows/KnowledgeWeight answers coincide
 // exactly with fresh per-view builds at every state
 // (TestSharedMatchesFreshBuild asserts this differentially).
+//
+// A single agent with no run to share — Protocol2's default — is served the
+// same way, by a one-handle run: NewNetworkEngine(net).NewRun().NewHandle(v).
+// The engine then holds exactly that agent's graph, and the frontier mask
+// hides nothing.
 //
 // Shared is safe for concurrent use by multiple handles: engine growth and
 // speculative chain vertices are serialized by one mutex (the live
@@ -88,15 +92,6 @@ type Shared struct {
 	// standing state started from a frozen prefix rather than empty.
 	pendingKey uint64
 	fromPrefix bool
-}
-
-// NewShared builds the engine for one run over net. It is the compatibility
-// constructor from before the network tier existed: it derives a private
-// NetworkEngine and stamps one run out of it. Callers running many runs of
-// one network (sweeps, the live environment) should build the engine once
-// with NewNetworkEngine and call NewRun per run instead.
-func NewShared(net *model.Network) *Shared {
-	return NewNetworkEngine(net).NewRun()
 }
 
 // Net returns the network the engine serves.
@@ -270,8 +265,10 @@ type Handle struct {
 	// lazy: revEnabled is set by the first reverse query, which transposes the
 	// overlay accumulated so far; until then sync skips all reverse
 	// bookkeeping, so handles that never see the Early shape pay nothing.
+	// roverlay's per-sender lists are carved out of rslab (see addROverlay).
 	revEnabled bool
 	roverlay   [][]graph.Edge
+	rslab      []graph.Edge
 	bfrom      []int32
 
 	// stats counts this handle's reverse-cache activity for per-cell
@@ -283,20 +280,20 @@ type Handle struct {
 	chainKeys []chainKey
 	chainIDs  []int
 	undo      []chainUndo
-
-	// Reusable QueryBatch working buffers (resolved endpoints and the
-	// answered bitmap), kept on the handle so batches allocate nothing.
-	batchUs, batchVs []int
-	batchDone        []bool
 }
 
-// HandleStats counts one handle's (or one Online engine's) reverse-cache
-// activity — warm reverse restarts, full reverse rebuilds, aux-band
-// refreshes and the SPFA relaxations spent on the reverse side — plus its
-// batched-query plane: BatchQueries counts answers served through KnowsAt /
-// QueryBatch, BatchHits the subset answered from an already-computed
-// distance array (no SPFA of their own). The engine-level EngineStats
-// aggregates the same counters across all handles.
+// chainUndo records one speculative chain vertex for rollback.
+type chainUndo struct {
+	parent, eta, aux int
+	lower, upper     int
+}
+
+// HandleStats counts one handle's reverse-cache activity — warm reverse
+// restarts, full reverse rebuilds, aux-band refreshes and the SPFA
+// relaxations spent on the reverse side — plus its threshold grids:
+// BatchQueries counts answers served through KnowsAt, BatchHits the subset
+// answered from an already-computed weight (no SPFA of their own). The
+// engine-level EngineStats aggregates the same counters across all handles.
 type HandleStats struct {
 	RevHits        int64
 	RevRebuilds    int64
@@ -486,10 +483,12 @@ func (h *Handle) sync() error {
 
 	// Pass 2: wire the new deliveries. The standing edge pair is added once
 	// across all handles; a delivery whose sender predates this sync
-	// retires the overlay entry recorded for it earlier. As with
-	// bounds.Online, retirement does not invalidate the cached distances:
-	// per-state fresh distances of this agent are pointwise non-decreasing
-	// (knowledge is persistent), so the cache stays a valid
+	// retires the overlay entry recorded for it earlier. Retirement does not
+	// invalidate the cached forward distances: per-state fresh distances of
+	// this agent are pointwise non-decreasing — on node vertices they are,
+	// by Theorem 4, the knowledge weights against the fixed cached source,
+	// and knowledge is persistent; on the aux band every input is a boundary
+	// edge whose support only strengthens — so the cache stays a valid
 	// under-approximating warm start and re-relaxing from the added edges'
 	// sources converges to the exact new fixpoint.
 	delta := h.view.DeliveriesSince(h.logMark)
@@ -534,13 +533,31 @@ func (h *Handle) sync() error {
 	return nil
 }
 
+// rslabChunk is the number of reverse E” entries one slab allocation of a
+// handle covers.
+const rslabChunk = 256
+
 // addROverlay appends one transposed E” entry (head sender -> psi band
-// vertex q) to the reverse overlay, growing the outer table on demand.
+// vertex q) to the reverse overlay, growing the outer table on demand. A
+// sender's first entry carves its list out of the handle's slab, capped at
+// the sender's out-degree: a node carries at most one E” entry per
+// out-channel, and entries only ever retire, so the list never outgrows
+// its carve and a whole slab of senders costs one allocation.
 func (h *Handle) addROverlay(sender, q, w int) {
 	for len(h.roverlay) <= sender {
 		h.roverlay = append(h.roverlay, nil)
 	}
-	h.roverlay[sender] = append(h.roverlay[sender], graph.Edge{To: q, Weight: w})
+	es := h.roverlay[sender]
+	if cap(es) == 0 {
+		p := model.ProcID(h.shared.band[sender] + 1)
+		deg := len(h.view.Net().OutArcs(p))
+		if len(h.rslab) < deg {
+			h.rslab = make([]graph.Edge, max(deg, rslabChunk))
+		}
+		es = h.rslab[:0:deg]
+		h.rslab = h.rslab[deg:]
+	}
+	h.roverlay[sender] = append(es, graph.Edge{To: q, Weight: w})
 }
 
 // enableReverse begins reverse bookkeeping on first use: the forward overlay
@@ -570,9 +587,13 @@ func removeOverlayEdge(es *[]graph.Edge, to, w int) bool {
 	return false
 }
 
-// vertexOfGeneral mirrors Online.vertexOfGeneral on the standing graph,
+// vertexOfGeneral mirrors Extended.VertexOfGeneral on the standing graph,
 // materializing speculative chain vertices (always visible, recorded in
-// h.undo for rollback) for hops beyond the handle's view.
+// h.undo for rollback) for hops beyond the handle's view. A chain vertex's
+// edges add no constraint between standing vertices — its only exit edge,
+// back to its parent, is dominated by the E” edge that exists whenever the
+// chain vertex does — so speculative queries leave no trace in the cached
+// distances.
 func (h *Handle) vertexOfGeneral(theta run.GeneralNode) (int, error) {
 	s := h.shared
 	net := h.view.Net()
@@ -656,9 +677,9 @@ func (h *Handle) rollback(base int) {
 
 // KnowledgeWeight computes kw = max{ x : K_sigma(theta1 --x--> theta2) } at
 // the agent's current state, agreeing exactly with
-// Extended.KnowledgeWeight on a fresh build from the agent's view (and with
-// bounds.Online). known is false — with err == nil — when no bound is known
-// at any x.
+// Extended.KnowledgeWeight on a fresh build from the agent's view. known is
+// false — with err == nil — when no bound is known at any x. (Witness steps
+// are an offline concern; online agents decide on the weight alone.)
 func (h *Handle) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known bool, err error) {
 	s := h.shared
 	s.mu.Lock()
@@ -690,8 +711,8 @@ func (h *Handle) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known 
 	}
 	// The chain edges materialized above relax into the standing distances
 	// without disturbing them, forward and reverse alike (their exit edges
-	// are dominated, exactly as in bounds.Online), so a cached run keyed on
-	// the same endpoint only needs the accumulated delta seeds.
+	// are dominated, see vertexOfGeneral), so a cached run keyed on the same
+	// endpoint only needs the accumulated delta seeds.
 	//
 	// Which cache serves is decided by the query's shape. A source matching
 	// the forward cache relaxes forward warm — the Late-kind steady state.
@@ -792,13 +813,6 @@ func (h *Handle) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known 
 		return 0, false, nil
 	}
 	return w, true, nil
-}
-
-// Weight is the weight-only query of the batched plane. Handle never
-// materializes witnesses, so it coincides with KnowledgeWeight; it exists so
-// Extended, Online and Handle expose one weight-only contract.
-func (h *Handle) Weight(theta1, theta2 run.GeneralNode) (kw int, known bool, err error) {
-	return h.KnowledgeWeight(theta1, theta2)
 }
 
 // Knows reports whether K_sigma(theta1 --x--> theta2) holds at the agent's

@@ -72,7 +72,7 @@ func TestSharedMatchesFreshBuild(t *testing.T) {
 			procs[(int(seed)+1)%len(procs)]: true,
 			procs[(int(seed)+3)%len(procs)]: true,
 		}
-		eng := NewShared(in.Net)
+		eng := NewNetworkEngine(in.Net).NewRun()
 		handles := make(map[model.ProcID]*Handle)
 		fixed := make(map[model.ProcID]run.GeneralNode)
 		replayAll(t, r, observers, func(p model.ProcID, k int, v *run.View) {
@@ -115,11 +115,12 @@ func TestSharedMatchesFreshBuild(t *testing.T) {
 	}
 }
 
-// TestSharedMatchesOnlinePerAgent cross-checks the two incremental engines
-// directly: a shared handle and a private bounds.Online engine driven by
-// the same view sequence give identical answers at every state. (Both are
-// separately pinned to fresh builds; this guards against compensating
-// errors in the differential fixtures.)
+// TestSharedMatchesOnlinePerAgent cross-checks the engine's two
+// configurations directly: a handle on a run shared with another agent and
+// the agent's private one-handle run, driven by the same view sequence,
+// give identical answers at every state. (Both are separately pinned to
+// fresh builds; this guards against compensating errors in the
+// differential fixtures.)
 func TestSharedMatchesOnlinePerAgent(t *testing.T) {
 	in := workload.MustGenerate(workload.DefaultConfig(7))
 	r, err := in.Simulate(sim.NewRandom(17))
@@ -128,13 +129,13 @@ func TestSharedMatchesOnlinePerAgent(t *testing.T) {
 	}
 	procs := in.Net.Procs()
 	observers := map[model.ProcID]bool{procs[0]: true, procs[2]: true}
-	eng := NewShared(in.Net)
+	eng := NewNetworkEngine(in.Net).NewRun()
 	handles := make(map[model.ProcID]*Handle)
-	onlines := make(map[model.ProcID]*Online)
+	onlines := make(map[model.ProcID]*Handle)
 	replayAll(t, r, observers, func(p model.ProcID, k int, v *run.View) {
 		if handles[p] == nil {
 			handles[p] = mustHandle(t, eng, v)
-			onlines[p] = NewOnline(v)
+			_, onlines[p] = newPrivate(t, v)
 		}
 		for _, t1 := range queryNodes(v) {
 			for _, t2 := range queryNodes(v) {
@@ -160,7 +161,7 @@ func TestSharedQueriesAreRepeatable(t *testing.T) {
 	}
 	procs := in.Net.Procs()
 	observers := map[model.ProcID]bool{procs[0]: true, procs[1]: true}
-	eng := NewShared(in.Net)
+	eng := NewNetworkEngine(in.Net).NewRun()
 	handles := make(map[model.ProcID]*Handle)
 	replayAll(t, r, observers, func(p model.ProcID, k int, v *run.View) {
 		if handles[p] == nil {
@@ -185,10 +186,11 @@ func TestSharedQueriesAreRepeatable(t *testing.T) {
 	})
 }
 
-// TestSharedRejectsUnmodeledChannel mirrors the fresh-build and Online
-// error paths: a delivery over a channel the network does not model
-// surfaces as model.ErrNoChannel through a shared handle too, stably across
-// retries.
+// TestSharedRejectsUnmodeledChannel mirrors the fresh-build error path: a
+// delivery over a channel the network does not model surfaces as
+// model.ErrNoChannel through a handle too — and keeps doing so on every
+// retry (the log watermark stays on the bad entry), matching a fresh
+// build's stable answer instead of degrading into an internal error.
 func TestSharedRejectsUnmodeledChannel(t *testing.T) {
 	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).MustBuild()
 	sender := run.NewLocalView(net, 3)
@@ -197,7 +199,7 @@ func TestSharedRejectsUnmodeledChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	receiver := run.NewLocalView(net, 2)
-	eng := NewShared(net)
+	eng := NewNetworkEngine(net).NewRun()
 	h := mustHandle(t, eng, receiver)
 	if _, err := receiver.Absorb([]run.Receipt{{From: from, Payload: sender.Snapshot()}}, nil); err != nil {
 		t.Fatal(err)
@@ -224,7 +226,7 @@ func TestSharedAllocationGuard(t *testing.T) {
 	r := sim.MustSimulate(sim.Config{
 		Net: net, Horizon: 40, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go"),
 	})
-	eng := NewShared(net)
+	eng := NewNetworkEngine(net).NewRun()
 	var h *Handle
 	var view *run.View
 	observers := map[model.ProcID]bool{2: true}
@@ -267,7 +269,7 @@ func TestSharedScratchPool(t *testing.T) {
 	if r.LastIndex(p) == 0 {
 		t.Skip("process never moves")
 	}
-	eng := NewShared(in.Net)
+	eng := NewNetworkEngine(in.Net).NewRun()
 	var h *Handle
 	replayAll(t, r, map[model.ProcID]bool{p: true}, func(_ model.ProcID, _ int, v *run.View) {
 		if h == nil {

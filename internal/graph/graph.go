@@ -184,7 +184,8 @@ type Scratch struct {
 	Relaxations int64
 
 	// n is the vertex count covered by the most recent completed
-	// computation; RelaxFrom uses it to initialize vertices added since.
+	// computation; the warm restarts (RelaxRestrictedFrom and its reverse
+	// twin) use it to initialize vertices added since.
 	n int
 
 	dist    []int64
@@ -198,7 +199,7 @@ type Scratch struct {
 }
 
 // ensure grows the buffers to cover n vertices, preserving existing
-// contents (RelaxFrom resumes from the distances of the previous run).
+// contents (warm restarts resume from the distances of the previous run).
 func (s *Scratch) ensure(n int) {
 	if n > cap(s.dist) {
 		c := 2 * cap(s.dist)
@@ -223,7 +224,7 @@ func (s *Scratch) ensure(n int) {
 }
 
 // Truncate forgets distances of vertices >= n, so that a subsequent
-// RelaxFrom treats re-allocated vertex ids (after PopVertex) as fresh. It
+// warm restart treats re-allocated vertex ids (after PopVertex) as fresh. It
 // never grows the covered range.
 func (s *Scratch) Truncate(n int) {
 	if n < s.n {
@@ -251,12 +252,6 @@ func (g *Graph) LongestInto(dst int) ([]int64, error) {
 	return longest(dst, g.radj, new(Scratch))
 }
 
-// LongestIntoWith is LongestInto with caller-provided working buffers: the
-// returned slice aliases s and stays valid only until s is used again.
-func (g *Graph) LongestIntoWith(s *Scratch, dst int) ([]int64, error) {
-	return longest(dst, g.radj, s)
-}
-
 func longest(src int, adj [][]Edge, s *Scratch) ([]int64, error) {
 	n := len(adj)
 	if src < 0 || src >= n {
@@ -273,166 +268,7 @@ func longest(src int, adj [][]Edge, s *Scratch) ([]int64, error) {
 	s.queue[0] = src
 	s.inQueue[src] = true
 	s.n = n
-	return dist, spfa(adj, s, 1)
-}
-
-// RelaxFrom resumes a longest-path computation after monotone growth of the
-// graph: s must hold the distances of a prior Longest/LongestWith run on
-// this graph from the same source, before vertices and edges were ADDED
-// (adding an edge or vertex never invalidates a longest-path distance
-// downward, so the old fixpoint is a valid starting point; edge removal is
-// not supported — recompute from scratch after one). Vertices appended since
-// the prior run start unreachable; seeds must list the sources of every
-// edge added since. The returned slice aliases s, as with LongestWith.
-func (g *Graph) RelaxFrom(s *Scratch, seeds []int) ([]int64, error) {
-	n := len(g.adj)
-	if s.n == 0 {
-		return nil, errors.New("graph: RelaxFrom without a prior computation")
-	}
-	if s.n > n {
-		return nil, fmt.Errorf("graph: RelaxFrom after shrink: %d vertices, scratch covers %d", n, s.n)
-	}
-	old := s.n
-	s.ensure(n)
-	dist := s.dist
-	for i := old; i < n; i++ {
-		dist[i] = NegInf
-	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
-	}
-	count := 0
-	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
-		// Unreachable seeds cannot improve anything (and must not leak
-		// NegInf+w pseudo-distances into the relaxation).
-		if !s.inQueue[v] && dist[v] != NegInf {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
-		}
-	}
-	s.n = n
-	return dist, spfa(g.adj, s, count)
-}
-
-// RelaxReverseFrom resumes a reverse longest-path computation after
-// monotone growth of the graph: s must hold the distances of a prior
-// LongestInto/LongestIntoWith run toward the same destination. Adding a
-// vertex or an edge never lowers any distance INTO the destination, so the
-// prior fixpoint is a valid starting point. Reverse relaxation propagates
-// head -> tail, so seeds must list the HEADS of every edge added since the
-// prior run. Edge removal can lower a reverse distance, which a max-only
-// restart would never discover: refresh must list every vertex whose
-// distance toward the destination may have DECREASED since the prior run
-// (see RelaxReverseRestrictedFrom for the re-derivation mechanics); refresh
-// must not contain the destination itself. The returned slice aliases s, as
-// with LongestIntoWith.
-func (g *Graph) RelaxReverseFrom(s *Scratch, seeds, refresh []int) ([]int64, error) {
-	n := len(g.adj)
-	if s.n == 0 {
-		return nil, errors.New("graph: RelaxReverseFrom without a prior computation")
-	}
-	if s.n > n {
-		return nil, fmt.Errorf("graph: RelaxReverseFrom after shrink: %d vertices, scratch covers %d", n, s.n)
-	}
-	old := s.n
-	s.ensure(n)
-	dist := s.dist
-	for i := old; i < n; i++ {
-		dist[i] = NegInf
-	}
-	for _, v := range refresh {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: refresh vertex %d outside 0..%d", v, n-1)
-		}
-		dist[v] = NegInf
-	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
-	}
-	count := 0
-	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
-		if !s.inQueue[v] && dist[v] != NegInf {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
-		}
-	}
-	// Re-deriving a refresh vertex means re-popping the heads of its
-	// surviving out-edges; heads that are themselves refresh-reset re-enter
-	// the queue once a neighbor with a valid distance improves them.
-	for _, v := range refresh {
-		for _, e := range g.adj[v] {
-			if h := e.To; !s.inQueue[h] && dist[h] != NegInf {
-				s.queue[count] = h
-				count++
-				s.inQueue[h] = true
-			}
-		}
-	}
-	s.n = n
-	return dist, spfa(g.radj, s, count)
-}
-
-// spfa drains the ring queue holding count seeded vertices. The queue holds
-// at most one entry per vertex (inQueue guards every push), so the ring
-// never overtakes its head; dequeues are O(1) index moves and the backing
-// array is reused across queries instead of leaking capacity the way a
-// queue[1:] re-slice does.
-//
-// Positive cycles are detected exactly, by path edge count: every
-// relaxation records that the improving path to e.To is one edge longer
-// than the one to u, and a strictly-improving path of n edges must revisit
-// a vertex, around a cycle that raised its distance — a positive cycle.
-// Conversely, when no positive cycle is reachable every improving path is
-// simple (revisiting would imply a distance-raising cycle), so lengths stay
-// below n and legal graphs are never misreported, no matter how many times
-// a vertex is re-relaxed.
-func spfa(adj [][]Edge, s *Scratch, count int) error {
-	n := len(adj)
-	dist, inQueue, pathLen, queue := s.dist, s.inQueue, s.pathLen, s.queue
-	head := 0
-	var relaxed int64
-	for count > 0 {
-		u := queue[head]
-		head++
-		if head == n {
-			head = 0
-		}
-		count--
-		inQueue[u] = false
-		du := dist[u]
-		for _, e := range adj[u] {
-			if nd := du + int64(e.Weight); nd > dist[e.To] {
-				dist[e.To] = nd
-				relaxed++
-				pathLen[e.To] = pathLen[u] + 1
-				if int(pathLen[e.To]) >= n {
-					s.Relaxations += relaxed
-					return ErrPositiveCycle
-				}
-				if !inQueue[e.To] {
-					tail := head + count
-					if tail >= n {
-						tail -= n
-					}
-					queue[tail] = e.To
-					count++
-					inQueue[e.To] = true
-				}
-			}
-		}
-	}
-	s.Relaxations += relaxed
-	return nil
+	return dist, spfaRestricted(adj, s, 1, nil)
 }
 
 // LongestPath returns the weight of a longest path from src to dst and a
@@ -456,7 +292,7 @@ func (g *Graph) LongestPathWith(s *Scratch, src, dst int) (weight int64, path []
 }
 
 // PathFrom reconstructs a longest src->dst path from distances previously
-// computed by Longest/LongestWith/RelaxFrom from src (callers holding the
+// computed by Longest/LongestWith from src (callers holding the
 // distances already avoid a second SPFA run). ok is false if dst is
 // unreachable. The returned path is freshly allocated.
 //

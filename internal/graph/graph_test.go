@@ -146,26 +146,8 @@ func TestAddEdgePanicsOutOfRange(t *testing.T) {
 	New(2).AddEdge(0, 5, 1)
 }
 
-// bruteLongest computes longest-path distances by |V| rounds of relaxation
-// (plain Bellman-Ford), as an independent oracle.
-func bruteLongest(n int, edges [][3]int, src int) []int64 {
-	dist := make([]int64, n)
-	for i := range dist {
-		dist[i] = NegInf
-	}
-	dist[src] = 0
-	for round := 0; round < n; round++ {
-		for _, e := range edges {
-			u, v, w := e[0], e[1], e[2]
-			if dist[u] != NegInf && dist[u]+int64(w) > dist[v] {
-				dist[v] = dist[u] + int64(w)
-			}
-		}
-	}
-	return dist
-}
-
-// TestLongestAgainstOracle cross-checks SPFA against plain Bellman-Ford on
+// TestLongestAgainstOracle cross-checks SPFA against plain Bellman-Ford
+// (refLongest) on
 // random graphs without positive cycles (all cycles forced <= 0 by using a
 // topological base order with only non-positive back edges).
 func TestLongestAgainstOracle(t *testing.T) {
@@ -173,7 +155,6 @@ func TestLongestAgainstOracle(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(6)
 		g := New(n)
-		var edges [][3]int
 		for i := 0; i < 3*n; i++ {
 			u := rng.Intn(n)
 			v := rng.Intn(n)
@@ -189,13 +170,15 @@ func TestLongestAgainstOracle(t *testing.T) {
 				w = -(5*n + 1 + rng.Intn(6))
 			}
 			g.AddEdge(u, v, w)
-			edges = append(edges, [3]int{u, v, w})
 		}
 		dist, err := g.Longest(0)
 		if err != nil {
 			return false
 		}
-		want := bruteLongest(n, edges, 0)
+		want, err := refLongest(g, 0, nil, false)
+		if err != nil {
+			return false
+		}
 		for i := range dist {
 			if dist[i] != want[i] {
 				return false

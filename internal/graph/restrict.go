@@ -28,11 +28,11 @@ const posInf = int64(1) << 60
 // leaves the visible set — invisible seeds are dropped and edges into
 // invisible targets are rejected. The rejection costs NOTHING per edge:
 // invisible vertices carry the posInf distance sentinel, so the ordinary
-// "does this edge improve the target" test fails for them and the masked
-// relaxation loop is byte-for-byte the unrestricted spfa body (the mask is
-// consulted only when initializing distances, filtering seeds and placing
-// the per-dequeue virtual edges). Since subscriber frontiers only ever
-// grow, the distances a Scratch accumulates for one subscriber remain
+// "does this edge improve the target" test fails for them and masked and
+// unrestricted queries share one relaxation loop, spfaRestricted (the mask
+// is consulted only when initializing distances, filtering seeds and
+// placing the per-dequeue virtual edges). Since subscriber frontiers only
+// ever grow, the distances a Scratch accumulates for one subscriber remain
 // valid warm starts under that subscriber's later (larger) visible sets —
 // the subscriber passes the vertices that just became visible as
 // `admitted` so their sentinels are dropped.
@@ -115,10 +115,11 @@ func (g *Graph) LongestRestricted(s *Scratch, src int, r *Restriction) ([]int64,
 	return dist, spfaRestricted(g.adj, s, 1, r)
 }
 
-// RelaxRestrictedFrom is RelaxFrom confined to a restriction: it resumes a
-// prior LongestRestricted/RelaxRestrictedFrom run from the same source and
-// the same subscriber, after the graph and the subscriber's visible set
-// grew monotonically. seeds must list the sources of every edge that became
+// RelaxRestrictedFrom resumes a prior LongestRestricted/RelaxRestrictedFrom
+// run from the same source and the same subscriber, after the graph and the
+// subscriber's visible set grew monotonically: adding a vertex or an edge
+// never lowers a longest-path distance, so the prior fixpoint is a valid
+// warm start. seeds must list the sources of every edge that became
 // visible to this subscriber since the prior run (newly standing edges
 // inside the frontier, overlay additions, and the moved virtual boundary
 // edges); invisible or unreachable seeds are skipped. admitted must list
@@ -173,7 +174,7 @@ func (g *Graph) RelaxRestrictedFrom(s *Scratch, seeds, admitted []int, r *Restri
 	return dist, spfaRestricted(g.adj, s, count, r)
 }
 
-// LongestIntoRestricted is LongestIntoWith confined to the restriction's
+// LongestIntoRestricted is LongestInto confined to the restriction's
 // visible subgraph: it computes, for every visible vertex v, the weight of
 // the longest path from v INTO dst through visible vertices only, including
 // the overlay and virtual boundary edges (consulted through ROverlay and
@@ -316,19 +317,43 @@ func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh 
 	return dist, spfaReverseRestricted(g.radj, s, count, r)
 }
 
-// spfaRestricted is spfa over the visible subgraph: the overlay
-// contributes extra out-edges and band-boundary vertices relax their
-// virtual boundary edge, both once per dequeued vertex. Standing edges
-// need no mask work at all — masked targets hold the posInf sentinel, so
-// the improvement test rejects them — and the queue only ever holds
-// visible vertices (seeds are filtered, masked vertices are never
-// improved). The relaxation body is spelled out three times rather than
-// closed over — this loop is the hot path of every shared-engine query,
-// and a closure call per edge costs ~15% of the whole query.
+// spfaRestricted drains the ring queue holding count seeded vertices,
+// relaxing the visible subgraph of r — or the whole graph when r is nil
+// (Longest, LongestWith and LongestInto run through it that way). The queue
+// holds at most one entry per vertex (inQueue guards every push), so the
+// ring never overtakes its head; dequeues are O(1) index moves and the
+// backing array is reused across queries instead of leaking capacity the
+// way a queue[1:] re-slice does.
+//
+// Positive cycles are detected exactly, by path edge count: every
+// relaxation records that the improving path to e.To is one edge longer
+// than the one to u, and a strictly-improving path of n edges must revisit
+// a vertex, around a cycle that raised its distance — a positive cycle.
+// Conversely, when no positive cycle is reachable every improving path is
+// simple (revisiting would imply a distance-raising cycle), so lengths stay
+// below n and legal graphs are never misreported, no matter how many times
+// a vertex is re-relaxed.
+//
+// Under a restriction the overlay contributes extra out-edges and
+// band-boundary vertices relax their virtual boundary edge, both once per
+// dequeued vertex. Standing edges need no mask work at all — masked targets
+// hold the posInf sentinel, so the improvement test rejects them — and the
+// queue only ever holds visible vertices (seeds are filtered, masked
+// vertices are never improved). The nil check likewise runs once per
+// dequeue, never per edge. The relaxation body is spelled out three times
+// rather than closed over — this loop is the hot path of every knowledge
+// query, and a closure call per edge costs ~15% of the whole query.
 func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 	n := len(adj)
-	dist, inQueue, pathLen, queue := s.dist, s.inQueue, s.pathLen, s.queue
-	band, idx, limit := r.Band, r.Idx, r.Limit
+	// Every caller has sized the buffers to n. Reslicing tells the compiler
+	// so: the four buffers then share one length for their bounds checks,
+	// which frees the registers the restriction's state needs and keeps
+	// unrestricted queries as fast as a dedicated loop.
+	dist, inQueue, pathLen, queue := s.dist[:n], s.inQueue[:n], s.pathLen[:n], s.queue[:n]
+	var band, idx, limit []int32
+	if r != nil {
+		band, idx, limit = r.Band, r.Idx, r.Limit
+	}
 	head := 0
 	var relaxed int64
 	for count > 0 {
@@ -359,6 +384,9 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 					inQueue[e.To] = true
 				}
 			}
+		}
+		if r == nil {
+			continue
 		}
 		if u < len(r.Overlay) {
 			for _, e := range r.Overlay[u] {

@@ -37,22 +37,22 @@ func line() (*Graph, *Restriction) {
 }
 
 // TestRestrictedMatchesUnrestricted: with every vertex inside the limits and
-// no overlay, the restricted run is plain Longest.
+// no overlay, the restricted runs and the plain ones both give the
+// Bellman–Ford reference distances of the whole graph, in both directions.
 func TestRestrictedMatchesUnrestricted(t *testing.T) {
 	g, r := line()
-	var s1, s2 Scratch
-	want, err := g.LongestWith(&s1, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := g.LongestRestricted(&s2, 2, r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range want {
-		if want[v] != got[v] {
-			t.Fatalf("vertex %d: %d vs %d", v, got[v], want[v])
-		}
+	var s Scratch
+	for v := 0; v < g.N(); v++ {
+		want, wantErr := refLongest(g, v, nil, false)
+		got, err := g.LongestWith(&s, v)
+		sameDist(t, "plain", got, err, want, wantErr)
+		got, err = g.LongestRestricted(&s, v, r)
+		sameDist(t, "restricted", got, err, want, wantErr)
+		want, wantErr = refLongest(g, v, nil, true)
+		got, err = g.LongestInto(v)
+		sameDist(t, "plain into", got, err, want, wantErr)
+		got, err = g.LongestIntoRestricted(&s, v, r)
+		sameDist(t, "restricted into", got, err, want, wantErr)
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -25,6 +26,8 @@ func TestLongestIntoRestrictedMatchesForward(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := append([]int64(nil), into...)
+		want, err := refLongest(g, dst, r, true)
+		sameDist(t, fmt.Sprintf("into %d", dst), got, nil, want, err)
 		for src := 0; src < 8; src++ {
 			from, err := g.LongestRestricted(&fwd, src, r)
 			if err != nil {
@@ -131,8 +134,9 @@ func TestRelaxReverseRefreshAfterRemoval(t *testing.T) {
 	}
 }
 
-// TestRelaxReverseFromMatchesFresh: the unrestricted warm reverse restart
-// over randomized growth sequences matches LongestIntoWith at every step.
+// TestRelaxReverseFromMatchesFresh: the warm reverse restart over an
+// all-visible restriction and randomized growth sequences matches the
+// Bellman–Ford reference at every step.
 func TestRelaxReverseFromMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 20; trial++ {
@@ -140,13 +144,13 @@ func TestRelaxReverseFromMatchesFresh(t *testing.T) {
 		g := New(n)
 		var s Scratch
 		dst := rng.Intn(n)
-		if _, err := g.LongestIntoWith(&s, dst); err != nil {
+		if _, err := g.LongestIntoRestricted(&s, dst, open(n)); err != nil {
 			t.Fatal(err)
 		}
 		for step := 0; step < 30; step++ {
 			var seeds []int
 			for e := 0; e < 1+rng.Intn(3); e++ {
-				u, v := rng.Intn(len(g.adj)), rng.Intn(len(g.adj))
+				u, v := rng.Intn(g.N()), rng.Intn(g.N())
 				// Negative-leaning weights keep positive cycles rare.
 				g.AddEdge(u, v, rng.Intn(7)-4)
 				seeds = append(seeds, v)
@@ -154,26 +158,18 @@ func TestRelaxReverseFromMatchesFresh(t *testing.T) {
 			if rng.Intn(3) == 0 {
 				g.AddVertex()
 			}
-			warm, warmErr := g.RelaxReverseFrom(&s, seeds, nil)
-			var s2 Scratch
-			fresh, freshErr := g.LongestIntoWith(&s2, dst)
-			if (warmErr == nil) != (freshErr == nil) {
-				t.Fatalf("trial %d step %d: warm err %v, fresh err %v", trial, step, warmErr, freshErr)
-			}
+			warm, warmErr := g.RelaxReverseRestrictedFrom(&s, seeds, nil, nil, open(g.N()))
+			want, wantErr := refLongest(g, dst, nil, true)
+			sameDist(t, fmt.Sprintf("trial %d step %d", trial, step), warm, warmErr, want, wantErr)
 			if warmErr != nil {
 				break // inconsistent graph: recompute-from-scratch territory
-			}
-			for v := range fresh {
-				if warm[v] != fresh[v] {
-					t.Fatalf("trial %d step %d vertex %d: warm %d fresh %d", trial, step, v, warm[v], fresh[v])
-				}
 			}
 		}
 	}
 }
 
-// TestRelaxReverseFromRefreshUnrestricted: removal + refresh on the plain
-// graph API re-derives tails from their surviving out-edges.
+// TestRelaxReverseFromRefreshUnrestricted: removal + refresh under an
+// all-visible restriction re-derives tails from their surviving out-edges.
 func TestRelaxReverseFromRefreshUnrestricted(t *testing.T) {
 	g := New(4)
 	g.AddEdge(0, 1, 2)
@@ -181,7 +177,7 @@ func TestRelaxReverseFromRefreshUnrestricted(t *testing.T) {
 	g.AddEdge(2, 3, 1)
 	g.AddEdge(1, 3, 1)
 	var s Scratch
-	dist, err := g.LongestIntoWith(&s, 3)
+	dist, err := g.LongestIntoRestricted(&s, 3, open(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +187,7 @@ func TestRelaxReverseFromRefreshUnrestricted(t *testing.T) {
 	if !g.RemoveEdge(0, 2, 9) {
 		t.Fatal("edge not found")
 	}
-	warm, err := g.RelaxReverseFrom(&s, nil, []int{0})
+	warm, err := g.RelaxReverseRestrictedFrom(&s, nil, nil, []int{0}, open(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,25 +196,41 @@ func TestRelaxReverseFromRefreshUnrestricted(t *testing.T) {
 	}
 }
 
-// TestRelaxReverseFromValidation mirrors the forward API's error contract.
+// TestRelaxReverseFromValidation pins the reverse warm restart's error
+// contract: no prior run, a shrunken graph, out-of-range seeds, admitted
+// and refresh vertices, invisible refresh vertices and an out-of-range or
+// masked destination are all errors.
 func TestRelaxReverseFromValidation(t *testing.T) {
 	g := New(3)
+	r := open(3)
 	var s Scratch
-	if _, err := g.RelaxReverseFrom(&s, nil, nil); err == nil {
+	if _, err := g.RelaxReverseRestrictedFrom(&s, nil, nil, nil, r); err == nil {
 		t.Fatal("no prior computation: want error")
 	}
-	if _, err := g.LongestIntoWith(&s, 0); err != nil {
+	if _, err := g.LongestIntoRestricted(&s, 0, r); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.RelaxReverseFrom(&s, []int{7}, nil); err == nil {
+	if _, err := g.RelaxReverseRestrictedFrom(&s, []int{7}, nil, nil, r); err == nil {
 		t.Fatal("out-of-range seed: want error")
 	}
-	if _, err := g.RelaxReverseFrom(&s, nil, []int{-1}); err == nil {
+	if _, err := g.RelaxReverseRestrictedFrom(&s, nil, []int{7}, nil, r); err == nil {
+		t.Fatal("out-of-range admitted vertex: want error")
+	}
+	if _, err := g.RelaxReverseRestrictedFrom(&s, nil, nil, []int{-1}, r); err == nil {
 		t.Fatal("out-of-range refresh: want error")
 	}
-	var r Restriction
-	if _, err := g.LongestIntoRestricted(&s, 9, &r); err == nil {
+	r.Visible[2] = false
+	if _, err := g.RelaxReverseRestrictedFrom(&s, nil, nil, []int{2}, r); err == nil {
+		t.Fatal("invisible refresh vertex: want error")
+	}
+	if _, err := g.LongestIntoRestricted(&s, 2, r); err == nil {
+		t.Fatal("masked destination: want error")
+	}
+	if _, err := g.LongestIntoRestricted(&s, 9, r); err == nil {
 		t.Fatal("out-of-range destination: want error")
+	}
+	if _, err := New(2).RelaxReverseRestrictedFrom(&s, nil, nil, nil, open(2)); err == nil {
+		t.Fatal("graph shrank below the scratch: want error")
 	}
 }
 

@@ -40,24 +40,26 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		n := 3 + rng.Intn(12)
 		g, _ := randomSafeGraph(rng, n, 3*n)
 		src := rng.Intn(n)
-		want, err1 := g.Longest(src)
+		want, err1 := refLongest(g, src, nil, false)
 		got, err2 := g.LongestWith(s, src)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 		}
 		for v := range want {
 			if got[v] != want[v] {
-				t.Fatalf("trial %d: dist[%d] = %d, want %d", trial, v, got[v], want[v])
+				t.Fatalf("trial %d: dist[%d] = %d, reference %d", trial, v, got[v], want[v])
 			}
 		}
+		// The same scratch serves restricted queries in between.
 		wi, err1 := g.LongestInto(src)
-		gi, err2 := g.LongestIntoWith(s, src)
+		gi, err2 := g.LongestIntoRestricted(s, src, open(n))
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d (into): %v / %v", trial, err1, err2)
 		}
+		ri, _ := refLongest(g, src, nil, true)
 		for v := range wi {
-			if gi[v] != wi[v] {
-				t.Fatalf("trial %d: into-dist[%d] = %d, want %d", trial, v, gi[v], wi[v])
+			if gi[v] != wi[v] || wi[v] != ri[v] {
+				t.Fatalf("trial %d: into-dist[%d] = %d / %d, reference %d", trial, v, wi[v], gi[v], ri[v])
 			}
 		}
 		for dst := 0; dst < n; dst++ {
@@ -103,10 +105,10 @@ func TestScratchDetectsPositiveCycle(t *testing.T) {
 	}
 }
 
-// TestRelaxFromMatchesFresh is the incremental contract: growing a graph by
-// random monotone batches (new vertices and edges) and re-relaxing from
-// only the new edges' sources gives exactly the distances of a fresh
-// computation after every batch.
+// TestRelaxFromMatchesFresh is the forward warm-restart contract: growing a
+// graph by random monotone batches (new vertices and edges) and re-relaxing
+// under an all-visible restriction from only the new edges' sources gives
+// exactly the Bellman–Ford reference distances after every batch.
 func TestRelaxFromMatchesFresh(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -114,7 +116,7 @@ func TestRelaxFromMatchesFresh(t *testing.T) {
 		g, _ := randomSafeGraph(rng, n, 2*n)
 		src := rng.Intn(n)
 		s := new(Scratch)
-		if _, err := g.LongestWith(s, src); err != nil {
+		if _, err := g.LongestRestricted(s, src, open(n)); err != nil {
 			return false
 		}
 		for batch := 0; batch < 4; batch++ {
@@ -137,11 +139,11 @@ func TestRelaxFromMatchesFresh(t *testing.T) {
 				g.AddEdge(u, v, w)
 				seeds = append(seeds, u)
 			}
-			got, err := g.RelaxFrom(s, seeds)
+			got, err := g.RelaxRestrictedFrom(s, seeds, nil, open(nn))
 			if err != nil {
 				return false
 			}
-			want, err := g.Longest(src)
+			want, err := refLongest(g, src, nil, false)
 			if err != nil {
 				return false
 			}
@@ -158,11 +160,32 @@ func TestRelaxFromMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestRelaxFromRequiresPriorRun pins the forward warm restart's error
+// contract: no prior run, a shrunken graph, out-of-range seeds and invalid
+// admitted vertices are all errors.
 func TestRelaxFromRequiresPriorRun(t *testing.T) {
-	g := New(2)
+	g := New(3)
 	g.AddEdge(0, 1, 1)
-	if _, err := g.RelaxFrom(new(Scratch), []int{0}); err == nil {
-		t.Error("RelaxFrom accepted an empty scratch")
+	r := open(3)
+	s := new(Scratch)
+	if _, err := g.RelaxRestrictedFrom(s, []int{0}, nil, r); err == nil {
+		t.Error("warm restart accepted an empty scratch")
+	}
+	if _, err := g.LongestRestricted(s, 0, r); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.RelaxRestrictedFrom(s, []int{3}, nil, r); err == nil {
+		t.Error("out-of-range seed accepted")
+	}
+	if _, err := g.RelaxRestrictedFrom(s, nil, []int{-1}, r); err == nil {
+		t.Error("out-of-range admitted vertex accepted")
+	}
+	r.Visible[2] = false
+	if _, err := g.RelaxRestrictedFrom(s, nil, []int{2}, r); err == nil {
+		t.Error("invisible admitted vertex accepted")
+	}
+	if _, err := New(2).RelaxRestrictedFrom(s, nil, nil, open(2)); err == nil {
+		t.Error("warm restart accepted a graph that shrank below the scratch")
 	}
 }
 
@@ -258,20 +281,13 @@ func TestRingQueueChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bruteLongest(n, collectEdges(g), 0)
+	want, err := refLongest(g, 0, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for v := range dist {
 		if dist[v] != want[v] {
 			t.Fatalf("dist[%d] = %d, want %d", v, dist[v], want[v])
 		}
 	}
-}
-
-func collectEdges(g *Graph) [][3]int {
-	var out [][3]int
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Out(u) {
-			out = append(out, [3]int{u, e.To, e.Weight})
-		}
-	}
-	return out
 }

@@ -141,8 +141,8 @@ func randomTask(in *workload.Instance, seed int64) (coord.Task, bool) {
 // property test: across random scenarios and policy seeds, the online
 // agent acts at exactly the same state (and time) as the offline
 // (coord.Task).RunOptimal over the recorded run — under both the
-// rebuild-per-state baseline and the incremental bounds.Online engine,
-// which must also agree with each other.
+// rebuild-per-state baseline and the default incremental engine (a
+// private one-handle run), which must also agree with each other.
 func TestProtocol2EnginesMatchOfflineOnRandomScenarios(t *testing.T) {
 	for seed := int64(1); seed <= 10; seed++ {
 		cfg := workload.DefaultConfig(seed)

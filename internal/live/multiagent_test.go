@@ -47,15 +47,15 @@ func actionsOf(res *Result) map[string]Action {
 // through the live environment's goroutine-per-process loop (and therefore
 // under -race in CI): m concurrent Protocol2 agents sharing ONE
 // bounds.Shared engine must (a) record the same run as the per-agent
-// bounds.Online configuration under the same policy seed, (b) act at
-// exactly the same nodes and times as the Online agents, and (c) agree
+// configuration (each agent on its private one-handle run) under the same
+// policy seed, (b) act at exactly the same nodes and times as those agents, and (c) agree
 // with the offline (coord.Task).RunOptimal analysis of the recording for
 // every task.
 func TestProtocol2SharedMultiAgentMatchesOffline(t *testing.T) {
 	for _, m := range []int{2, 4, 8} {
 		sc := scenario.MultiAgent(m)
 		seed := int64(29 + m)
-		shared := bounds.NewShared(sc.Net)
+		shared := bounds.NewNetworkEngine(sc.Net).NewRun()
 		sharedRes, _ := runMultiAgent(t, sc, shared, seed)
 		onlineRes, _ := runMultiAgent(t, sc, nil, seed)
 
@@ -96,7 +96,7 @@ func TestProtocol2SharedMultiAgentMatchesOffline(t *testing.T) {
 // every agent's Protocol 2 loop asks KW(sigma, aNode) with a moving
 // source and a fixed target, the shape the per-target reverse cache
 // serves — through the live environment on both engine selections, up to
-// coord-early-m16. Shared and Online must record identical runs, act
+// coord-early-m16. Shared and private runs must record identical runs, act
 // identically, agree with the offline optimum for every task, and the
 // shared engine's handles must actually have answered from the reverse
 // cache (otherwise this differential would silently pin the forward
@@ -105,7 +105,7 @@ func TestProtocol2EarlyMultiAgentMatchesOffline(t *testing.T) {
 	for _, m := range []int{2, 4, 16} {
 		sc := scenario.MultiAgentEarly(m)
 		seed := int64(29 + m)
-		shared := bounds.NewShared(sc.Net)
+		shared := bounds.NewNetworkEngine(sc.Net).NewRun()
 		sharedRes, sharedAgents := runMultiAgent(t, sc, shared, seed)
 		onlineRes, _ := runMultiAgent(t, sc, nil, seed)
 
@@ -209,7 +209,7 @@ func TestProtocol2SharedGuards(t *testing.T) {
 	other := model.MustComplete(3, 1, 2)
 	_, err := Run(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Eager{},
-		Externals: sc.Externals, Shared: bounds.NewShared(other),
+		Externals: sc.Externals, Shared: bounds.NewNetworkEngine(other).NewRun(),
 	})
 	if err == nil {
 		t.Fatal("foreign shared engine accepted")
@@ -222,7 +222,7 @@ func TestProtocol2SharedGuards(t *testing.T) {
 		t.Fatal("foreign network engine accepted")
 	}
 
-	shared := bounds.NewShared(sc.Net)
+	shared := bounds.NewNetworkEngine(sc.Net).NewRun()
 	agent := &Protocol2{Task: sc.Tasks[0], Shared: shared}
 	v1 := run.NewLocalView(sc.Net, sc.Tasks[0].B)
 	if _, err := v1.Absorb(nil, []string{"go"}); err != nil {

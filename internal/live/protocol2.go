@@ -23,14 +23,16 @@ var errDifferentView = errors.New("live: Protocol2 observed a different view tha
 // the first time the required precedence is known. It is the live
 // counterpart of (coord.Task).RunOptimal, and the two must agree exactly.
 //
-// By default the agent maintains the graph incrementally across states with
-// a private bounds.Online engine, paying only for the view's growth per
-// state. When a run hosts many knowledge-based agents, setting Shared (or
-// Config.Shared, which Run hands to every subscribing agent) moves the
-// standing graph into one per-run bounds.Shared engine and leaves the agent
-// only a lightweight handle — its frontier, E” overlay and leased scratch.
-// All three engines' answers coincide exactly with a fresh per-state build,
-// so the agreement theorem is engine-independent.
+// The agent always queries through a bounds.Handle, which maintains the
+// graph incrementally across states and pays only for the view's growth
+// per state. By default the handle is the only subscriber of a private
+// one-handle run. When a run hosts many knowledge-based agents, setting
+// Shared (or Config.Shared, which Run hands to every subscribing agent)
+// subscribes the agent to one per-run bounds.Shared engine instead, so the
+// standing graph is built once and the agent keeps only its frontier, E”
+// overlay and leased scratch. Rebuild swaps the handle for a fresh
+// bounds.Extended per state. Every configuration answers exactly as a
+// fresh per-state build, so the agreement theorem is engine-independent.
 type Protocol2 struct {
 	Task coord.Task
 	// ActLabel is the action recorded when b is performed ("b" if empty).
@@ -40,7 +42,7 @@ type Protocol2 struct {
 	// benchmarks and differential tests compare against.
 	Rebuild bool
 	// Shared subscribes the agent to a per-run shared knowledge engine
-	// instead of a private bounds.Online; it takes precedence over Rebuild.
+	// instead of a private one-handle run; it takes precedence over Rebuild.
 	Shared *bounds.Shared
 	// XGrid, when non-empty, switches the agent into batched x-fanout mode:
 	// at every state it computes the knowledge weight ONCE (the weight-only
@@ -59,7 +61,6 @@ type Protocol2 struct {
 	err      error
 	degraded bool
 	reason   error
-	engine   *bounds.Online
 	handle   *bounds.Handle
 
 	// goFound memoizes the resolution of C's go node: the view's external
@@ -146,89 +147,54 @@ func (p *Protocol2) Degraded() bool { return p.degraded }
 // the agent was degraded with, or nil.
 func (p *Protocol2) DegradeReason() error { return p.reason }
 
-// HandleStats returns the agent's reverse-cache counters, whichever engine
-// served it (zero for the rebuild baseline). The counters survive the
-// handle's Release, so post-run harvesting — sweep cells, the CLI footer —
-// works after the agent acted.
+// HandleStats returns the agent's reverse-cache counters (zero for the
+// rebuild baseline). The counters survive the handle's Release, so post-run
+// harvesting — sweep cells, the CLI footer — works after the agent acted.
 func (p *Protocol2) HandleStats() bounds.HandleStats {
 	if p.handle != nil {
 		return p.handle.Stats()
 	}
-	if p.engine != nil {
-		return p.engine.Stats()
-	}
 	return bounds.HandleStats{}
 }
 
-// engineFor resolves the engine serving this state — shared handle,
-// rebuild-per-state baseline, or the default private incremental engine.
-// Exactly one of the returns is non-nil on success. Every execution mode
-// (goroutine and replay alike) funnels through this one dispatch, so adding
-// a mode never copies the engine selection.
-func (p *Protocol2) engineFor(v *run.View) (*bounds.Handle, *bounds.Online, *bounds.Extended, error) {
-	switch {
-	case p.Shared != nil:
-		if p.handle == nil {
-			h, err := p.Shared.NewHandle(v)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			p.handle = h
-		} else if p.handle.View() != v {
-			return nil, nil, nil, errDifferentView
-		}
-		return p.handle, nil, nil, nil
-	case p.Rebuild:
+// knower is the query surface Protocol2 needs, implemented by the
+// incremental *bounds.Handle and by the rebuild baseline's
+// *bounds.Extended.
+type knower interface {
+	Knows(theta1 run.GeneralNode, x int, theta2 run.GeneralNode) (bool, error)
+	KnowsAt(theta1 run.GeneralNode, xs []int, theta2 run.GeneralNode, holds []bool) (kw int, known bool, err error)
+}
+
+// engineFor resolves the engine serving this state: a fresh build for the
+// rebuild baseline, otherwise the agent's handle — subscribed on first use
+// to the Shared engine, or to a private one-handle run. Every execution
+// mode (goroutine and replay alike) funnels through this one dispatch, so
+// adding a mode never copies the engine selection.
+func (p *Protocol2) engineFor(v *run.View) (knower, error) {
+	if p.Rebuild && p.Shared == nil {
 		ext, err := bounds.NewExtendedFromView(v)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
-		return nil, nil, ext, nil
-	default:
-		if p.engine == nil {
-			p.engine = bounds.NewOnline(v)
-		} else if p.engine.View() != v {
-			// The incremental engine is bound to the view it was built on; a
-			// harness that hands one agent two different views would
-			// otherwise get silently stale answers.
-			return nil, nil, nil, errDifferentView
+		return ext, nil
+	}
+	if p.handle == nil {
+		s := p.Shared
+		if s == nil {
+			s = bounds.NewNetworkEngine(v.Net()).NewRun()
 		}
-		return nil, p.engine, nil, nil
+		h, err := s.NewHandle(v)
+		if err != nil {
+			return nil, err
+		}
+		p.handle = h
+	} else if p.handle.View() != v {
+		// The handle is bound to the view it subscribed; a harness that
+		// hands one agent two different views would otherwise get silently
+		// stale answers.
+		return nil, errDifferentView
 	}
-}
-
-// knows answers the agent's single-threshold knowledge query.
-func (p *Protocol2) knows(v *run.View, theta1, theta2 run.GeneralNode) (bool, error) {
-	h, o, ext, err := p.engineFor(v)
-	if err != nil {
-		return false, err
-	}
-	switch {
-	case h != nil:
-		return h.Knows(theta1, p.Task.X, theta2)
-	case ext != nil:
-		return ext.Knows(theta1, p.Task.X, theta2)
-	default:
-		return o.Knows(theta1, p.Task.X, theta2)
-	}
-}
-
-// knowsAt answers the whole XGrid against one weight computation, filling
-// p.holds.
-func (p *Protocol2) knowsAt(v *run.View, theta1, theta2 run.GeneralNode) error {
-	h, o, ext, err := p.engineFor(v)
-	if err != nil {
-		return err
-	}
-	switch {
-	case h != nil:
-		_, _, err = h.KnowsAt(theta1, p.XGrid, theta2, p.holds)
-	case ext != nil:
-		_, _, err = ext.KnowsAt(theta1, p.XGrid, theta2, p.holds)
-	default:
-		_, _, err = o.KnowsAt(theta1, p.XGrid, theta2, p.holds)
-	}
-	return err
+	return p.handle, nil
 }
 
 // noteQueryErr absorbs a knowledge-query error: an ErrPositiveCycle means
@@ -281,7 +247,11 @@ func (p *Protocol2) OnState(v *run.View, _ []string) []string {
 	if len(p.XGrid) > 0 {
 		return p.onStateGrid(v, theta1, theta2)
 	}
-	knows, err := p.knows(v, theta1, theta2)
+	eng, err := p.engineFor(v)
+	var knows bool
+	if err == nil {
+		knows, err = eng.Knows(theta1, p.Task.X, theta2)
+	}
 	if err != nil {
 		p.noteQueryErr(err)
 		return nil
@@ -312,7 +282,11 @@ func (p *Protocol2) onStateGrid(v *run.View, theta1, theta2 run.GeneralNode) []s
 		p.holds = make([]bool, len(p.XGrid))
 		p.xLeft = len(p.XGrid)
 	}
-	if err := p.knowsAt(v, theta1, theta2); err != nil {
+	eng, err := p.engineFor(v)
+	if err == nil {
+		_, _, err = eng.KnowsAt(theta1, p.XGrid, theta2, p.holds)
+	}
+	if err != nil {
 		p.noteQueryErr(err)
 		return nil
 	}

@@ -137,6 +137,11 @@ var (
 	ErrNoProcesses = errors.New("model: network needs at least one process")
 )
 
+// maxProcs bounds the process count Build accepts: networks keep dense
+// per-process tables, so an absurd count from an untrusted source (a trace
+// file) is an ErrBadProc instead of an allocation failure.
+const maxProcs = 1 << 20
+
 // Builder accumulates processes and channels and produces an immutable
 // Network. The zero value is not usable; call NewBuilder.
 type Builder struct {
@@ -190,6 +195,9 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	if b.n < 1 {
 		return nil, ErrNoProcesses
+	}
+	if b.n > maxProcs {
+		return nil, fmt.Errorf("%w: %d processes, at most %d", ErrBadProc, b.n, maxProcs)
 	}
 	n := b.n
 	m := len(b.chans)

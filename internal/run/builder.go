@@ -66,14 +66,25 @@ func (bl *Builder) Tolerate() *Builder {
 	return bl
 }
 
+// maxTableCells caps n*(horizon+1), the length of Build's horizon-indexed
+// tables (about 80 MB of them at the cap), so a horizon read from an
+// untrusted trace fails with ErrBadHorizon instead of an allocation panic.
+const maxTableCells = 1 << 24
+
 // Build derives node indices, wires deliveries to nodes and returns the Run.
 // It fails if any event is inconsistent (bad channel, bad times, sender has
-// no node at the send time, event beyond horizon). Build does NOT check the
-// forced-delivery (upper bound deadline) discipline — call Validate on the
-// result for full legality checking.
+// no node at the send time, event beyond horizon) or if the horizon is
+// negative or too long to tabulate (ErrBadHorizon). Build does NOT check
+// the forced-delivery (upper bound deadline) discipline — call Validate on
+// the result for full legality checking.
 func (bl *Builder) Build() (*Run, error) {
 	n := bl.net.N()
 	h := int(bl.horizon)
+	// Compared before multiplying, so n*(h+1) cannot overflow.
+	if h < 0 || h >= maxTableCells/n {
+		return nil, fmt.Errorf("%w: %d with %d processes (n*(horizon+1) must stay within %d)",
+			ErrBadHorizon, h, n, maxTableCells)
+	}
 
 	// 1. Collect the receive times of every process in horizon-indexed
 	// bitmaps (one shared backing array; no per-process maps).

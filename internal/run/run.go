@@ -127,6 +127,7 @@ var (
 	ErrChannelMissing    = errors.New("run: delivery on a non-existent channel")
 	ErrTimeMismatch      = errors.New("run: event time disagrees with node time")
 	ErrExternalToInitial = errors.New("run: external delivered to an initial node")
+	ErrBadHorizon        = errors.New("run: horizon out of range")
 )
 
 // Net returns the network the run executes over.

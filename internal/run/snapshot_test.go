@@ -40,7 +40,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 }
 
 // TestViewDeltaAPI: DeliveryCount watermarks plus DeliveriesSince partition
-// the delivery log exactly — the contract bounds.Online relies on to pay
+// the delivery log exactly — the contract bounds.Handle relies on to pay
 // only for growth.
 func TestViewDeltaAPI(t *testing.T) {
 	net := model.MustComplete(3, 1, 2)

@@ -27,7 +27,7 @@ var viewIDs atomic.Uint64
 //
 // A view only ever grows, and it records that growth in append-only logs:
 // DeliveryCount/DeliveriesSince expose the delivery log as a cheap delta
-// API (the incremental knowledge engine bounds.Online consumes it), and
+// API (the incremental knowledge engine's bounds.Handle consumes it), and
 // Snapshot freezes the logs into an immutable, shareable payload for
 // outgoing FFIP messages without deep-copying the history.
 type View struct {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -103,4 +104,64 @@ func TestEmptyRunRoundTrip(t *testing.T) {
 	if !back.Appears(run.BasicNode{Proc: 1, Index: 0}) {
 		t.Error("initial node missing")
 	}
+}
+
+// TestReadRunRejectsBadHorizon: a negative horizon, or one whose
+// horizon-indexed tables would overflow, is a typed error, never a panic.
+func TestReadRunRejectsBadHorizon(t *testing.T) {
+	for _, horizon := range []string{"-5", "9223372036854775807", "4611686018427387904", "1000000000000"} {
+		in := `{"network":{"procs":2,"channels":[{"from":1,"to":2,"lower":1,"upper":2}]},"horizon":` + horizon + `}`
+		if _, err := ReadRun(strings.NewReader(in)); !errors.Is(err, run.ErrBadHorizon) {
+			t.Errorf("horizon %s: got %v, want run.ErrBadHorizon", horizon, err)
+		}
+	}
+}
+
+// TestReadRunRejectsHugeNetwork: a process count beyond what the dense
+// network tables admit is a typed error, never an allocation failure.
+func TestReadRunRejectsHugeNetwork(t *testing.T) {
+	in := `{"network":{"procs":1000000000000,"channels":[]},"horizon":1}`
+	if _, err := ReadRun(strings.NewReader(in)); !errors.Is(err, model.ErrBadProc) {
+		t.Errorf("got %v, want model.ErrBadProc", err)
+	}
+}
+
+// FuzzTraceLoad feeds arbitrary bytes to the trace loader, the one
+// untrusted-file input: every input must load or fail with an error — never
+// panic — and a loaded run must survive a write/read round trip with the
+// same deliveries.
+func FuzzTraceLoad(f *testing.F) {
+	sc := scenario.Figure2b(scenario.DefaultFigure2())
+	var buf bytes.Buffer
+	if err := WriteRun(&buf, sc.MustSimulate(sim.NewRandom(6))); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"network":{"procs":2,"channels":[{"from":1,"to":2,"lower":1,"upper":2}]},"horizon":-5}`))
+	f.Add([]byte(`{"network":{"procs":2,"channels":[{"from":1,"to":2,"lower":1,"upper":2}]},"horizon":9223372036854775807}`))
+	f.Add([]byte(`{"network":{"procs":2,"channels":[{"from":1,"to":2,"lower":1,"upper":2}]},"horizon":4,` +
+		`"messages":[{"from":1,"to":2,"sent":1,"recv":2}],"externals":[{"proc":1,"time":1,"label":"go"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := ReadRun(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteRun(&out, r); err != nil {
+			t.Fatalf("loaded run does not encode: %v", err)
+		}
+		back, err := ReadRun(&out)
+		if err != nil {
+			t.Fatalf("loaded run does not reload: %v", err)
+		}
+		d1, d2 := r.Deliveries(), back.Deliveries()
+		if len(d1) != len(d2) {
+			t.Fatalf("round trip changed the deliveries: %d vs %d", len(d1), len(d2))
+		}
+		for i := range d1 {
+			if d1[i] != d2[i] {
+				t.Fatalf("round trip changed delivery %d: %v vs %v", i, d1[i], d2[i])
+			}
+		}
+	})
 }
