@@ -231,6 +231,7 @@ func (e *NetworkEngine) stampPrefix(fz *frozenPrefix) *Shared {
 
 // leaseScratch pops a pooled scratch (or makes one).
 func (e *NetworkEngine) leaseScratch() *graph.Scratch {
+	e.stats.scratchLeased.Add(1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if k := len(e.pool); k > 0 {
@@ -244,6 +245,7 @@ func (e *NetworkEngine) leaseScratch() *graph.Scratch {
 // releaseScratch returns a scratch to the pool for later handles — of this
 // run or any other run of the network.
 func (e *NetworkEngine) releaseScratch(sc *graph.Scratch) {
+	e.stats.scratchLeased.Add(-1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.pool = append(e.pool, sc)

@@ -62,6 +62,10 @@ type EngineStats struct {
 	BatchQueries int64
 	BatchHits    int64
 	XFanout      int64
+	// ScratchLeased is a gauge, not a counter: query scratches currently
+	// leased by handles and not yet returned by Handle.Release. It reads
+	// zero once every handle of the engine has been released.
+	ScratchLeased int64
 }
 
 // engineStats is the mutable counter block behind EngineStats.
@@ -81,6 +85,7 @@ type engineStats struct {
 	batchQueries    atomic.Int64
 	batchHits       atomic.Int64
 	xFanout         atomic.Int64
+	scratchLeased   atomic.Int64
 }
 
 func (st *engineStats) snapshot() EngineStats {
@@ -100,6 +105,7 @@ func (st *engineStats) snapshot() EngineStats {
 		BatchQueries:    st.batchQueries.Load(),
 		BatchHits:       st.batchHits.Load(),
 		XFanout:         st.xFanout.Load(),
+		ScratchLeased:   st.scratchLeased.Load(),
 	}
 }
 

@@ -15,10 +15,8 @@ func graphForward(r *run.Run, nodes []run.BasicNode, index map[run.BasicNode]int
 	net := r.Net()
 	g := graph.New(len(nodes))
 	for _, n := range nodes {
-		if succ := n.Successor(); true {
-			if j, ok := index[succ]; ok {
-				g.AddEdge(index[n], j, 1)
-			}
+		if j, ok := index[n.Successor()]; ok {
+			g.AddEdge(index[n], j, 1)
 		}
 	}
 	for _, d := range r.Deliveries() {

@@ -27,7 +27,10 @@ type Outcome struct {
 	// Witness is the sigma-visible zigzag justifying the action (optimal
 	// protocol only).
 	Witness *pattern.Visible
-	// NodesExamined counts B's local states inspected before acting.
+	// NodesExamined counts B's local states inspected before acting: every
+	// state from (B, 1) through the acting state, or through B's last state
+	// when B never acts. The meaning does not depend on how the states are
+	// evaluated.
 	NodesExamined int
 }
 
@@ -38,21 +41,41 @@ type Outcome struct {
 // outcome carries the witnessing sigma-visible zigzag.
 //
 // The scan is exactly what an online B would do: everything consulted is
-// inside past(r, sigma).
+// inside past(r, sigma). It walks B's timeline once: one view, advanced a
+// state at a time (run.View.Advance), feeds one bounds.Handle on a private
+// one-handle run — the engine live.Protocol2 uses by default — so each
+// state costs only its delta over the previous one. The witness is
+// extracted once, at the acting state, from a fresh GE(r, sigma) whose
+// knowledge weight must equal the handle's. An inconsistent GE(r, sigma)
+// surfaces as an error wrapping graph.ErrPositiveCycle.
 func (t Task) RunOptimal(r *run.Run) (*Outcome, error) {
+	return t.runOptimal(r, bounds.NewNetworkEngine(r.Net()))
+}
+
+// runOptimal is RunOptimal with the handle's network engine supplied, so
+// tests can observe that the handle is released on every return path.
+func (t Task) runOptimal(r *run.Run, eng *bounds.NetworkEngine) (*Outcome, error) {
 	w, err := t.Wire(r)
 	if err != nil {
 		return nil, err
 	}
 	out := &Outcome{ATime: w.ATime}
+	view, err := run.ViewOf(r, run.BasicNode{Proc: t.B, Index: 0})
+	if err != nil {
+		return nil, err
+	}
+	h, err := eng.NewRun().NewHandle(view)
+	if err != nil {
+		return nil, err
+	}
+	defer h.Release()
 	for k := 1; k <= r.LastIndex(t.B); k++ {
-		sigma := run.BasicNode{Proc: t.B, Index: k}
-		out.NodesExamined++
-		ext, err := bounds.NewExtended(r, sigma)
+		sigma, err := view.Advance(r)
 		if err != nil {
 			return nil, err
 		}
-		if !ext.Past().Contains(w.SigmaC) {
+		out.NodesExamined++
+		if !view.Contains(w.SigmaC) {
 			continue // B has not heard (transitively) from sigma_C yet
 		}
 		var theta1, theta2 run.GeneralNode
@@ -61,12 +84,26 @@ func (t Task) RunOptimal(r *run.Run) (*Outcome, error) {
 		} else {
 			theta1, theta2 = run.At(sigma), w.ANode
 		}
-		witness, kw, known, err := pattern.KnowledgeWitness(ext, theta1, theta2)
+		kw, known, err := h.KnowledgeWeight(theta1, theta2)
 		if err != nil {
 			return nil, err
 		}
 		if !known || kw < t.X {
 			continue
+		}
+		// Handles answer weights only: the witness comes from one fresh
+		// GE(r, sigma) at the acting state, which must agree on kw.
+		ext, err := bounds.NewExtended(r, sigma)
+		if err != nil {
+			return nil, err
+		}
+		witness, fresh, known, err := pattern.KnowledgeWitness(ext, theta1, theta2)
+		if err != nil {
+			return nil, err
+		}
+		if !known || fresh != kw {
+			return nil, fmt.Errorf("coord: knowledge weight at %s: handle %d, fresh build %d (known %v)",
+				sigma, kw, fresh, known)
 		}
 		actTime, err := r.Time(sigma)
 		if err != nil {

@@ -109,6 +109,51 @@ func ViewOf(r *Run, sigma BasicNode) (*View, error) {
 	return v, nil
 }
 
+// Advance moves a view taken from r (by ViewOf or earlier Advance calls) to
+// its origin's successor and returns the new origin. It absorbs exactly
+// past(r, next) \ past(r, origin): the same reverse BFS as Past, started
+// from the view's current membership, records the inbox deliveries and
+// externals of every newly covered node. A past is downward-closed and a
+// successor's past contains its predecessor's, so the walked view holds the
+// same nodes, deliveries and externals as ViewOf(r, next); only the log
+// order (and hence Fingerprint) may differ. Walking a whole timeline costs
+// O(|past(r, last)|) instead of one ViewOf per state. It returns ErrNoNode,
+// leaving the view unchanged, when the successor does not appear in r.
+func (v *View) Advance(r *Run) (BasicNode, error) {
+	if r.net != v.net && r.net.Fingerprint() != v.net.Fingerprint() {
+		return BasicNode{}, fmt.Errorf("run: advancing a view over a different network")
+	}
+	next := v.origin.Successor()
+	if !r.Appears(next) {
+		return BasicNode{}, ErrNoNode
+	}
+	v.origin = next
+	queue := []BasicNode{next}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		already := v.members[cur.Proc-1]
+		if cur.Index <= already {
+			continue
+		}
+		v.members[cur.Proc-1] = cur.Index
+		for k := already + 1; k <= cur.Index; k++ {
+			node := BasicNode{Proc: cur.Proc, Index: k}
+			sp := r.inbox[r.flat(node)]
+			for _, d := range r.deliveries[sp.lo:sp.hi] {
+				if d.From.Index > v.members[d.From.Proc-1] {
+					queue = append(queue, d.From)
+				}
+				v.recordDelivery(d.From, d.To, d.Chan)
+			}
+			for _, i := range r.extIn[node] {
+				v.recordExternal(node, r.externals[i].Label)
+			}
+		}
+	}
+	return next, nil
+}
+
 // NewLocalView returns the view of process p's initial state.
 func NewLocalView(net *model.Network, p model.ProcID) *View {
 	v := &View{
