@@ -287,13 +287,13 @@ func BenchmarkAblationLocalVsExtended(b *testing.B) {
 	})
 }
 
-// BenchmarkLiveEngine: goroutine-per-process execution of Figure 2b with an
-// online Protocol-2 agent — the end-to-end cost of a live clockless system.
+// BenchmarkLiveEngine: live execution of Figure 2b with an online
+// Protocol-2 agent — the end-to-end cost of a live clockless system.
 func BenchmarkLiveEngine(b *testing.B) {
 	sc := scenario.Figure2b(scenario.DefaultFigure2())
 	for i := 0; i < b.N; i++ {
 		agent := &live.Protocol2{Task: *sc.Task}
-		res, err := live.Run(live.Config{
+		res, err := live.Replay(live.Config{
 			Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Lazy{}, Externals: sc.Externals,
 			Agents: map[model.ProcID]live.Agent{sc.Task.B: agent},
 		})
@@ -382,7 +382,7 @@ func BenchmarkScalingKnowledge(b *testing.B) {
 	}
 }
 
-// BenchmarkScalingLive (B1): the goroutine-per-process live engine vs
+// BenchmarkScalingLive (B1): the live engine vs
 // network size — environment scheduling, FFIP relaying and per-state
 // snapshots, with no agents. The body is shared with cmd/bench-export via
 // internal/bench.
@@ -494,25 +494,12 @@ func BenchmarkSweepPrefixShared(b *testing.B) {
 
 // BenchmarkSweepReplayLive (B1): one COMPLETE live sweep cell per op —
 // policy-driven environment, FFIP flooding, view maintenance and every
-// Protocol2 decision — under the goroutine-free replay mode that
-// full-registry live sweeps now default to: the event stream is recorded
-// once and every agent is driven state by state in a single goroutine, no
-// channels, no per-tick handshakes. Acceptance: strictly fewer allocs/op
-// and lower ns/op than BenchmarkSweepGoroutineLive at every m.
+// Protocol2 decision — through live.Replay, the execution every live sweep
+// cell runs: the environment steps one tick at a time and every agent is
+// driven state by state in a single goroutine.
 func BenchmarkSweepReplayLive(b *testing.B) {
 	for _, m := range scenario.MultiAgentSizes {
 		c := bench.SweepReplayLive(m)
-		b.Run(fmt.Sprintf("m=%d", m), c.Run)
-	}
-}
-
-// BenchmarkSweepGoroutineLive is the goroutine-per-process baseline
-// recorded alongside BenchmarkSweepReplayLive: the identical cell through
-// the channel-synchronized environment, kept as the replay mode's
-// differential oracle.
-func BenchmarkSweepGoroutineLive(b *testing.B) {
-	for _, m := range scenario.MultiAgentSizes {
-		c := bench.SweepGoroutineLive(m)
 		b.Run(fmt.Sprintf("m=%d", m), c.Run)
 	}
 }

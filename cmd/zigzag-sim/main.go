@@ -13,25 +13,22 @@
 //	           [-faults crash|link|deadline|chaos]
 //	           [-cpuprofile file] [-memprofile file]
 //	zigzag-sim -sweep [-seeds n] [-workers n] [-x n] [-coord-m m] [-live]
-//	           [-live-mode replay|goroutine] [-sweep-faults] [-format table|csv|json]
+//	           [-sweep-faults] [-format table|csv|json]
 //	           [-sweep-x 0,2,4] [-sweep-scale 1,1.5,2] [-sweep-rand 8:12:1,12:20:2]
 //	           [-cpuprofile file] [-memprofile file]
 //
 // -engine picks the Protocol2 knowledge engine for a single-scenario run:
 // the default "offline" keeps the recorded-run analysis, while rebuild,
-// online and shared execute the scenario's tasks live — one agent goroutine
-// per task — on the chosen engine and cross-check every act against the
+// online and shared execute the scenario's tasks live — one agent per
+// task — on the chosen engine and cross-check every act against the
 // offline optimum. -kind overrides every task's coordination kind for such
 // a run (late, early, or the default mixed which keeps the scenario's own
 // kinds) — handy for driving the Early-kind reverse query cache end to
 // end. -coord-m raises the registry's multi-agent family
 // ceiling (coord-m8/coord-m16 enter at 8/16). With -sweep, -live adds the
 // registry's multi-agent scenarios as live grid cells driven through ONE
-// shared knowledge engine per network; -live-mode picks their execution
-// engine — "replay" (the goroutine-free single-threaded drive, the default)
-// additionally opens the replay-only coord-heavy-m family (long-horizon
-// heavy-tail runs), while "goroutine" keeps the goroutine-per-process
-// environment as the differential oracle. -sweep-faults (with -sweep -live)
+// shared knowledge engine per network, plus the long-horizon heavy-tail
+// coord-heavy-m family. -sweep-faults (with -sweep -live)
 // additionally opens the chaos axis: the coord-faulty family — seeded crash,
 // link-failure, deadline and chaos plans injected per cell — whose agents
 // must degrade gracefully (typed errors, withheld actions) rather than act
@@ -45,11 +42,17 @@
 // -cpuprofile/-memprofile write pprof profiles of whatever the invocation
 // ran, so the hot-path claims in DESIGN.md are reproducible with
 // `go tool pprof`.
+//
+// Exit codes: 0 on success, 2 for a bad flag or flag value, 1 for a runtime
+// failure (a failed sweep cell, an agent disagreeing with the offline
+// optimum, an early act under -faults).
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -68,103 +71,103 @@ import (
 	"github.com/clockless/zigzag/internal/viz"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run executes one invocation and returns its exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("zigzag-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		name     = flag.String("scenario", "figure2b", "scenario to run")
-		policy   = flag.String("policy", "lazy", "delivery policy: eager, lazy, random or heavy (heavy-tailed)")
-		seed     = flag.Int64("seed", 1, "seed for the random policy")
-		x        = flag.Int("x", 0, "override the task's required separation (0 keeps the default)")
-		coordM   = flag.Int("coord-m", scenario.DefaultCoordM, "multi-agent family ceiling: include coord-m scenarios up to this many agents")
-		engine   = flag.String("engine", "offline", "Protocol2 engine for a single-scenario run: offline (recorded-run analysis), rebuild, online or shared (live execution)")
-		kind     = flag.String("kind", "mixed", "with -engine: override every task's kind — late, early or mixed (keep scenario defaults)")
-		timeline = flag.Int("timeline", 32, "timeline window to render")
-		list     = flag.Bool("list", false, "list scenarios and exit")
-		dump     = flag.String("dump", "", "write the recorded run as JSON to this file")
-		doSweep  = flag.Bool("sweep", false, "sweep the full registry under every policy and print the aggregate table")
-		seeds    = flag.Int("seeds", 8, "number of seeds per (scenario, policy) cell in a sweep")
-		workers  = flag.Int("workers", 0, "sweep worker count (0 = GOMAXPROCS)")
-		format   = flag.String("format", "table", "sweep output format: table, csv or json")
-		doLive   = flag.Bool("live", false, "with -sweep: add the multi-agent scenarios as live grid cells (Protocol2 agents on one shared engine per network)")
-		liveMode = flag.String("live-mode", "replay", "with -sweep -live: live cell execution — replay (goroutine-free, opens the coord-heavy-m family) or goroutine (the differential oracle)")
-		doFaults = flag.Bool("sweep-faults", false, "with -sweep -live: add the coord-faulty chaos family (seeded crash/link/deadline/chaos plans per cell)")
-		faultFam = flag.String("faults", "", "with -engine: inject a seeded fault plan of this family (crash, link, deadline or chaos) into the run")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
-		memProf  = flag.String("memprofile", "", "write a heap profile at exit to this file (inspect with go tool pprof)")
-		sweepX   = flag.String("sweep-x", "", "comma-separated task-separation overrides as a sweep axis (e.g. 0,2,4; overrides -x for the sweep)")
-		noXBatch = flag.Bool("no-xbatch", false, "with -sweep -sweep-x: run every per-x live cell as its own execution instead of collapsing the x axis onto batched executions")
-		sweepSc  = flag.String("sweep-scale", "", "comma-separated channel-bound scaling factors as a sweep axis (e.g. 1,1.5,2)")
-		sweepRnd = flag.String("sweep-rand", "", "extra random topologies as procs:extra:seed triples, comma-separated (e.g. 8:12:1,12:20:2)")
+		name     = fs.String("scenario", "figure2b", "scenario to run")
+		policy   = fs.String("policy", "lazy", "delivery policy: eager, lazy, random or heavy (heavy-tailed)")
+		seed     = fs.Int64("seed", 1, "seed for the random policy")
+		x        = fs.Int("x", 0, "override the task's required separation (0 keeps the default)")
+		coordM   = fs.Int("coord-m", scenario.DefaultCoordM, "multi-agent family ceiling: include coord-m scenarios up to this many agents")
+		engine   = fs.String("engine", "offline", "Protocol2 engine for a single-scenario run: offline (recorded-run analysis), rebuild, online or shared (live execution)")
+		kind     = fs.String("kind", "mixed", "with -engine: override every task's kind — late, early or mixed (keep scenario defaults)")
+		timeline = fs.Int("timeline", 32, "timeline window to render")
+		list     = fs.Bool("list", false, "list scenarios and exit")
+		dump     = fs.String("dump", "", "write the recorded run as JSON to this file")
+		doSweep  = fs.Bool("sweep", false, "sweep the full registry under every policy and print the aggregate table")
+		seeds    = fs.Int("seeds", 8, "number of seeds per (scenario, policy) cell in a sweep")
+		workers  = fs.Int("workers", 0, "sweep worker count (0 = GOMAXPROCS)")
+		format   = fs.String("format", "table", "sweep output format: table, csv or json")
+		doLive   = fs.Bool("live", false, "with -sweep: add the multi-agent scenarios as live grid cells (Protocol2 agents on one shared engine per network)")
+		doFaults = fs.Bool("sweep-faults", false, "with -sweep -live: add the coord-faulty chaos family (seeded crash/link/deadline/chaos plans per cell)")
+		faultFam = fs.String("faults", "", "with -engine: inject a seeded fault plan of this family (crash, link, deadline or chaos) into the run")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
+		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (inspect with go tool pprof)")
+		sweepX   = fs.String("sweep-x", "", "comma-separated task-separation overrides as a sweep axis (e.g. 0,2,4; overrides -x for the sweep)")
+		noXBatch = fs.Bool("no-xbatch", false, "with -sweep -sweep-x: run every per-x live cell as its own execution instead of collapsing the x axis onto batched executions")
+		sweepSc  = fs.String("sweep-scale", "", "comma-separated channel-bound scaling factors as a sweep axis (e.g. 1,1.5,2)")
+		sweepRnd = fs.String("sweep-rand", "", "extra random topologies as procs:extra:seed triples, comma-separated (e.g. 8:12:1,12:20:2)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 	all := scenario.RegistrySized(*x, *coordM)
 	if *list {
 		for _, n := range scenario.Names(all) {
-			fmt.Printf("%-9s %s\n", n, all[n].Description)
+			fmt.Fprintf(stdout, "%-9s %s\n", n, all[n].Description)
 		}
-		return
+		return 0
 	}
 	if *doSweep && *engine != "offline" {
-		fmt.Fprintln(os.Stderr, "-engine applies to single-scenario runs; use -live for engine-backed sweep cells")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-engine applies to single-scenario runs; use -live for engine-backed sweep cells")
+		return 2
 	}
 	if !*doSweep && *doLive {
-		fmt.Fprintln(os.Stderr, "-live needs -sweep (single scenarios run live via -engine)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-live needs -sweep (single scenarios run live via -engine)")
+		return 2
 	}
 	if *doFaults && (!*doSweep || !*doLive) {
-		fmt.Fprintln(os.Stderr, "-sweep-faults needs -sweep -live (faulted cells are live-only)")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-sweep-faults needs -sweep -live (faulted cells are live-only)")
+		return 2
 	}
 	if *faultFam != "" {
 		if *doSweep {
-			fmt.Fprintln(os.Stderr, "-faults applies to single-scenario -engine runs; use -sweep-faults for the chaos grid")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-faults applies to single-scenario -engine runs; use -sweep-faults for the chaos grid")
+			return 2
 		}
 		if *engine == "offline" {
-			fmt.Fprintln(os.Stderr, "-faults needs a live engine (-engine rebuild|online|shared): the offline analysis assumes an honest run")
-			os.Exit(2)
+			fmt.Fprintln(stderr, "-faults needs a live engine (-engine rebuild|online|shared): the offline analysis assumes an honest run")
+			return 2
 		}
 		if !faults.ValidFamily(*faultFam) {
-			fmt.Fprintf(os.Stderr, "unknown fault family %q (want crash, link, deadline or chaos)\n", *faultFam)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown fault family %q (want crash, link, deadline or chaos)\n", *faultFam)
+			return 2
 		}
 	}
-	// Profiling wraps everything that does real work; exit replaces os.Exit
-	// below so error paths still flush the profiles.
+	// Profiling wraps everything that does real work.
 	stopProfiles, err := startProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	defer stopProfiles()
-	exit := func(code int) {
-		stopProfiles()
-		os.Exit(code)
-	}
 	if *doSweep {
 		if !sweep.ValidFormat(*format) {
-			fmt.Fprintf(os.Stderr, "unknown output format %q (want table, csv or json)\n", *format)
-			exit(2)
-		}
-		if *liveMode != "replay" && *liveMode != "goroutine" {
-			fmt.Fprintf(os.Stderr, "unknown live mode %q (want replay or goroutine)\n", *liveMode)
-			exit(2)
+			fmt.Fprintf(stderr, "unknown output format %q (want table, csv or json)\n", *format)
+			return 2
 		}
 		axes, err := parseAxes(*x, *coordM, *sweepX, *sweepSc, *sweepRnd)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
-		if err := runSweep(axes, *seeds, *workers, *format, *doLive, *liveMode, *doFaults, *noXBatch); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+		if err := runSweep(stdout, stderr, axes, *seeds, *workers, *format, *doLive, *doFaults, *noXBatch); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 	sc, ok := all[*name]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scenario %q (use -list)\n", *name)
-		exit(2)
+		fmt.Fprintf(stderr, "unknown scenario %q (use -list)\n", *name)
+		return 2
 	}
 	var pol sim.Policy
 	switch *policy {
@@ -177,91 +180,91 @@ func main() {
 	case "heavy":
 		pol = sim.NewHeavyTail(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown policy %q\n", *policy)
-		exit(2)
+		fmt.Fprintf(stderr, "unknown policy %q\n", *policy)
+		return 2
 	}
 	if *engine != "offline" {
-		if err := runLiveScenario(sc, pol, *engine, *kind, *timeline, *dump, *faultFam, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+		if err := runLiveScenario(stdout, sc, pol, *engine, *kind, *timeline, *dump, *faultFam, *seed); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		return
+		return 0
 	}
 
 	r, err := sc.Simulate(pol)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *dump != "" {
 		f, err := os.Create(*dump)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := trace.WriteRun(f, r); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
-		fmt.Printf("run written to %s\n", *dump)
+		fmt.Fprintf(stdout, "run written to %s\n", *dump)
 	}
-	fmt.Printf("scenario %s under policy %s\n%s\n\n", sc.Name, pol.Name(), sc.Description)
+	fmt.Fprintf(stdout, "scenario %s under policy %s\n%s\n\n", sc.Name, pol.Name(), sc.Description)
 	names := make(map[model.ProcID]string, len(sc.Roles))
 	for role, p := range sc.Roles {
 		names[p] = role
 	}
-	fmt.Println(viz.Timeline(r, names, model.Time(*timeline)))
+	fmt.Fprintln(stdout, viz.Timeline(r, names, model.Time(*timeline)))
 
 	if sc.Task == nil {
-		return
+		return 0
 	}
-	fmt.Printf("task: %s with x=%d (A=%s, B=%s, C=%s)\n",
+	fmt.Fprintf(stdout, "task: %s with x=%d (A=%s, B=%s, C=%s)\n",
 		sc.Task.Kind, sc.Task.X, names[sc.Task.A], names[sc.Task.B], names[sc.Task.C])
 	out, err := sc.Task.RunOptimal(r)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if !out.Acted {
-		fmt.Println("Protocol 2: B cannot act — the required bound is not knowable on this network.")
-		return
+		fmt.Fprintln(stdout, "Protocol 2: B cannot act — the required bound is not knowable on this network.")
+		return 0
 	}
-	fmt.Printf("Protocol 2: B acted at t=%d (a at t=%d, gap %+d), knowing a bound of %d\n",
+	fmt.Fprintf(stdout, "Protocol 2: B acted at t=%d (a at t=%d, gap %+d), knowing a bound of %d\n",
 		out.ActTime, out.ATime, out.Gap, out.KnownBound)
-	fmt.Println("justifying sigma-visible zigzag:")
-	fmt.Print(viz.Zigzag(r.Net(), &out.Witness.Zigzag))
+	fmt.Fprintln(stdout, "justifying sigma-visible zigzag:")
+	fmt.Fprint(stdout, viz.Zigzag(r.Net(), &out.Witness.Zigzag))
 	if err := out.Witness.VerifyVisible(r); err != nil {
-		fmt.Fprintf(os.Stderr, "witness verification failed: %v\n", err)
-		exit(1)
+		fmt.Fprintf(stderr, "witness verification failed: %v\n", err)
+		return 1
 	}
-	fmt.Println("witness verified ✔")
+	fmt.Fprintln(stdout, "witness verified ✔")
 
 	ext, err := bounds.NewExtended(r, out.ActNode)
 	if err == nil {
-		fmt.Println()
-		fmt.Print(viz.ExtendedStats(ext))
+		fmt.Fprintln(stdout)
+		fmt.Fprint(stdout, viz.ExtendedStats(ext))
 	}
 
 	base, err := sc.Task.RunBaseline(r)
 	if err == nil {
 		if base.Acted {
-			fmt.Printf("asynchronous baseline: acted at t=%d (%+d vs optimal)\n",
+			fmt.Fprintf(stdout, "asynchronous baseline: acted at t=%d (%+d vs optimal)\n",
 				base.ActTime, base.ActTime-out.ActTime)
 		} else {
-			fmt.Println("asynchronous baseline: never acts on this network")
+			fmt.Fprintln(stdout, "asynchronous baseline: never acts on this network")
 		}
 	}
+	return 0
 }
 
 // startProfiles begins CPU profiling and arranges a heap profile at stop,
 // per the -cpuprofile/-memprofile flags (empty means off). The returned stop
-// function must run before the process exits for either file to be complete;
-// it is safe to call more than once only via the exit wrapper in main (the
-// process is gone before a second call could happen).
+// function must run before the process exits for either file to be
+// complete.
 func startProfiles(cpu, mem string) (func(), error) {
 	var cpuFile *os.File
 	if cpu != "" {
@@ -310,7 +313,7 @@ func startProfiles(cpu, mem string) (func(), error) {
 // DID perform must satisfy its task on the faulted run that actually
 // happened, and the report lists the injected violations, crashed
 // processes and degraded agents.
-func runLiveScenario(sc *scenario.Scenario, pol sim.Policy, engine, kind string, timeline int, dump, faultFam string, seed int64) error {
+func runLiveScenario(stdout io.Writer, sc *scenario.Scenario, pol sim.Policy, engine, kind string, timeline int, dump, faultFam string, seed int64) error {
 	switch engine {
 	case "rebuild", "online", "shared":
 	default:
@@ -356,7 +359,7 @@ func runLiveScenario(sc *scenario.Scenario, pol sim.Policy, engine, kind string,
 	case "shared":
 		cfg.Engine = bounds.NewNetworkEngine(sc.Net)
 	}
-	res, err := live.Run(cfg)
+	res, err := live.Replay(cfg)
 	if err != nil {
 		return err
 	}
@@ -372,25 +375,25 @@ func runLiveScenario(sc *scenario.Scenario, pol sim.Policy, engine, kind string,
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("run written to %s\n", dump)
+		fmt.Fprintf(stdout, "run written to %s\n", dump)
 	}
 	faulted := ""
 	if faultFam != "" {
 		faulted = fmt.Sprintf(", faults=%s-s%d", faultFam, seed)
 	}
-	fmt.Printf("scenario %s under policy %s — live, engine=%s%s, %d agent(s)\n%s\n\n",
+	fmt.Fprintf(stdout, "scenario %s under policy %s — live, engine=%s%s, %d agent(s)\n%s\n\n",
 		sc.Name, pol.Name(), engine, faulted, len(tasks), sc.Description)
 	names := make(map[model.ProcID]string, len(sc.Roles))
 	for role, p := range sc.Roles {
 		names[p] = role
 	}
-	fmt.Println(viz.Timeline(res.Run, names, model.Time(timeline)))
+	fmt.Fprintln(stdout, viz.Timeline(res.Run, names, model.Time(timeline)))
 	acts := make(map[string]live.Action, len(res.Actions))
 	for _, a := range res.Actions {
 		acts[a.Label] = a
 	}
 	if faultFam != "" {
-		return reportFaultedRun(tasks, agents, res, acts)
+		return reportFaultedRun(stdout, tasks, agents, res, acts)
 	}
 	disagree := 0
 	for i := range tasks {
@@ -409,10 +412,10 @@ func runLiveScenario(sc *scenario.Scenario, pol sim.Policy, engine, kind string,
 			disagree++
 		}
 		if acted {
-			fmt.Printf("agent %s (%s, x=%d, B=%d): acted at t=%d — %s\n",
+			fmt.Fprintf(stdout, "agent %s (%s, x=%d, B=%d): acted at t=%d — %s\n",
 				live.TaskLabel(i), tasks[i].Kind, tasks[i].X, tasks[i].B, act.Time, verdict)
 		} else {
-			fmt.Printf("agent %s (%s, x=%d, B=%d): never acted — %s\n",
+			fmt.Fprintf(stdout, "agent %s (%s, x=%d, B=%d): never acted — %s\n",
 				live.TaskLabel(i), tasks[i].Kind, tasks[i].X, tasks[i].B, verdict)
 		}
 	}
@@ -428,7 +431,7 @@ func runLiveScenario(sc *scenario.Scenario, pol sim.Policy, engine, kind string,
 // and the injected violations, crashed processes and degraded agents are
 // listed. Degraded agents withholding their action is the CORRECT outcome,
 // not a failure.
-func reportFaultedRun(tasks []coord.Task, agents []*live.Protocol2, res *live.Result, acts map[string]live.Action) error {
+func reportFaultedRun(stdout io.Writer, tasks []coord.Task, agents []*live.Protocol2, res *live.Result, acts map[string]live.Action) error {
 	early := 0
 	for i := range tasks {
 		label := live.TaskLabel(i)
@@ -443,20 +446,20 @@ func reportFaultedRun(tasks []coord.Task, agents []*live.Protocol2, res *live.Re
 				verdict = fmt.Sprintf("EARLY: %v", err)
 				early++
 			}
-			fmt.Printf("agent %s (%s, x=%d, B=%d): acted at t=%d — %s\n",
+			fmt.Fprintf(stdout, "agent %s (%s, x=%d, B=%d): acted at t=%d — %s\n",
 				label, tasks[i].Kind, tasks[i].X, tasks[i].B, act.Time, verdict)
 		case agents[i].Degraded():
-			fmt.Printf("agent %s (%s, x=%d, B=%d): degraded, action withheld — %v\n",
+			fmt.Fprintf(stdout, "agent %s (%s, x=%d, B=%d): degraded, action withheld — %v\n",
 				label, tasks[i].Kind, tasks[i].X, tasks[i].B, agents[i].DegradeReason())
 		default:
-			fmt.Printf("agent %s (%s, x=%d, B=%d): never acted (condition not knowable before the horizon)\n",
+			fmt.Fprintf(stdout, "agent %s (%s, x=%d, B=%d): never acted (condition not knowable before the horizon)\n",
 				label, tasks[i].Kind, tasks[i].X, tasks[i].B)
 		}
 	}
-	fmt.Printf("\nfaults: %d violation(s) injected, %d process(es) crashed, %d agent(s) degraded\n",
+	fmt.Fprintf(stdout, "\nfaults: %d violation(s) injected, %d process(es) crashed, %d agent(s) degraded\n",
 		len(res.Violations), len(res.Crashed), len(res.Degraded))
 	for _, v := range res.Violations {
-		fmt.Printf("  %v\n", v)
+		fmt.Fprintf(stdout, "  %v\n", v)
 	}
 	if early > 0 {
 		return fmt.Errorf("%d agent(s) acted early on the faulted run — SAFETY VIOLATION", early)
@@ -510,16 +513,14 @@ func parseAxes(x, coordM int, xsFlag, scalesFlag, randFlag string) (sweep.Axes, 
 // runSweep expands the axes into the scenario × policy × seed grid —
 // optionally adding the multi-agent scenarios as live cells driven through
 // one knowledge engine per network — and prints the aggregates in
-// deterministic order, in the requested format. liveMode picks the live
-// cells' execution engine: "replay" (default) runs them goroutine-free and
-// additionally opens the replay-only long-horizon heavy-tail family;
-// "goroutine" keeps the goroutine-per-process oracle. doFaults adds the
+// deterministic order, in the requested format. Live cells also include
+// the long-horizon heavy-tail coord-heavy-m family. doFaults adds the
 // coord-faulty chaos family: live-only cells that inject a seeded fault
 // plan per cell and must come back with typed violations and degraded
 // agents, never a cell error. The banner is only
 // printed for the human-readable table so that csv/json output can be piped
 // straight into figure scripts.
-func runSweep(axes sweep.Axes, seeds, workers int, format string, doLive bool, liveMode string, doFaults, noXBatch bool) error {
+func runSweep(stdout, stderr io.Writer, axes sweep.Axes, seeds, workers int, format string, doLive, doFaults, noXBatch bool) error {
 	if seeds < 1 {
 		return fmt.Errorf("sweep needs at least one seed, got %d", seeds)
 	}
@@ -534,14 +535,6 @@ func runSweep(axes sweep.Axes, seeds, workers int, format string, doLive bool, l
 		Workers:   workers,
 		NoXBatch:  noXBatch,
 	}
-	switch liveMode {
-	case "replay":
-		grid.LiveMode = sweep.ModeReplay
-	case "goroutine":
-		grid.LiveMode = sweep.ModeLive
-	default:
-		return fmt.Errorf("unknown live mode %q (want replay or goroutine)", liveMode)
-	}
 	if doLive {
 		// The multi-agent scenarios (the only ones carrying concurrent
 		// Tasks) form the live dimension: every policy and seed of one
@@ -554,15 +547,12 @@ func runSweep(axes sweep.Axes, seeds, workers int, format string, doLive bool, l
 		if len(grid.Live) == 0 {
 			return fmt.Errorf("sweep: -live found no multi-agent scenarios in the grid")
 		}
-		if grid.LiveMode == sweep.ModeReplay {
-			// Replay headroom opens the replay-only family: long-horizon
-			// heavy-tail coordination the goroutine mode can't afford.
-			grid.Live = append(grid.Live, scenario.ReplayFamily()...)
-		}
+		// The long-horizon heavy-tail coordination family.
+		grid.Live = append(grid.Live, scenario.ReplayFamily()...)
 		if doFaults {
 			// The chaos axis: every cell of these scenarios derives a fault
-			// plan from (family, seed) and injects it identically in every
-			// execution mode. Faulted cells bypass the prefix cache.
+			// plan from (family, seed). Faulted cells bypass the prefix
+			// cache.
 			grid.Live = append(grid.Live, scenario.FaultyFamily()...)
 		}
 	}
@@ -574,25 +564,24 @@ func runSweep(axes sweep.Axes, seeds, workers int, format string, doLive bool, l
 		return err
 	}
 	if format == "" || format == "table" {
-		fmt.Printf("sweep: (%d sim + %d live scenarios) x %d policies x %d seeds = %d runs\n\n",
+		fmt.Fprintf(stdout, "sweep: (%d sim + %d live scenarios) x %d policies x %d seeds = %d runs\n\n",
 			len(grid.Scenarios), len(grid.Live), len(grid.Policies), len(grid.Seeds), grid.Size())
 	}
-	if err := sweep.Write(os.Stdout, format, sweep.Summarize(results)); err != nil {
+	if err := sweep.Write(stdout, format, sweep.Summarize(results)); err != nil {
 		return err
 	}
 	if (format == "" || format == "table") && report.Networks > 0 {
 		st := report.Stats
-		fmt.Printf("\nengines: %d network(s), %d run(s) stamped; prefix cache %d hit / %d miss / %d evicted; %d clone bytes, %d relaxations\n",
+		fmt.Fprintf(stdout, "\nengines: %d network(s), %d run(s) stamped; prefix cache %d hit / %d miss / %d evicted; %d clone bytes, %d relaxations\n",
 			report.Networks, st.Runs, st.PrefixHits, st.PrefixMisses, st.PrefixEvictions,
 			st.CloneBytes, st.Relaxations)
-		fmt.Printf("reverse cache: %d warm hit(s) / %d rebuild(s), %d band refresh(es), %d reverse relaxations\n",
+		fmt.Fprintf(stdout, "reverse cache: %d warm hit(s) / %d rebuild(s), %d band refresh(es), %d reverse relaxations\n",
 			st.RevHits, st.RevRebuilds, st.BandRefreshes, st.RevRelaxations)
 		if st.ReplayBatches > 0 {
-			fmt.Printf("replay: %d batch(es) driven through %d streamed chunk(s), goroutine-free\n",
-				st.ReplayBatches, st.ReplayChunks)
+			fmt.Fprintf(stdout, "replay: %d batch(es) driven\n", st.ReplayBatches)
 		}
 		if st.BatchQueries > 0 || st.XFanout > 0 {
-			fmt.Printf("batched queries: %d answered, %d for free from an already-computed distance array; x-fanout saved %d execution(s)\n",
+			fmt.Fprintf(stdout, "batched queries: %d answered, %d for free from an already-computed distance array; x-fanout saved %d execution(s)\n",
 				st.BatchQueries, st.BatchHits, st.XFanout)
 		}
 	}
@@ -604,7 +593,7 @@ func runSweep(axes sweep.Axes, seeds, workers int, format string, doLive bool, l
 			crashed += res.Crashed
 		}
 		if violations+degraded+crashed > 0 {
-			fmt.Printf("faults: %d violation(s) injected, %d process(es) crashed, %d agent(s) degraded — all typed, zero panics\n",
+			fmt.Fprintf(stdout, "faults: %d violation(s) injected, %d process(es) crashed, %d agent(s) degraded — all typed, zero panics\n",
 				violations, crashed, degraded)
 		}
 	}
@@ -612,7 +601,7 @@ func runSweep(axes sweep.Axes, seeds, workers int, format string, doLive bool, l
 	for _, res := range results {
 		if res.Err != nil {
 			failed++
-			fmt.Fprintf(os.Stderr, "cell %s/%s seed=%d: %v\n", res.Scenario, res.Policy, res.Seed, res.Err)
+			fmt.Fprintf(stderr, "cell %s/%s seed=%d: %v\n", res.Scenario, res.Policy, res.Seed, res.Err)
 		}
 	}
 	if failed > 0 {

@@ -1,0 +1,52 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestExitCodes is the CLI's scenario pack: each invocation must end with
+// its documented exit code — 0 on success, 2 for a bad flag or flag value,
+// 1 for a runtime failure — and leave its tell-tale line on stdout or
+// stderr. A runtime failure must be a typed message, never a crash.
+func TestExitCodes(t *testing.T) {
+	cases := []struct {
+		name   string
+		args   []string
+		code   int
+		stdout string
+		stderr string
+	}{
+		{name: "list", args: []string{"-list"}, code: 0, stdout: "coord-m4"},
+		{name: "live engine agrees with offline",
+			args: []string{"-scenario", "coord-m4", "-policy", "random", "-engine", "online"},
+			code: 0, stdout: "agrees with offline ✔"},
+		{name: "unknown format", args: []string{"-sweep", "-format", "yaml"},
+			code: 2, stderr: `unknown output format "yaml"`},
+		{name: "live without sweep", args: []string{"-live"},
+			code: 2, stderr: "-live needs -sweep"},
+		{name: "removed live-mode flag", args: []string{"-sweep", "-live", "-live-mode", "goroutine"},
+			code: 2, stderr: "flag provided but not defined: -live-mode"},
+		{name: "unknown fault family", args: []string{"-scenario", "coord-m4", "-engine", "online", "-faults", "meteor"},
+			code: 2, stderr: `unknown fault family "meteor"`},
+		{name: "non-finite sweep scale", args: []string{"-sweep", "-sweep-scale", "NaN", "-seeds", "1"},
+			code: 1, stderr: "scenario: bad bound scale"},
+		{name: "untabulable sweep scale", args: []string{"-sweep", "-sweep-scale", "1e7", "-seeds", "1"},
+			code: 1, stderr: "run: horizon out of range"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var stdout, stderr strings.Builder
+			code := run(c.args, &stdout, &stderr)
+			if code != c.code {
+				t.Fatalf("exit %d, want %d\nstdout:\n%s\nstderr:\n%s", code, c.code, stdout.String(), stderr.String())
+			}
+			if !strings.Contains(stdout.String(), c.stdout) {
+				t.Errorf("stdout lacks %q:\n%s", c.stdout, stdout.String())
+			}
+			if !strings.Contains(stderr.String(), c.stderr) {
+				t.Errorf("stderr lacks %q:\n%s", c.stderr, stderr.String())
+			}
+		})
+	}
+}

@@ -59,10 +59,15 @@
 // -live for a second grid dimension of live multi-agent cells, every cell of
 // one topology sharing a single per-network knowledge engine.
 //
+// One environment loop serves both execution paths: sim.Stepper schedules
+// the FFIP floods a tick at a time, Simulate records its run and RunLive
+// drives an agent at every process from the same receive batches, so the
+// two cannot drift apart.
+//
 // The hot paths are dense and allocation-light: networks index their
 // channels by integer ChanID with flat arc tables and CSR-style adjacency,
-// the simulator's and the live engine's event schedules and the run indexes
-// are horizon-indexed slices rather than maps, and the bounds graphs are
+// the stepper's event schedule and the run indexes are horizon-indexed
+// slices rather than maps, and the bounds graphs are
 // built over exact degree counts with no per-edge metadata — all guarded by
 // allocation-budget tests in internal/sim, internal/bounds and
 // internal/live. Online agents keep one incremental knowledge engine that

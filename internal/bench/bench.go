@@ -34,9 +34,8 @@ func instance(n int) *workload.Instance {
 	return workload.MustGenerate(cfg)
 }
 
-// ScalingLive measures the goroutine-per-process live engine (no agents —
-// the environment and FFIP relay cost alone) on the standard scaling
-// workload.
+// ScalingLive measures the live engine (no agents — the environment, view
+// maintenance and FFIP relay cost alone) on the standard scaling workload.
 func ScalingLive(n int) Case {
 	return Case{
 		Name: fmt.Sprintf("ScalingLive/n=%d", n),
@@ -45,7 +44,7 @@ func ScalingLive(n int) Case {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := live.Run(live.Config{
+				res, err := live.Replay(live.Config{
 					Net: in.Net, Horizon: in.Horizon,
 					Policy: sim.NewRandom(int64(i)), Externals: in.Externals,
 				})
@@ -417,28 +416,22 @@ func sweepSeeded(m, seeds int, name string, prefix bool) Case {
 
 // sweepLive measures one COMPLETE live sweep cell end to end — the
 // policy-driven environment, FFIP flooding, every process's view
-// maintenance and every Protocol2 decision — through the selected execution
-// engine: the goroutine-free replay drive (recorded batches, no channels)
-// or the goroutine-per-process environment it replaces as the sweep
-// default. The NetworkEngine is built outside the timer, as sweep.Grid
-// amortizes it across a block; each iteration is one full cell under a
-// fresh seeded random policy, so the pair prices exactly what the sweep's
-// live grid dimension pays per cell.
-func sweepLive(m int, name string, replay bool) Case {
+// maintenance and every Protocol2 decision — through live.Replay. The
+// NetworkEngine is built outside the timer, as sweep.Grid amortizes it
+// across a block; each iteration is one full cell under a fresh seeded
+// random policy, so the case prices exactly what the sweep's live grid
+// dimension pays per cell.
+func SweepReplayLive(m int) Case {
 	return Case{
-		Name: fmt.Sprintf("%s/m=%d", name, m),
+		Name: fmt.Sprintf("SweepReplayLive/m=%d", m),
 		Run: func(b *testing.B) {
 			sc := scenario.MultiAgent(m)
 			eng := bounds.NewNetworkEngine(sc.Net)
-			exec := live.Run
-			if replay {
-				exec = live.Replay
-			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agents, agentMap := live.NewTaskAgents(sc.TaskList())
-				res, err := exec(live.Config{
+				res, err := live.Replay(live.Config{
 					Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewRandom(int64(i)),
 					Externals: sc.Externals, Agents: agentMap, Engine: eng,
 				})
@@ -457,15 +450,6 @@ func sweepLive(m int, name string, replay bool) Case {
 		},
 	}
 }
-
-// SweepReplayLive is one goroutine-free replay live cell per op: the
-// execution mode full-registry live sweeps run under by default.
-func SweepReplayLive(m int) Case { return sweepLive(m, "SweepReplayLive", true) }
-
-// SweepGoroutineLive is the goroutine-per-process cell recorded alongside
-// SweepReplayLive: the identical workload through the channel-synchronized
-// environment, kept as the replay mode's differential oracle.
-func SweepGoroutineLive(m int) Case { return sweepLive(m, "SweepGoroutineLive", false) }
 
 // SweepSharedNetwork is the cross-run amortization benchmark: a block of
 // live-style multi-agent sweep cells all served by one per-network
@@ -787,15 +771,12 @@ func ExportCases() []Case {
 		cases = append(cases, SweepSharedNetworkSeeds(4, seeds))
 		cases = append(cases, SweepPrefixShared(4, seeds))
 	}
-	// The live-cell execution pair is interleaved per m — oracle then
-	// replay back to back — so each comparison's two cells run under the
-	// same heap and machine conditions.
 	for _, m := range scenario.MultiAgentSizes {
-		cases = append(cases, SweepGoroutineLive(m))
 		cases = append(cases, SweepReplayLive(m))
 	}
-	// The threshold-query and x-axis pairs are interleaved the same way:
-	// baseline then fast path back to back.
+	// The threshold-query and x-axis pairs are interleaved per size —
+	// baseline then fast path back to back — so each comparison's two cells
+	// run under the same heap and machine conditions.
 	for _, n := range []int{8, 16, 32, 64} {
 		cases = append(cases, KnowsWitnessPath(n))
 		cases = append(cases, KnowsWeightOnly(n))

@@ -130,12 +130,11 @@ func (e *NetworkEngine) Prefixes() *PrefixEngine { return e.prefixes }
 // Stats returns a snapshot of the engine's cumulative work counters.
 func (e *NetworkEngine) Stats() EngineStats { return e.stats.snapshot() }
 
-// NoteReplay credits a completed goroutine-free replay execution to the
-// engine's counters: batches receive batches driven through streamed chunk
-// buffers (live.Replay reports them once per execution).
-func (e *NetworkEngine) NoteReplay(batches, chunks int64) {
+// NoteReplay credits a completed live execution to the engine's counters:
+// batches receive batches driven (live.Replay reports them once per
+// execution).
+func (e *NetworkEngine) NoteReplay(batches int64) {
 	e.stats.replayBatches.Add(batches)
-	e.stats.replayChunks.Add(chunks)
 }
 
 // NoteXFanout credits live executions saved by x-axis fanout: a sweep that

@@ -48,11 +48,9 @@ type EngineStats struct {
 	// RevRelaxations counts successful SPFA relaxations spent in reverse
 	// (into-target) queries, disjoint from Relaxations.
 	RevRelaxations int64
-	// ReplayBatches / ReplayChunks count the receive batches driven and the
-	// chunk buffers streamed by goroutine-free replay executions subscribed
-	// to this engine (live.Replay with Config.Engine set).
+	// ReplayBatches counts the receive batches driven by live executions
+	// subscribed to this engine (live.Replay with Config.Engine set).
 	ReplayBatches int64
-	ReplayChunks  int64
 	// BatchQueries / BatchHits count the batched knowledge-query plane:
 	// answers served through handle KnowsAt grids, and the subset
 	// answered from an already-computed distance array (no SPFA of their
@@ -81,7 +79,6 @@ type engineStats struct {
 	bandRefreshes   atomic.Int64
 	revRelaxations  atomic.Int64
 	replayBatches   atomic.Int64
-	replayChunks    atomic.Int64
 	batchQueries    atomic.Int64
 	batchHits       atomic.Int64
 	xFanout         atomic.Int64
@@ -101,7 +98,6 @@ func (st *engineStats) snapshot() EngineStats {
 		BandRefreshes:   st.bandRefreshes.Load(),
 		RevRelaxations:  st.revRelaxations.Load(),
 		ReplayBatches:   st.replayBatches.Load(),
-		ReplayChunks:    st.replayChunks.Load(),
 		BatchQueries:    st.batchQueries.Load(),
 		BatchHits:       st.batchHits.Load(),
 		XFanout:         st.xFanout.Load(),

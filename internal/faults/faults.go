@@ -7,9 +7,8 @@
 // will lie: processes that crash (stop receiving, acting and sending at a
 // tick), links that silently drop every message sent during a window, and
 // channels whose deliveries land past their upper bound. Plans are pure
-// data — the same plan threaded through sim.Simulate, the goroutine live
-// environment and live.Replay yields byte-identical recordings, which the
-// differential tests pin.
+// data — the same plan threaded through sim.Simulate and live.Replay
+// yields byte-identical recordings, which the differential tests pin.
 //
 // Every injected violation is reported as a *Violation, a typed error
 // wrapping ErrBoundViolation with channel and tick context — never a panic.
@@ -314,8 +313,8 @@ func (v *Violation) Unwrap() error { return ErrBoundViolation }
 
 // Report is the settled outcome of a faulted execution: every injected
 // violation plus the processes the plan crashed and the taint frontier
-// flagged as degraded by the horizon. All three execution modes produce
-// identical reports for one (plan, configuration) pair.
+// flagged as degraded by the horizon. sim.SimulateFaulty and live.Replay
+// produce identical reports for one (plan, configuration) pair.
 type Report struct {
 	// Violations lists every broken obligation in canonical order.
 	Violations []*Violation

@@ -19,10 +19,10 @@ type dlRule struct {
 	slack int
 }
 
-// Injector executes one Plan against one (network, horizon) pair. It is the
-// single source of truth all three execution modes consult at identical hook
-// points — schedule time (Dead destinations, SendDrop, Delay), delivery time
-// (Deliver, Discard) and state time (DegradedAt) — so the modes cannot drift.
+// Injector executes one Plan against one (network, horizon) pair. sim.Stepper
+// consults it at fixed hook points — schedule time (Dead destinations,
+// SendDrop, Delay, Discard), delivery time (Deliver) and state time
+// (DegradedAt).
 //
 // Besides applying the plan it maintains the conservative taint frontier:
 // taintedAt[p] is the earliest tick at which p's causal past may include a
@@ -224,9 +224,9 @@ func (inj *Injector) Delay(id model.ChanID, from, to model.ProcID, t model.Time,
 }
 
 // Discard records that a message scheduled to arrive at a crashed process
-// was thrown away at recv. Execution modes call it from the flood loop (the
-// crash schedule is static, so the discard is known at send time) so the
-// arrival never materializes in any mode.
+// was thrown away at recv. The stepper calls it from the flood loop (the
+// crash schedule is static, so the discard is known at send time), so the
+// arrival never materializes.
 func (inj *Injector) Discard(id model.ChanID, from, to model.ProcID, send, recv model.Time) {
 	bd := inj.net.BoundsOf(id)
 	inj.violations = append(inj.violations, &Violation{

@@ -61,8 +61,8 @@ func requireIdenticalRuns(t *testing.T, label string, got, want *run.Run) {
 }
 
 // TestLiveMatchesSimulatorOnRandomFamily extends the Figure-2b-sized
-// equivalence to the registry's random-topology family: the rebuilt live
-// environment must record byte-identical runs to sim.Simulate on every
+// equivalence to the registry's random-topology family: sim.Simulate must
+// record byte-identical runs to the reference environment on every
 // random-n{6,8,10} scenario under every policy.
 func TestLiveMatchesSimulatorOnRandomFamily(t *testing.T) {
 	factories := []func() sim.Policy{
@@ -74,42 +74,41 @@ func TestLiveMatchesSimulatorOnRandomFamily(t *testing.T) {
 		for _, mk := range factories {
 			pol := mk()
 			label := fmt.Sprintf("%s/%s", sc.Name, pol.Name())
-			res, err := Run(Config{
+			res, err := refExecute(Config{
 				Net: sc.Net, Horizon: sc.Horizon, Policy: pol, Externals: sc.Externals,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if err := res.Run.Validate(); err != nil {
-				t.Fatalf("%s: live run invalid: %v", label, err)
+				t.Fatalf("%s: reference run invalid: %v", label, err)
 			}
 			want, err := sc.Simulate(mk())
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireIdenticalRuns(t, label, res.Run, want)
+			requireIdenticalRuns(t, label, want, res.Run)
 		}
 	}
 }
 
-// TestLiveAllocationGuard keeps the rebuilt environment loop
-// allocation-light: arrivals and externals live in horizon-indexed slice
-// buckets, per-process slabs replace the per-tick grouping maps and their
-// sort, payloads are O(n) snapshots instead of deep view clones, and the
-// receipt/reply plumbing is reused. The bound has slack over the measured
-// count (which includes the per-process goroutines and their growing
-// views) but sits far below the per-tick map churn of the old loop.
+// TestLiveAllocationGuard keeps a live execution allocation-light: the
+// stepper's arrivals and externals live in horizon-indexed slice buckets,
+// per-process slabs replace per-tick grouping maps and their sort, payloads
+// are O(n) snapshots instead of deep view clones, and the receipt plumbing
+// is reused. The bound has slack over the measured count (which includes
+// the growing views) but sits far below per-tick map churn.
 func TestLiveAllocationGuard(t *testing.T) {
 	net := model.MustComplete(4, 1, 5)
 	cfg := Config{Net: net, Horizon: 40, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go")}
 	const limit = 400
 	got := testing.AllocsPerRun(10, func() {
-		if _, err := Run(cfg); err != nil {
+		if _, err := Replay(cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if got > limit {
-		t.Errorf("live.Run allocates %.0f times per run, want <= %d", got, limit)
+		t.Errorf("live.Replay allocates %.0f times per run, want <= %d", got, limit)
 	}
 }
 
@@ -161,7 +160,7 @@ func TestProtocol2EnginesMatchOfflineOnRandomScenarios(t *testing.T) {
 		var recordings [2]*run.Run
 		for e, rebuild := range []bool{true, false} {
 			agent := &Protocol2{Task: task, Rebuild: rebuild}
-			res, err := Run(Config{
+			res, err := Replay(Config{
 				Net: in.Net, Horizon: in.Horizon, Policy: sim.NewRandom(seed * 7),
 				Externals: sim.GoAt(task.C, task.GoTime, "go"),
 				Agents:    map[model.ProcID]Agent{task.B: agent},

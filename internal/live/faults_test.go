@@ -38,12 +38,12 @@ func faultedConfig(t *testing.T, sc *scenario.Scenario, policy sim.Policy, seed 
 	}, plan
 }
 
-// TestFaultedModesAgree pins the tentpole's byte-for-byte guarantee: for
-// every coord-faulty scenario, plan family and policy, the goroutine
-// environment, the replay drive and the offline simulator inject the
-// identical faults and agree on the recording's fingerprint, the violation
-// report, the crashed set, every agent action and every agent's Degraded
-// flag.
+// TestFaultedModesAgree pins the byte-for-byte guarantee under faults: for
+// every coord-faulty scenario (one per plan family), policy and seed, the
+// replay drive, the reference environment and the offline simulator inject
+// the identical faults and agree on the recording's fingerprint, the
+// violation report and the crashed set; replay and reference also agree on
+// every agent action, the degraded set and every agent's Degraded flag.
 func TestFaultedModesAgree(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	for _, sc := range scenario.FaultyFamily() {
@@ -52,11 +52,11 @@ func TestFaultedModesAgree(t *testing.T) {
 				tag := sc.Name + "/" + spec.Name
 				tasks := sc.TaskList()
 
-				gAgents, gMap := live.NewTaskAgents(tasks)
-				gCfg, plan := faultedConfig(t, sc, spec.New(seed), seed, gMap)
-				gOut, err := live.Run(gCfg)
+				fAgents, fMap := live.NewTaskAgents(tasks)
+				fCfg, plan := faultedConfig(t, sc, spec.New(seed), seed, fMap)
+				fOut, err := live.RefExecute(fCfg)
 				if err != nil {
-					t.Fatalf("%s seed %d: goroutine: %v", tag, seed, err)
+					t.Fatalf("%s seed %d: reference: %v", tag, seed, err)
 				}
 
 				rAgents, rMap := live.NewTaskAgents(tasks)
@@ -74,39 +74,39 @@ func TestFaultedModesAgree(t *testing.T) {
 					t.Fatalf("%s seed %d: sim: %v", tag, seed, err)
 				}
 
-				if g, r := gOut.Run.Fingerprint(), rOut.Run.Fingerprint(); g != r {
-					t.Fatalf("%s seed %d: goroutine fp %#x != replay fp %#x", tag, seed, g, r)
+				if f, r := fOut.Run.Fingerprint(), rOut.Run.Fingerprint(); f != r {
+					t.Fatalf("%s seed %d: reference fp %#x != replay fp %#x", tag, seed, f, r)
 				}
-				if g, s := gOut.Run.Fingerprint(), sr.Fingerprint(); g != s {
-					t.Fatalf("%s seed %d: live fp %#x != sim fp %#x", tag, seed, g, s)
+				if f, s := fOut.Run.Fingerprint(), sr.Fingerprint(); f != s {
+					t.Fatalf("%s seed %d: reference fp %#x != sim fp %#x", tag, seed, f, s)
 				}
-				if !reflect.DeepEqual(gOut.Actions, rOut.Actions) {
-					t.Fatalf("%s seed %d: actions differ:\n goroutine %v\n replay    %v",
-						tag, seed, gOut.Actions, rOut.Actions)
+				if !reflect.DeepEqual(fOut.Actions, rOut.Actions) {
+					t.Fatalf("%s seed %d: actions differ:\n reference %v\n replay    %v",
+						tag, seed, fOut.Actions, rOut.Actions)
 				}
-				if !reflect.DeepEqual(gOut.Violations, rOut.Violations) ||
-					!reflect.DeepEqual(gOut.Violations, sRep.Violations) {
+				if !reflect.DeepEqual(fOut.Violations, rOut.Violations) ||
+					!reflect.DeepEqual(fOut.Violations, sRep.Violations) {
 					t.Fatalf("%s seed %d: violation reports differ across modes", tag, seed)
 				}
-				if !reflect.DeepEqual(gOut.Crashed, rOut.Crashed) ||
-					!reflect.DeepEqual(gOut.Crashed, sRep.Crashed) {
+				if !reflect.DeepEqual(fOut.Crashed, rOut.Crashed) ||
+					!reflect.DeepEqual(fOut.Crashed, sRep.Crashed) {
 					t.Fatalf("%s seed %d: crashed sets differ across modes", tag, seed)
 				}
-				if !reflect.DeepEqual(gOut.Degraded, rOut.Degraded) {
-					t.Fatalf("%s seed %d: degraded sets differ: goroutine %v, replay %v",
-						tag, seed, gOut.Degraded, rOut.Degraded)
+				if !reflect.DeepEqual(fOut.Degraded, rOut.Degraded) {
+					t.Fatalf("%s seed %d: degraded sets differ: reference %v, replay %v",
+						tag, seed, fOut.Degraded, rOut.Degraded)
 				}
-				for i := range gAgents {
-					if gAgents[i].Err() != nil || rAgents[i].Err() != nil {
-						t.Fatalf("%s seed %d: agent %s internal error (goroutine %v, replay %v) — violations must degrade, not error",
-							tag, seed, live.TaskLabel(i), gAgents[i].Err(), rAgents[i].Err())
+				for i := range fAgents {
+					if fAgents[i].Err() != nil || rAgents[i].Err() != nil {
+						t.Fatalf("%s seed %d: agent %s internal error (reference %v, replay %v) — violations must degrade, not error",
+							tag, seed, live.TaskLabel(i), fAgents[i].Err(), rAgents[i].Err())
 					}
-					if gd, rd := gAgents[i].Degraded(), rAgents[i].Degraded(); gd != rd {
-						t.Fatalf("%s seed %d: agent %s Degraded: goroutine %v, replay %v",
-							tag, seed, live.TaskLabel(i), gd, rd)
+					if fd, rd := fAgents[i].Degraded(), rAgents[i].Degraded(); fd != rd {
+						t.Fatalf("%s seed %d: agent %s Degraded: reference %v, replay %v",
+							tag, seed, live.TaskLabel(i), fd, rd)
 					}
-					if gAgents[i].Degraded() {
-						if reason := gAgents[i].DegradeReason(); !errors.Is(reason, faults.ErrBoundViolation) {
+					if rAgents[i].Degraded() {
+						if reason := rAgents[i].DegradeReason(); !errors.Is(reason, faults.ErrBoundViolation) {
 							t.Fatalf("%s seed %d: degrade reason %v does not wrap ErrBoundViolation",
 								tag, seed, reason)
 						}

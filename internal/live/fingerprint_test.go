@@ -23,7 +23,7 @@ func TestLiveFingerprintMatchesSim(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config{
+		res, err := Replay(Config{
 			Net: sc.Net, Horizon: sc.Horizon, Policy: mk(), Externals: sc.Externals,
 		})
 		if err != nil {
@@ -52,7 +52,7 @@ func TestLivePrefixRoundTrip(t *testing.T) {
 	exec := func() *Result {
 		t.Helper()
 		agents, agentMap := NewTaskAgents(sc.TaskList())
-		res, err := Run(Config{
+		res, err := Replay(Config{
 			Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Eager{},
 			Externals: sc.Externals, Agents: agentMap,
 			Engine: eng, Fingerprint: fp,
@@ -89,7 +89,7 @@ func TestLivePrefixRoundTrip(t *testing.T) {
 	}
 
 	_, agentMap := NewTaskAgents(sc.TaskList())
-	if _, err := Run(Config{
+	if _, err := Replay(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Lazy{},
 		Externals: sc.Externals, Agents: agentMap,
 		Engine: eng, Fingerprint: fp,

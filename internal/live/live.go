@@ -1,30 +1,20 @@
-// Package live executes the bounded communication model with one goroutine
-// per process, exchanging FFIP messages over Go channels under a lockstep
-// virtual-time environment. It exists to demonstrate — and test — that
-// every decision in this library is honestly clockless: an agent goroutine
+// Package live executes the bounded communication model with an
+// application agent at every process. It exists to demonstrate — and test —
+// that every decision in this library is honestly clockless: an agent
 // receives only run.View values (the structure of its causal past) and has
 // no access whatsoever to the environment's clock; its decisions must
 // therefore coincide exactly with the offline analysis, which the tests
 // assert.
 //
-// The environment goroutine owns virtual time: at each tick it delivers the
-// messages the Policy scheduled, waits for every receiving process to
-// absorb its batch and answer with its actions, and floods the new states
-// onward. Processes never see the tick value.
-//
-// The environment mirrors the simulator's allocation profile: arrivals and
-// externals live in horizon-indexed slice buckets (recycled through a
-// freelist) instead of per-tick maps, per-process delivery slabs replace
-// per-tick grouping maps and their sort, message payloads are immutable
-// run.Snapshot values shared by every out-arc of a state, and the receipt
-// and reply plumbing is reused across batches.
+// The environment is sim.Stepper, the same tick-at-a-time schedule that
+// sim.Simulate records: Replay takes each tick's receive batches from it
+// and feeds them straight into the receiving processes' views and agents,
+// in (time, process) order, in one goroutine. Agents never see the tick
+// value. Message payloads are immutable run.Snapshot values shared by every
+// out-arc of a state and dropped once their last arrival is absorbed.
 package live
 
 import (
-	"errors"
-	"fmt"
-	"sync"
-
 	"github.com/clockless/zigzag/internal/bounds"
 	"github.com/clockless/zigzag/internal/faults"
 	"github.com/clockless/zigzag/internal/model"
@@ -32,8 +22,8 @@ import (
 	"github.com/clockless/zigzag/internal/sim"
 )
 
-// Agent is the application logic of one process. OnState is called from the
-// process's own goroutine at every new local state, with the process's
+// Agent is the application logic of one process. OnState is called at every
+// new local state of the process, with the process's
 // current view (structure only — no times) and the external labels absorbed
 // in the creating batch. The externals slice is reused between batches;
 // agents must not retain it. The returned labels are recorded as actions
@@ -57,8 +47,8 @@ type Action struct {
 }
 
 // SharedUser is implemented by agents that can subscribe to a per-run
-// shared knowledge engine (bounds.Shared). Run hands Config.Shared to every
-// such agent before its first state.
+// shared knowledge engine (bounds.Shared). Replay hands the per-run engine
+// stamped from Config.Engine to every such agent before its first state.
 type SharedUser interface {
 	UseShared(*bounds.Shared)
 }
@@ -67,9 +57,8 @@ type SharedUser interface {
 // under fault injection. When the environment determines that a process's
 // knowledge may rest on a violated communication bound — a claim about a
 // dropped, late or discarded message, or a promised delivery verifiably
-// past its deadline — it calls Degrade (from the process's own goroutine,
-// before OnState) with the typed reason, a faults.ErrBoundViolation wrap.
-// A degraded agent is expected to withhold further actions; Protocol2 does.
+// past its deadline — it calls Degrade (before OnState) with the typed
+// reason, a faults.ErrBoundViolation wrap. A degraded agent is expected to withhold further actions; Protocol2 does.
 // Degrade may be called repeatedly as the condition persists.
 type Degradable interface {
 	Degrade(reason error)
@@ -84,15 +73,10 @@ type Config struct {
 	// Agents maps processes to their application logic; processes without
 	// an agent still flood (they are pure FFIP relays).
 	Agents map[model.ProcID]Agent
-	// Shared, when non-nil, is the run-owned knowledge engine handed to
-	// every agent implementing SharedUser: all of them then share one
-	// standing bounds graph instead of maintaining one each. It must have
-	// been built for Net.
-	Shared *bounds.Shared
-	// Engine, when non-nil (and Shared is nil), is the network-lifetime
-	// knowledge engine this execution subscribes to: Run stamps a fresh
-	// per-run Shared out of it (bounds.NetworkEngine.NewRun) and hands that
-	// to every SharedUser agent. Harnesses running many executions of one
+	// Engine, when non-nil, is the network-lifetime knowledge engine this
+	// execution subscribes to: Replay stamps a fresh per-run Shared out of
+	// it (bounds.NetworkEngine.NewRun) and hands that to every SharedUser
+	// agent. Harnesses running many executions of one
 	// network — sweeps, benchmarks — build the engine once and put it here,
 	// so the aux band, presizing hints and scratch pool amortize across
 	// runs. It must have been built for Net or a content-equal network.
@@ -100,27 +84,20 @@ type Config struct {
 	// Fingerprint, when nonzero (and Engine is set), is the content
 	// fingerprint (run.Run.Fingerprint) this execution is expected to
 	// record — known up front for deterministic policies by pre-simulating
-	// once, or from an earlier recording. Run then stamps the per-run
+	// once, or from an earlier recording. Replay then stamps the per-run
 	// engine through the network engine's standing-prefix cache
 	// (bounds.NetworkEngine.NewRunAt): a cached identical run's standing
 	// graph is reused outright, and on a miss the completed run is frozen
-	// into the cache for the executions that follow. Run fails if the
+	// into the cache for the executions that follow. Replay fails if the
 	// recording's fingerprint comes out different — a wrong prediction
 	// must surface, not poison the cache.
 	Fingerprint uint64
-	// ReplayChunk bounds how many receive batches the replay mode buffers
-	// between its recorder and its driver (Replay only; zero means the
-	// package default). Long-horizon runs stream through a chunk this size
-	// instead of materializing the whole schedule in memory.
-	ReplayChunk int
 	// Faults optionally injects a deterministic fault plan (crashes, dead
-	// links, missed deadlines) into the environment. Both execution modes
-	// apply the plan at identical hook points, so the recording, actions and
-	// degradation outcomes stay byte-identical between them — and identical
-	// to sim.Simulate with the same plan. Nil means the fault-free
-	// environment of the paper. Faulted executions should leave Fingerprint
-	// zero: their recordings are not legal runs and must bypass the
-	// standing-prefix cache.
+	// links, missed deadlines) into the environment. sim.Stepper applies it,
+	// so the recording is identical to sim.Simulate with the same plan. Nil
+	// means the fault-free environment of the paper. Faulted executions
+	// should leave Fingerprint zero: their recordings are not legal runs and
+	// must bypass the standing-prefix cache.
 	Faults *faults.Plan
 }
 
@@ -136,11 +113,9 @@ type Result struct {
 	// frozen standing prefix of an identical earlier run
 	// (Config.Fingerprint hit the network engine's prefix cache).
 	PrefixHit bool
-	// ReplayBatches / ReplayChunks count the receive batches driven and the
-	// chunk buffers streamed by the goroutine-free replay mode (both zero
-	// for goroutine executions).
+	// ReplayBatches counts the receive batches driven: one per state the
+	// execution created.
 	ReplayBatches int
-	ReplayChunks  int
 	// Violations lists every communication-bound violation the fault plan
 	// injected, as typed errors in canonical order (Config.Faults only).
 	Violations []*faults.Violation
@@ -151,314 +126,4 @@ type Result struct {
 	// Crashed lists the processes the plan halted within the horizon, in id
 	// order (Config.Faults only).
 	Crashed []model.ProcID
-}
-
-// execState is the engine wiring both execution modes share: Run and Replay
-// prepare it before their first tick and settle it after the recording is
-// built.
-type execState struct {
-	policy    sim.Policy
-	shared    *bounds.Shared
-	stamped   bool // this execution stamped shared itself, so it commits it
-	prefixHit bool
-	inj       *faults.Injector // nil for fault-free executions
-}
-
-// prepare validates the configuration, resolves the policy, stamps the
-// per-run knowledge engine (when Config.Engine is set) and hands the shared
-// engine to every SharedUser agent. Both execution modes — the
-// goroutine-per-process environment (Run) and the goroutine-free replay
-// drive (Replay) — start here, so the engine lifecycle cannot drift between
-// them.
-func prepare(cfg Config) (*execState, error) {
-	if cfg.Net == nil || cfg.Horizon < 1 {
-		return nil, errors.New("live: bad configuration")
-	}
-	st := &execState{policy: cfg.Policy, shared: cfg.Shared}
-	if st.policy == nil {
-		st.policy = sim.Eager{}
-	}
-	if cfg.Faults != nil {
-		inj, err := faults.NewInjector(cfg.Faults, cfg.Net, cfg.Horizon)
-		if err != nil {
-			return nil, err
-		}
-		st.inj = inj
-	}
-	if st.shared == nil && cfg.Engine != nil {
-		if en := cfg.Engine.Net(); en != cfg.Net && en.Fingerprint() != cfg.Net.Fingerprint() {
-			return nil, errors.New("live: Config.Engine was built for a different network")
-		}
-		st.shared, st.prefixHit = cfg.Engine.NewRunAt(cfg.Fingerprint)
-		st.stamped = true
-	}
-	if st.shared != nil {
-		if sn := st.shared.Net(); sn != cfg.Net && sn.Fingerprint() != cfg.Net.Fingerprint() {
-			return nil, errors.New("live: Config.Shared was built for a different network")
-		}
-		for _, agent := range cfg.Agents {
-			if su, ok := agent.(SharedUser); ok {
-				su.UseShared(st.shared)
-			}
-		}
-	}
-	return st, nil
-}
-
-// extTimetable validates the external schedule and slots it into
-// horizon-indexed buckets, exactly as sim.Simulate does. Externals bound
-// for a process the fault plan has crashed by their delivery time are
-// skipped — they reach a halted process and create no batch in any mode.
-func extTimetable(cfg Config, st *execState) ([][]run.ExternalEvent, error) {
-	extAt := make([][]run.ExternalEvent, cfg.Horizon+1)
-	for _, e := range cfg.Externals {
-		if !cfg.Net.ValidProc(e.Proc) || e.Time < 1 || e.Time > cfg.Horizon {
-			return nil, fmt.Errorf("live: bad external %q to %d at %d", e.Label, e.Proc, e.Time)
-		}
-		if st.inj != nil && st.inj.Dead(e.Proc, e.Time) {
-			continue
-		}
-		extAt[e.Time] = append(extAt[e.Time], e)
-	}
-	return extAt, nil
-}
-
-// finish builds the recording, enforces the predicted run fingerprint and —
-// when this execution stamped its engine itself — freezes the fully-absorbed
-// standing state for identical later runs.
-func finish(cfg Config, st *execState, bl *run.Builder, res *Result) error {
-	r, err := bl.Build()
-	if err != nil {
-		return err
-	}
-	if cfg.Fingerprint != 0 && r.Fingerprint() != cfg.Fingerprint {
-		return fmt.Errorf("live: recorded run fingerprint %#x differs from Config.Fingerprint %#x",
-			r.Fingerprint(), cfg.Fingerprint)
-	}
-	if st.stamped {
-		// No-op unless NewRunAt missed; the fingerprint check above keeps
-		// mispredicted runs out of the cache.
-		st.shared.CommitPrefix()
-		res.PrefixHit = st.prefixHit
-	}
-	if st.inj != nil {
-		rep := st.inj.Report()
-		res.Violations = rep.Violations
-		res.Crashed = rep.Crashed
-		// Result.Degraded is about withheld actions, so restrict the
-		// injector's process-level frontier (already in id order) to the
-		// agent-bearing processes.
-		for _, p := range rep.Degraded {
-			if cfg.Agents[p] != nil {
-				res.Degraded = append(res.Degraded, p)
-			}
-		}
-	}
-	res.Run = r
-	return nil
-}
-
-// batch is what the environment hands a process goroutine at one tick. The
-// receipts and externals slices are owned by the environment and reused
-// between batches; the process must be done with them when it replies.
-type batch struct {
-	receipts  []run.Receipt
-	externals []string
-	// degrade, when non-nil, tells the process its knowledge may rest on a
-	// violated bound: it is handed to a Degradable agent before OnState.
-	degrade error
-	reply   chan<- procReply
-}
-
-// procReply is what the process goroutine answers with.
-type procReply struct {
-	node    run.BasicNode
-	payload *run.Snapshot // frozen history, shared by every out-arc flood
-	actions []string
-	err     error
-}
-
-// arrival is one scheduled delivery: the sender's node and frozen history,
-// bound for toProc.
-type arrival struct {
-	from    run.BasicNode
-	payload *run.Snapshot
-	toProc  model.ProcID
-	send    model.Time
-}
-
-// Run executes the configuration. It is deterministic for deterministic
-// policies: goroutine scheduling cannot influence outcomes because the
-// environment synchronizes on every delivery batch.
-func Run(cfg Config) (*Result, error) {
-	st, err := prepare(cfg)
-	if err != nil {
-		return nil, err
-	}
-	policy := st.policy
-	net := cfg.Net
-	n := net.N()
-
-	// Spawn one goroutine per process, each owning its View and Agent.
-	inboxes := make([]chan batch, n)
-	var wg sync.WaitGroup
-	for _, p := range net.Procs() {
-		ch := make(chan batch) // unbuffered: lockstep with the environment
-		inboxes[p-1] = ch
-		wg.Add(1)
-		go func(p model.ProcID, ch <-chan batch) {
-			defer wg.Done()
-			view := run.NewLocalView(net, p)
-			agent := cfg.Agents[p]
-			for b := range ch {
-				node, err := view.Absorb(b.receipts, b.externals)
-				if err != nil {
-					b.reply <- procReply{err: err}
-					continue
-				}
-				if b.degrade != nil {
-					if d, ok := agent.(Degradable); ok {
-						d.Degrade(b.degrade)
-					}
-				}
-				var actions []string
-				if agent != nil {
-					actions = agent.OnState(view, b.externals)
-				}
-				b.reply <- procReply{
-					node:    node,
-					payload: view.Snapshot(),
-					actions: actions,
-				}
-			}
-		}(p, ch)
-	}
-	defer func() {
-		for _, ch := range inboxes {
-			close(ch)
-		}
-		wg.Wait()
-	}()
-
-	// Environment state: horizon-indexed arrival buckets (with consumed
-	// bucket backing recycled through a freelist) and the external
-	// timetable, mirroring sim.Simulate.
-	arrivals := make([][]arrival, cfg.Horizon+1)
-	var free [][]arrival
-	extAt, err := extTimetable(cfg, st)
-	if err != nil {
-		return nil, err
-	}
-	inj := st.inj
-
-	bl := run.NewBuilder(net, cfg.Horizon)
-	if inj != nil {
-		bl.Tolerate()
-	}
-	res := &Result{}
-
-	// Per-process slabs for the current tick, reused across ticks: the
-	// arrivals grouped by receiver and the external labels. Iterating
-	// processes in id order replaces the per-tick map + sort of the old
-	// environment loop.
-	procArr := make([][]arrival, n)
-	procExt := make([][]string, n)
-	receipts := make([]run.Receipt, 0, 8)
-	reply := make(chan procReply, 1)
-
-	for t := model.Time(1); t <= cfg.Horizon; t++ {
-		if arrivals[t] == nil && extAt[t] == nil {
-			continue
-		}
-		for _, a := range arrivals[t] {
-			procArr[a.toProc-1] = append(procArr[a.toProc-1], a)
-		}
-		if arrivals[t] != nil {
-			free = append(free, arrivals[t][:0])
-			arrivals[t] = nil
-		}
-		// Record the tick's externals up front in configuration order —
-		// exactly as sim.Simulate does, so the recordings stay
-		// byte-identical — while slotting the labels into per-process slabs
-		// for the batches.
-		for _, e := range extAt[t] {
-			bl.External(run.ExternalEvent{Proc: e.Proc, Time: t, Label: e.Label})
-			procExt[e.Proc-1] = append(procExt[e.Proc-1], e.Label)
-		}
-
-		for p := model.ProcID(1); int(p) <= n; p++ {
-			arr := procArr[p-1]
-			ext := procExt[p-1]
-			if len(arr) == 0 && len(ext) == 0 {
-				continue
-			}
-			procArr[p-1] = arr[:0]
-			procExt[p-1] = ext[:0]
-			receipts = receipts[:0]
-			for _, a := range arr {
-				receipts = append(receipts, run.Receipt{From: a.from, Payload: a.payload})
-				bl.Message(run.MessageEvent{
-					FromProc: a.from.Proc, ToProc: p, SendTime: a.send, RecvTime: t,
-				})
-				if inj != nil {
-					inj.Deliver(net.ChanIDOf(a.from.Proc, p), a.from.Proc, p, a.send, t)
-				}
-			}
-			var degrade error
-			if inj != nil && inj.DegradedAt(p, t) {
-				degrade = inj.DegradeReason(p, t)
-			}
-			inboxes[p-1] <- batch{receipts: receipts, externals: ext, degrade: degrade, reply: reply}
-			pr := <-reply
-			if pr.err != nil {
-				return nil, fmt.Errorf("live: process %d: %w", p, pr.err)
-			}
-			for _, label := range pr.actions {
-				res.Actions = append(res.Actions, Action{Proc: p, Node: pr.node, Time: t, Label: label})
-			}
-			// FFIP flood: schedule the new state's messages straight off the
-			// dense out-arc slice, every one sharing the state's snapshot.
-			for _, a := range net.OutArcs(p) {
-				if inj != nil && inj.SendDrop(a.ID, p, a.To, t) {
-					continue
-				}
-				s := sim.Send{From: p, To: a.To, SendTime: t}
-				lat := policy.Latency(s, a.Bounds)
-				if lat < a.Bounds.Lower || lat > a.Bounds.Upper {
-					return nil, fmt.Errorf("live: policy %q chose latency %d outside %s", policy.Name(), lat, a.Bounds)
-				}
-				if inj != nil {
-					lat = inj.Delay(a.ID, p, a.To, t, lat)
-				}
-				if t+lat > cfg.Horizon {
-					continue
-				}
-				if inj != nil && inj.Dead(a.To, t+lat) {
-					// The crash schedule is static, so the discard is known
-					// at flood time: no mode ever materializes an arrival at
-					// a dead process.
-					inj.Discard(a.ID, p, a.To, t, t+lat)
-					continue
-				}
-				if arrivals[t+lat] == nil {
-					if len(free) > 0 {
-						arrivals[t+lat] = free[len(free)-1]
-						free = free[:len(free)-1]
-					} else {
-						arrivals[t+lat] = make([]arrival, 0, len(net.OutArcs(p)))
-					}
-				}
-				arrivals[t+lat] = append(arrivals[t+lat], arrival{
-					from:    pr.node,
-					payload: pr.payload,
-					toProc:  a.To,
-					send:    t,
-				})
-			}
-		}
-	}
-	if err := finish(cfg, st, bl, res); err != nil {
-		return nil, err
-	}
-	return res, nil
 }

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"fmt"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/model"
@@ -9,11 +10,20 @@ import (
 	"github.com/clockless/zigzag/internal/sim"
 )
 
-// TestLiveMatchesSimulator: the live engine's ground-truth recording is
-// structurally identical to the lockstep simulator's for the same
-// configuration and policy.
+// TestLiveMatchesSimulator: the simulator records exactly the run the
+// reference environment does for the same configuration and policy — on
+// Figure 2b, and on a schedule whose simultaneous externals are listed out
+// of process order (they must stay in configuration order).
 func TestLiveMatchesSimulator(t *testing.T) {
 	sc := scenario.Figure2b(scenario.DefaultFigure2())
+	outOfOrder := []run.ExternalEvent{
+		{Proc: 3, Time: 1, Label: "c"}, {Proc: 1, Time: 1, Label: "a"},
+		{Proc: 2, Time: 4, Label: "b"}, {Proc: 1, Time: 4, Label: "a2"},
+	}
+	configs := []Config{
+		{Net: sc.Net, Horizon: sc.Horizon, Externals: sc.Externals},
+		{Net: model.MustComplete(3, 1, 3), Horizon: 12, Externals: outOfOrder},
+	}
 	// Policies are stateful (Random consumes its generator), so each engine
 	// gets a fresh instance from a factory.
 	factories := []func() sim.Policy{
@@ -21,36 +31,28 @@ func TestLiveMatchesSimulator(t *testing.T) {
 		func() sim.Policy { return sim.Lazy{} },
 		func() sim.Policy { return sim.NewRandom(8) },
 	}
-	for _, mk := range factories {
-		pol := mk()
-		res, err := Run(Config{
-			Net: sc.Net, Horizon: sc.Horizon, Policy: pol, Externals: sc.Externals,
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", pol.Name(), err)
-		}
-		if err := res.Run.Validate(); err != nil {
-			t.Fatalf("%s: live run invalid: %v", pol.Name(), err)
-		}
-		want, err := sc.Simulate(mk())
-		if err != nil {
-			t.Fatal(err)
-		}
-		d1, d2 := res.Run.Deliveries(), want.Deliveries()
-		if len(d1) != len(d2) {
-			t.Fatalf("%s: deliveries %d vs %d", pol.Name(), len(d1), len(d2))
-		}
-		for i := range d1 {
-			if d1[i] != d2[i] {
-				t.Fatalf("%s: delivery %d: %v vs %v", pol.Name(), i, d1[i], d2[i])
+	for i, cfg := range configs {
+		for _, mk := range factories {
+			label := fmt.Sprintf("config %d/%s", i, mk().Name())
+			cfg.Policy = mk()
+			ref, err := refExecute(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
 			}
+			if err := ref.Run.Validate(); err != nil {
+				t.Fatalf("%s: reference run invalid: %v", label, err)
+			}
+			got, err := sim.Simulate(sim.Config{Net: cfg.Net, Horizon: cfg.Horizon, Policy: mk(), Externals: cfg.Externals})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireIdenticalRuns(t, label, got, ref.Run)
 		}
 	}
 }
 
 // TestOnlineProtocol2MatchesOffline is the library's honesty theorem: the
-// online agent — deciding inside its goroutine from its view alone, with no
-// clock — acts at exactly the node and time the offline analysis of the
+// online agent — deciding from its view alone, with no clock — acts at exactly the node and time the offline analysis of the
 // recorded run says the optimal protocol acts.
 func TestOnlineProtocol2MatchesOffline(t *testing.T) {
 	scenarios := []*scenario.Scenario{
@@ -64,7 +66,7 @@ func TestOnlineProtocol2MatchesOffline(t *testing.T) {
 	for _, sc := range scenarios {
 		for _, pol := range []sim.Policy{sim.Eager{}, sim.Lazy{}, sim.NewRandom(4)} {
 			agent := &Protocol2{Task: *sc.Task}
-			res, err := Run(Config{
+			res, err := Replay(Config{
 				Net: sc.Net, Horizon: sc.Horizon, Policy: pol, Externals: sc.Externals,
 				Agents: map[model.ProcID]Agent{sc.Task.B: agent},
 			})
@@ -107,7 +109,7 @@ func TestOnlineNeverActsWhenInfeasible(t *testing.T) {
 	p.X = p.LCB - p.UCA + 1
 	sc := scenario.Figure1(p)
 	agent := &Protocol2{Task: *sc.Task}
-	res, err := Run(Config{
+	res, err := Replay(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Lazy{}, Externals: sc.Externals,
 		Agents: map[model.ProcID]Agent{sc.Task.B: agent},
 	})
@@ -134,7 +136,7 @@ func TestLiveViewsAreStructureOnly(t *testing.T) {
 		got = append(got, seen{node: v.Origin(), size: v.Size()})
 		return nil
 	})
-	res, err := Run(Config{
+	res, err := Replay(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Eager{}, Externals: sc.Externals,
 		Agents: map[model.ProcID]Agent{sc.Proc("B"): probe},
 	})
@@ -165,7 +167,7 @@ func TestLiveCustomAgentActions(t *testing.T) {
 		}
 		return nil
 	})
-	res, err := Run(Config{
+	res, err := Replay(Config{
 		Net: net, Horizon: 20, Policy: sim.Eager{},
 		Externals: []run.ExternalEvent{{Proc: 1, Time: 1, Label: "ping"}},
 		Agents:    map[model.ProcID]Agent{1: echo, 2: echo},

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -12,21 +13,22 @@ import (
 )
 
 // runMultiAgent executes a multi-agent coordination scenario with one
-// Protocol2 agent per task, all on the given engine selection, and returns
+// Protocol2 agent per task — all sharing one per-run engine stamped from
+// eng, or each on a private one-handle run when eng is nil — and returns
 // the result plus each agent (indexed like sc.Tasks).
-func runMultiAgent(t *testing.T, sc *scenario.Scenario, shared *bounds.Shared, seed int64) (*Result, []*Protocol2) {
+func runMultiAgent(t *testing.T, sc *scenario.Scenario, eng *bounds.NetworkEngine, seed int64) (*Result, []*Protocol2) {
 	t.Helper()
 	agents, agentMap := NewTaskAgents(sc.Tasks)
-	res, err := Run(Config{
+	res, err := Replay(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewRandom(seed),
-		Externals: sc.Externals, Agents: agentMap, Shared: shared,
+		Externals: sc.Externals, Agents: agentMap, Engine: eng,
 	})
 	if err != nil {
-		t.Fatalf("%s shared=%v: %v", sc.Name, shared != nil, err)
+		t.Fatalf("%s shared=%v: %v", sc.Name, eng != nil, err)
 	}
 	for i, a := range agents {
 		if err := a.Err(); err != nil {
-			t.Fatalf("%s shared=%v agent %d: %v", sc.Name, shared != nil, i, err)
+			t.Fatalf("%s shared=%v agent %d: %v", sc.Name, eng != nil, i, err)
 		}
 	}
 	return res, agents
@@ -44,8 +46,7 @@ func actionsOf(res *Result) map[string]Action {
 
 // TestProtocol2SharedMultiAgentMatchesOffline is the multi-agent
 // acceptance test of the shared per-run engine, exercised end to end
-// through the live environment's goroutine-per-process loop (and therefore
-// under -race in CI): m concurrent Protocol2 agents sharing ONE
+// through the live environment: m Protocol2 agents sharing ONE
 // bounds.Shared engine must (a) record the same run as the per-agent
 // configuration (each agent on its private one-handle run) under the same
 // policy seed, (b) act at exactly the same nodes and times as those agents, and (c) agree
@@ -55,8 +56,7 @@ func TestProtocol2SharedMultiAgentMatchesOffline(t *testing.T) {
 	for _, m := range []int{2, 4, 8} {
 		sc := scenario.MultiAgent(m)
 		seed := int64(29 + m)
-		shared := bounds.NewNetworkEngine(sc.Net).NewRun()
-		sharedRes, _ := runMultiAgent(t, sc, shared, seed)
+		sharedRes, sharedAgents := runMultiAgent(t, sc, bounds.NewNetworkEngine(sc.Net), seed)
 		onlineRes, _ := runMultiAgent(t, sc, nil, seed)
 
 		requireIdenticalRuns(t, fmt.Sprintf("%s engines", sc.Name), sharedRes.Run, onlineRes.Run)
@@ -86,6 +86,12 @@ func TestProtocol2SharedMultiAgentMatchesOffline(t *testing.T) {
 					sc.Name, i, act.Node, act.Time, offline.ActNode, offline.ActTime)
 			}
 		}
+		shared := sharedAgents[0].Shared
+		for i, a := range sharedAgents {
+			if a.Shared == nil || a.Shared != shared {
+				t.Fatalf("%s: agent %d not on the run's one shared engine", sc.Name, i)
+			}
+		}
 		if shared.NumVertices() < sc.Net.N() {
 			t.Fatalf("%s: shared engine never grew (%d vertices)", sc.Name, shared.NumVertices())
 		}
@@ -105,8 +111,7 @@ func TestProtocol2EarlyMultiAgentMatchesOffline(t *testing.T) {
 	for _, m := range []int{2, 4, 16} {
 		sc := scenario.MultiAgentEarly(m)
 		seed := int64(29 + m)
-		shared := bounds.NewNetworkEngine(sc.Net).NewRun()
-		sharedRes, sharedAgents := runMultiAgent(t, sc, shared, seed)
+		sharedRes, sharedAgents := runMultiAgent(t, sc, bounds.NewNetworkEngine(sc.Net), seed)
 		onlineRes, _ := runMultiAgent(t, sc, nil, seed)
 
 		requireIdenticalRuns(t, fmt.Sprintf("%s engines", sc.Name), sharedRes.Run, onlineRes.Run)
@@ -170,7 +175,7 @@ func TestNetworkEngineConcurrentLiveRuns(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		go func(i int) {
 			_, agents := NewTaskAgents(sc.Tasks)
-			res, err := Run(Config{
+			res, err := Replay(Config{
 				Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewRandom(int64(40 + i)),
 				Externals: sc.Externals, Agents: agents, Engine: eng,
 			})
@@ -200,26 +205,19 @@ func TestNetworkEngineConcurrentLiveRuns(t *testing.T) {
 	}
 }
 
-// TestProtocol2SharedReusableAcrossViews: a second run must not reuse a
-// Config.Shared engine (or Config.Engine) built for another network, and an
-// agent driven with a different view than its handle was built on reports
-// errDifferentView rather than answering stale.
+// TestProtocol2SharedGuards: a run must not subscribe to a Config.Engine
+// built for another network, and an agent driven with a different view than
+// its handle was built on reports errDifferentView rather than answering
+// stale.
 func TestProtocol2SharedGuards(t *testing.T) {
 	sc := scenario.MultiAgent(2)
 	other := model.MustComplete(3, 1, 2)
-	_, err := Run(Config{
-		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Eager{},
-		Externals: sc.Externals, Shared: bounds.NewNetworkEngine(other).NewRun(),
-	})
-	if err == nil {
-		t.Fatal("foreign shared engine accepted")
-	}
-	_, err = Run(Config{
+	_, err := Replay(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.Eager{},
 		Externals: sc.Externals, Engine: bounds.NewNetworkEngine(other),
 	})
-	if err == nil {
-		t.Fatal("foreign network engine accepted")
+	if !errors.Is(err, sim.ErrBadConfig) {
+		t.Fatalf("foreign network engine: got %v, want ErrBadConfig", err)
 	}
 
 	shared := bounds.NewNetworkEngine(sc.Net).NewRun()

@@ -17,20 +17,20 @@ import (
 var errDifferentView = errors.New("live: Protocol2 observed a different view than its engine was built on")
 
 // Protocol2 is the knowledge-optimal coordination agent for B, running
-// online inside B's process goroutine. At every new local state it looks
-// for C's go node in its view, consults the extended bounds graph of the
-// view (structure only — the agent cannot read any clock), and performs b
-// the first time the required precedence is known. It is the live
-// counterpart of (coord.Task).RunOptimal, and the two must agree exactly.
+// online at B's process. At every new local state it looks for C's go node
+// in its view, consults the extended bounds graph of the view (structure
+// only — the agent cannot read any clock), and performs b the first time
+// the required precedence is known. It is the live counterpart of
+// (coord.Task).RunOptimal, and the two must agree exactly.
 //
 // The agent always queries through a bounds.Handle, which maintains the
 // graph incrementally across states and pays only for the view's growth
 // per state. By default the handle is the only subscriber of a private
 // one-handle run. When a run hosts many knowledge-based agents, setting
-// Shared (or Config.Shared, which Run hands to every subscribing agent)
-// subscribes the agent to one per-run bounds.Shared engine instead, so the
-// standing graph is built once and the agent keeps only its frontier, E”
-// overlay and leased scratch. Rebuild swaps the handle for a fresh
+// Shared (or Config.Engine, whose per-run engine Replay hands to every
+// subscribing agent) subscribes the agent to one per-run bounds.Shared
+// engine instead, so the standing graph is built once and the agent keeps
+// only its frontier, E” overlay and leased scratch. Rebuild swaps the handle for a fresh
 // bounds.Extended per state. Every configuration answers exactly as a
 // fresh per-state build, so the agreement theorem is engine-independent.
 type Protocol2 struct {
@@ -109,7 +109,7 @@ func NewTaskAgents(tasks []coord.Task) ([]*Protocol2, map[model.ProcID]Agent) {
 	return agents, byProc
 }
 
-// UseShared implements SharedUser: Run hands the Config-owned engine to the
+// UseShared implements SharedUser: Replay hands the per-run engine to the
 // agent before the first state. An engine set directly on the struct wins.
 func (p *Protocol2) UseShared(s *bounds.Shared) {
 	if p.Shared == nil {
@@ -167,9 +167,7 @@ type knower interface {
 
 // engineFor resolves the engine serving this state: a fresh build for the
 // rebuild baseline, otherwise the agent's handle — subscribed on first use
-// to the Shared engine, or to a private one-handle run. Every execution
-// mode (goroutine and replay alike) funnels through this one dispatch, so
-// adding a mode never copies the engine selection.
+// to the Shared engine, or to a private one-handle run.
 func (p *Protocol2) engineFor(v *run.View) (knower, error) {
 	if p.Rebuild && p.Shared == nil {
 		ext, err := bounds.NewExtendedFromView(v)

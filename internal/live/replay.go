@@ -3,226 +3,14 @@ package live
 import (
 	"fmt"
 
+	"github.com/clockless/zigzag/internal/bounds"
 	"github.com/clockless/zigzag/internal/faults"
-	"github.com/clockless/zigzag/internal/model"
 	"github.com/clockless/zigzag/internal/run"
 	"github.com/clockless/zigzag/internal/sim"
 )
 
-// defaultReplayChunk is how many receive batches a replay buffers between
-// recorder and driver when Config.ReplayChunk is zero. Small enough that a
-// million-event horizon never holds its schedule in memory, large enough
-// that the chunk bookkeeping vanishes against the per-batch work.
-const defaultReplayChunk = 512
-
-// replayArrival is one recorded delivery inside a batch: the sender's state
-// and send time. The receiver and receive time live on the batch.
-type replayArrival struct {
-	from run.BasicNode
-	send model.Time
-}
-
-// replayBatch is one receive batch of the recorded schedule: everything the
-// environment would have handed proc's goroutine at time, as spans into the
-// owning chunk's flat arrival and external backing.
-type replayBatch struct {
-	proc model.ProcID
-	time model.Time
-	// node is the state this batch creates. The recorder predicts it from
-	// the per-process state counter; the driver cross-checks it against
-	// what View.Absorb actually assigns, so a drift between the two loops
-	// is an error, never a silent mismatch.
-	node       run.BasicNode
-	arr0, arr1 int // span into chunk.arrivals
-	ext0, ext1 int // span into chunk.exts
-	// floods counts this state's flood messages that arrive within the
-	// horizon — known at schedule time, so the driver snapshots the view
-	// only when some receiver will actually consume the payload, and can
-	// drop the snapshot the moment its last arrival is absorbed.
-	floods int
-	// degraded marks that the fault injector's taint frontier covers this
-	// batch: the driver degrades the agent before OnState, exactly when the
-	// goroutine environment would.
-	degraded bool
-}
-
-// replayChunk is the streaming buffer between recorder and driver. All three
-// backing slices are reused across chunks, so a steady-state replay holds
-// one chunk of schedule regardless of horizon.
-type replayChunk struct {
-	batches  []replayBatch
-	arrivals []replayArrival
-	exts     []string
-}
-
-func (c *replayChunk) reset() {
-	c.batches = c.batches[:0]
-	c.arrivals = c.arrivals[:0]
-	c.exts = c.exts[:0]
-}
-
-// recorder runs the environment loop of live.Run — policy-scheduled arrival
-// buckets, per-process slabs, builder events — without any views or agents,
-// emitting the resulting receive batches chunk by chunk. Because every
-// channel latency is at least 1 (model.Bounds.Valid), an arrival at tick t
-// references a state created strictly before t, so the recorder can run a
-// whole chunk ahead of the driver and the reference is always resolvable.
-type recorder struct {
-	net    *model.Network
-	policy sim.Policy
-	bl     *run.Builder
-	hor    model.Time
-	inj    *faults.Injector // nil for fault-free executions
-
-	arrivals [][]recArrival // horizon-indexed buckets
-	free     [][]recArrival // recycled bucket backing
-	extAt    [][]run.ExternalEvent
-
-	procArr [][]recArrival // per-proc slab for the current tick
-	procExt [][]string
-	lastIdx []int // per-proc state counter, mirrors View.Absorb's indices
-
-	t model.Time // next tick to process
-}
-
-// recArrival is one scheduled delivery in the recorder's buckets.
-type recArrival struct {
-	from   run.BasicNode
-	toProc model.ProcID
-	send   model.Time
-}
-
-func newRecorder(cfg Config, st *execState, bl *run.Builder) (*recorder, error) {
-	extAt, err := extTimetable(cfg, st)
-	if err != nil {
-		return nil, err
-	}
-	n := cfg.Net.N()
-	return &recorder{
-		net:      cfg.Net,
-		policy:   st.policy,
-		bl:       bl,
-		inj:      st.inj,
-		hor:      cfg.Horizon,
-		arrivals: make([][]recArrival, cfg.Horizon+1),
-		extAt:    extAt,
-		procArr:  make([][]recArrival, n),
-		procExt:  make([][]string, n),
-		lastIdx:  make([]int, n),
-		t:        1,
-	}, nil
-}
-
-// fill appends whole ticks of batches to the chunk until it holds at least
-// limit batches or the horizon is exhausted. Working in whole ticks keeps
-// the recorder free of mid-tick resume state; a chunk can exceed limit by at
-// most one tick's batches (≤ n).
-func (rc *recorder) fill(c *replayChunk, limit int) error {
-	net := rc.net
-	n := net.N()
-	for rc.t <= rc.hor && len(c.batches) < limit {
-		t := rc.t
-		rc.t++
-		if rc.arrivals[t] == nil && rc.extAt[t] == nil {
-			continue
-		}
-		for _, a := range rc.arrivals[t] {
-			rc.procArr[a.toProc-1] = append(rc.procArr[a.toProc-1], a)
-		}
-		if rc.arrivals[t] != nil {
-			rc.free = append(rc.free, rc.arrivals[t][:0])
-			rc.arrivals[t] = nil
-		}
-		// Record the tick's externals up front in configuration order —
-		// exactly as Run and sim.Simulate do, so the recordings stay
-		// byte-identical.
-		for _, e := range rc.extAt[t] {
-			rc.bl.External(run.ExternalEvent{Proc: e.Proc, Time: t, Label: e.Label})
-			rc.procExt[e.Proc-1] = append(rc.procExt[e.Proc-1], e.Label)
-		}
-
-		for p := model.ProcID(1); int(p) <= n; p++ {
-			arr := rc.procArr[p-1]
-			ext := rc.procExt[p-1]
-			if len(arr) == 0 && len(ext) == 0 {
-				continue
-			}
-			rc.procArr[p-1] = arr[:0]
-			rc.procExt[p-1] = ext[:0]
-
-			arr0 := len(c.arrivals)
-			for _, a := range arr {
-				c.arrivals = append(c.arrivals, replayArrival{from: a.from, send: a.send})
-				rc.bl.Message(run.MessageEvent{
-					FromProc: a.from.Proc, ToProc: p, SendTime: a.send, RecvTime: t,
-				})
-				if rc.inj != nil {
-					rc.inj.Deliver(net.ChanIDOf(a.from.Proc, p), a.from.Proc, p, a.send, t)
-				}
-			}
-			ext0 := len(c.exts)
-			c.exts = append(c.exts, ext...)
-
-			// The batch creates proc p's next state; View.Absorb assigns
-			// indices 1, 2, ... in batch order, which is exactly this
-			// counter.
-			rc.lastIdx[p-1]++
-			node := run.BasicNode{Proc: p, Index: rc.lastIdx[p-1]}
-
-			// FFIP flood off the new state, counting the deliveries that
-			// stay within the horizon.
-			floods := 0
-			for _, a := range net.OutArcs(p) {
-				if rc.inj != nil && rc.inj.SendDrop(a.ID, p, a.To, t) {
-					continue
-				}
-				s := sim.Send{From: p, To: a.To, SendTime: t}
-				lat := rc.policy.Latency(s, a.Bounds)
-				if lat < a.Bounds.Lower || lat > a.Bounds.Upper {
-					return fmt.Errorf("live: policy %q chose latency %d outside %s", rc.policy.Name(), lat, a.Bounds)
-				}
-				if rc.inj != nil {
-					lat = rc.inj.Delay(a.ID, p, a.To, t, lat)
-				}
-				if t+lat > rc.hor {
-					continue
-				}
-				if rc.inj != nil && rc.inj.Dead(a.To, t+lat) {
-					// Static crash schedule: discard at flood time, exactly
-					// as Run and sim do, so the flood count the driver's
-					// snapshot refcounting relies on never includes an
-					// arrival that will not be driven.
-					rc.inj.Discard(a.ID, p, a.To, t, t+lat)
-					continue
-				}
-				if rc.arrivals[t+lat] == nil {
-					if len(rc.free) > 0 {
-						rc.arrivals[t+lat] = rc.free[len(rc.free)-1]
-						rc.free = rc.free[:len(rc.free)-1]
-					} else {
-						rc.arrivals[t+lat] = make([]recArrival, 0, len(net.OutArcs(p)))
-					}
-				}
-				rc.arrivals[t+lat] = append(rc.arrivals[t+lat], recArrival{
-					from: node, toProc: a.To, send: t,
-				})
-				floods++
-			}
-
-			c.batches = append(c.batches, replayBatch{
-				proc: p, time: t, node: node,
-				arr0: arr0, arr1: len(c.arrivals),
-				ext0: ext0, ext1: len(c.exts),
-				floods:   floods,
-				degraded: rc.inj != nil && rc.inj.DegradedAt(p, t),
-			})
-		}
-	}
-	return nil
-}
-
 // snapEntry is a live payload the driver holds for pending arrivals: the
-// state occupying the ring slot, its frozen history and how many recorded
+// state occupying the ring slot, its frozen history and how many scheduled
 // deliveries still reference it. The snapshot is dropped at zero, so memory
 // tracks in-flight messages, not the horizon.
 type snapEntry struct {
@@ -231,10 +19,9 @@ type snapEntry struct {
 	left int
 }
 
-// driver consumes recorded chunks in a single goroutine, owning every
-// process's view and agent. It is the replay-mode counterpart of the
-// goroutine-per-process loop in Run: same Absorb/OnState/Snapshot sequence
-// per batch, same (time, proc) order, no channels.
+// driver feeds the stepper's batches into every process's view and agent:
+// per batch it absorbs the arrivals' payloads, runs the agent and snapshots
+// the new state for the arrivals that will reference it.
 //
 // Pending payloads live in fixed per-process rings indexed by node index
 // modulo maxUpper+1. The slot reuse is sound: a process creates at most one
@@ -243,7 +30,6 @@ type snapEntry struct {
 // (latency ≤ maxUpper) is absorbed — batches are driven in tick order —
 // before the later one's batch stores into the slot.
 type driver struct {
-	cfg      Config
 	inj      *faults.Injector
 	views    []*run.View
 	agents   []Agent
@@ -252,7 +38,7 @@ type driver struct {
 	res      *Result
 }
 
-func newDriver(cfg Config, st *execState, res *Result) *driver {
+func newDriver(cfg Config, inj *faults.Injector, res *Result) *driver {
 	n := cfg.Net.N()
 	views := make([]*run.View, n)
 	agents := make([]Agent, n)
@@ -266,10 +52,10 @@ func newDriver(cfg Config, st *execState, res *Result) *driver {
 			maxU = a.Bounds.Upper
 		}
 	}
-	if st.inj != nil {
+	if inj != nil {
 		// Deadline faults deliver up to MaxSlack ticks past an arc's upper
 		// bound; the ring must keep states alive that much longer.
-		maxU += st.inj.MaxSlack()
+		maxU += inj.MaxSlack()
 	}
 	ringBacking := make([]snapEntry, n*(maxU+1))
 	rings := make([][]snapEntry, n)
@@ -277,8 +63,7 @@ func newDriver(cfg Config, st *execState, res *Result) *driver {
 		rings[i] = ringBacking[i*(maxU+1) : (i+1)*(maxU+1)]
 	}
 	return &driver{
-		cfg:      cfg,
-		inj:      st.inj,
+		inj:      inj,
 		views:    views,
 		agents:   agents,
 		rings:    rings,
@@ -287,118 +72,125 @@ func newDriver(cfg Config, st *execState, res *Result) *driver {
 	}
 }
 
-// drive replays one chunk of batches against the views and agents.
-func (d *driver) drive(c *replayChunk) error {
-	for i := range c.batches {
-		b := &c.batches[i]
+// drive feeds one tick's batches to their processes in process order.
+func (d *driver) drive(batches []sim.Batch) error {
+	for i := range batches {
+		b := &batches[i]
 		d.receipts = d.receipts[:0]
-		for _, a := range c.arrivals[b.arr0:b.arr1] {
-			ring := d.rings[a.from.Proc-1]
-			e := &ring[a.from.Index%len(ring)]
-			if e.idx != a.from.Index || e.left == 0 {
-				return fmt.Errorf("live: replay references unknown state %v", a.from)
+		for _, a := range b.Arrivals {
+			ring := d.rings[a.From.Proc-1]
+			e := &ring[a.From.Index%len(ring)]
+			if e.idx != a.From.Index || e.left == 0 {
+				return fmt.Errorf("live: replay references unknown state %v", a.From)
 			}
-			d.receipts = append(d.receipts, run.Receipt{From: a.from, Payload: e.snap})
+			d.receipts = append(d.receipts, run.Receipt{From: a.From, Payload: e.snap})
 			if e.left--; e.left == 0 {
 				e.snap = nil
 			}
 		}
-		ext := c.exts[b.ext0:b.ext1]
 
-		view := d.views[b.proc-1]
-		node, err := view.Absorb(d.receipts, ext)
+		view := d.views[b.Proc-1]
+		node, err := view.Absorb(d.receipts, b.Externals)
 		if err != nil {
-			return fmt.Errorf("live: process %d: %w", b.proc, err)
+			return fmt.Errorf("live: process %d: %w", b.Proc, err)
 		}
-		if node != b.node {
-			return fmt.Errorf("live: replay predicted state %v for process %d, view produced %v",
-				b.node, b.proc, node)
+		if node != b.Node {
+			return fmt.Errorf("live: stepper predicted state %v for process %d, view produced %v",
+				b.Node, b.Proc, node)
 		}
-		if agent := d.agents[b.proc-1]; agent != nil {
-			if b.degraded {
+		if agent := d.agents[b.Proc-1]; agent != nil {
+			if b.Degraded {
 				if dg, ok := agent.(Degradable); ok {
-					dg.Degrade(d.inj.DegradeReason(b.proc, b.time))
+					dg.Degrade(d.inj.DegradeReason(b.Proc, b.Time))
 				}
 			}
-			for _, label := range agent.OnState(view, ext) {
-				d.res.Actions = append(d.res.Actions, Action{Proc: b.proc, Node: node, Time: b.time, Label: label})
+			for _, label := range agent.OnState(view, b.Externals) {
+				d.res.Actions = append(d.res.Actions, Action{Proc: b.Proc, Node: node, Time: b.Time, Label: label})
 			}
 		}
-		if b.floods > 0 {
-			ring := d.rings[b.proc-1]
-			ring[node.Index%len(ring)] = snapEntry{idx: node.Index, snap: view.Snapshot(), left: b.floods}
+		if b.Floods > 0 {
+			ring := d.rings[b.Proc-1]
+			ring[node.Index%len(ring)] = snapEntry{idx: node.Index, snap: view.Snapshot(), left: b.Floods}
 		}
 	}
 	return nil
 }
 
-// Replay executes the configuration in a single goroutine: the recorder
-// mirrors the environment loop of Run (same policy calls, same builder
-// events, same batch order) while the driver feeds the recorded batches
-// straight into each process's view and agent — no channels, no per-tick
-// handshakes. The schedule streams through one bounded chunk
-// (Config.ReplayChunk batches), so long-horizon runs never hold their event
-// stream in memory.
+// Replay executes the configuration in a single goroutine: sim.Stepper
+// schedules the environment tick by tick — the same policy calls, fault
+// hooks and builder events as sim.Simulate — and the driver feeds each
+// tick's batches straight into the receiving processes' views and agents.
+// Only one tick's batches exist at a time, so long-horizon runs never hold
+// their event stream in memory.
 //
-// Replay is observationally identical to Run: the recording, its
-// fingerprint, and every agent's view sequence and actions are
-// byte-identical, because scheduling is agent-independent (agents only emit
-// action labels) and every latency is at least 1 (so a chunk's arrivals
-// always reference already-driven states). The differential tests pin this
-// across the full scenario registry.
+// The recording is byte-identical to sim.Simulate's for the same
+// configuration, because scheduling is agent-independent (agents only emit
+// action labels). Every latency is at least 1, so a tick's arrivals always
+// reference states driven at earlier ticks.
 func Replay(cfg Config) (*Result, error) {
-	st, err := prepare(cfg)
+	stp, err := sim.NewStepper(sim.Config{
+		Net: cfg.Net, Horizon: cfg.Horizon, Policy: cfg.Policy,
+		Externals: cfg.Externals, Faults: cfg.Faults,
+	})
 	if err != nil {
 		return nil, err
 	}
-	bl := run.NewBuilder(cfg.Net, cfg.Horizon)
-	if st.inj != nil {
-		bl.Tolerate()
-	}
-	rec, err := newRecorder(cfg, st, bl)
-	if err != nil {
-		return nil, err
-	}
+	// Stamp the per-run knowledge engine and hand it to every SharedUser.
+	var shared *bounds.Shared
 	res := &Result{}
-	drv := newDriver(cfg, st, res)
+	if cfg.Engine != nil {
+		if en := cfg.Engine.Net(); en != cfg.Net && en.Fingerprint() != cfg.Net.Fingerprint() {
+			return nil, fmt.Errorf("%w: live: Config.Engine was built for a different network", sim.ErrBadConfig)
+		}
+		shared, res.PrefixHit = cfg.Engine.NewRunAt(cfg.Fingerprint)
+		for _, agent := range cfg.Agents {
+			if su, ok := agent.(SharedUser); ok {
+				su.UseShared(shared)
+			}
+		}
+	}
 
-	limit := cfg.ReplayChunk
-	if limit <= 0 {
-		limit = defaultReplayChunk
-	}
-	// A process creates at most one state per tick, so the whole schedule
-	// holds at most horizon*n batches; capping the chunk there keeps short
-	// runs from buying the default buffer, and presizing the slabs once
-	// (fill overshoots limit by at most one tick, ≤ n batches) lets every
-	// chunk cycle append without regrowing.
-	n := cfg.Net.N()
-	if most := int(cfg.Horizon) * n; most < limit {
-		limit = most
-	}
-	chunk := replayChunk{
-		batches:  make([]replayBatch, 0, limit+n),
-		arrivals: make([]replayArrival, 0, 2*(limit+n)),
-	}
+	drv := newDriver(cfg, stp.Injector(), res)
 	for {
-		chunk.reset()
-		if err := rec.fill(&chunk, limit); err != nil {
+		batches, err := stp.Step()
+		if err != nil {
 			return nil, err
 		}
-		if len(chunk.batches) == 0 {
+		if batches == nil {
 			break
 		}
-		res.ReplayChunks++
-		res.ReplayBatches += len(chunk.batches)
-		if err := drv.drive(&chunk); err != nil {
+		res.ReplayBatches += len(batches)
+		if err := drv.drive(batches); err != nil {
 			return nil, err
 		}
 	}
 
-	if err := finish(cfg, st, bl, res); err != nil {
+	r, err := stp.Build()
+	if err != nil {
 		return nil, err
 	}
+	if cfg.Fingerprint != 0 && r.Fingerprint() != cfg.Fingerprint {
+		return nil, fmt.Errorf("live: recorded run fingerprint %#x differs from Config.Fingerprint %#x",
+			r.Fingerprint(), cfg.Fingerprint)
+	}
+	res.Run = r
 	if cfg.Engine != nil {
-		cfg.Engine.NoteReplay(int64(res.ReplayBatches), int64(res.ReplayChunks))
+		// No-op unless NewRunAt missed; the fingerprint check above keeps
+		// mispredicted runs out of the cache.
+		shared.CommitPrefix()
+		cfg.Engine.NoteReplay(int64(res.ReplayBatches))
+	}
+	if inj := stp.Injector(); inj != nil {
+		rep := inj.Report()
+		res.Violations, res.Crashed = rep.Violations, rep.Crashed
+		// Result.Degraded is about withheld actions, so restrict the
+		// injector's process-level frontier (already in id order) to the
+		// agent-bearing processes.
+		for _, p := range rep.Degraded {
+			if cfg.Agents[p] != nil {
+				res.Degraded = append(res.Degraded, p)
+			}
+		}
 	}
 	return res, nil
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // runScenarioWith executes a scenario end to end through the given execution
-// engine (Run or Replay) with one Protocol2 agent per task.
-func runScenarioWith(t *testing.T, label string, exec func(Config) (*Result, error), sc *scenario.Scenario, policy sim.Policy, chunk int) *Result {
+// (Replay or the reference environment) with one Protocol2 agent per task.
+func runScenarioWith(t *testing.T, label string, exec func(Config) (*Result, error), sc *scenario.Scenario, policy sim.Policy) *Result {
 	t.Helper()
 	agents, agentMap := NewTaskAgents(sc.TaskList())
 	res, err := exec(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: policy,
-		Externals: sc.Externals, Agents: agentMap, ReplayChunk: chunk,
+		Externals: sc.Externals, Agents: agentMap,
 	})
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
@@ -42,14 +42,14 @@ func requireIdenticalActions(t *testing.T, label string, got, want *Result) {
 	}
 }
 
-// TestReplayMatchesGoroutineOnFullRegistry is the replay mode's correctness
+// TestReplayMatchesReferenceOnFullRegistry is Replay's correctness
 // contract: on EVERY registry scenario at the full multi-agent ceiling
-// (coord-m16 and coord-early-m16 included), the goroutine-free replay drive
-// must record a byte-identical run — same deliveries, externals, pending
-// messages, node times and content fingerprint — and make every Protocol2
-// agent act at exactly the same nodes as the goroutine-per-process
-// environment, under both a seeded uniform and a seeded heavy-tailed policy.
-func TestReplayMatchesGoroutineOnFullRegistry(t *testing.T) {
+// (coord-m16 and coord-early-m16 included), it must record the same run as
+// the reference environment — same deliveries, externals, pending messages,
+// node times and content fingerprint — and make every Protocol2 agent act
+// at exactly the same nodes, under the eager extreme, a seeded uniform and
+// a seeded heavy-tailed policy.
+func TestReplayMatchesReferenceOnFullRegistry(t *testing.T) {
 	policies := []struct {
 		name string
 		mk   func(seed int64) sim.Policy
@@ -62,61 +62,24 @@ func TestReplayMatchesGoroutineOnFullRegistry(t *testing.T) {
 		for _, pol := range policies {
 			seed := int64(17)
 			label := fmt.Sprintf("%s/%s", sc.Name, pol.name)
-			want := runScenarioWith(t, label+"/goroutine", Run, sc, pol.mk(seed), 0)
-			got := runScenarioWith(t, label+"/replay", Replay, sc, pol.mk(seed), 0)
+			want := runScenarioWith(t, label+"/reference", refExecute, sc, pol.mk(seed))
+			got := runScenarioWith(t, label+"/replay", Replay, sc, pol.mk(seed))
 			requireIdenticalRuns(t, label, got.Run, want.Run)
 			requireIdenticalActions(t, label, got, want)
 			if got.Run.Fingerprint() != want.Run.Fingerprint() {
 				t.Fatalf("%s: fingerprint %#x vs %#x", label, got.Run.Fingerprint(), want.Run.Fingerprint())
 			}
-			if want.ReplayBatches != 0 || want.ReplayChunks != 0 {
-				t.Fatalf("%s: goroutine execution reported replay counters %d/%d",
-					label, want.ReplayBatches, want.ReplayChunks)
-			}
-			if got.ReplayBatches == 0 || got.ReplayChunks == 0 {
-				t.Fatalf("%s: replay execution reported no streaming counters", label)
+			if want := got.Run.NumNodes() - sc.Net.N(); got.ReplayBatches != want {
+				t.Fatalf("%s: replay drove %d batches for %d non-initial nodes", label, got.ReplayBatches, want)
 			}
 		}
 	}
 }
 
-// TestReplayStreamsChunks pins the streaming path: a chunk bound far below
-// the schedule's batch count must force many recorder/driver handoffs while
-// leaving the recording and every action byte-identical, and the chunk
-// count must shrink as the bound grows.
-func TestReplayStreamsChunks(t *testing.T) {
-	sc := scenario.MultiAgent(4)
-	policy := func() sim.Policy { return sim.NewRandom(7) }
-	want := runScenarioWith(t, "goroutine", Run, sc, policy(), 0)
-	small := runScenarioWith(t, "replay/chunk=3", Replay, sc, policy(), 3)
-	big := runScenarioWith(t, "replay/default", Replay, sc, policy(), 0)
-
-	requireIdenticalRuns(t, "chunk=3", small.Run, want.Run)
-	requireIdenticalActions(t, "chunk=3", small, want)
-	requireIdenticalRuns(t, "default", big.Run, want.Run)
-	requireIdenticalActions(t, "default", big, want)
-
-	if small.ReplayBatches != big.ReplayBatches {
-		t.Fatalf("batch count depends on chunk size: %d vs %d", small.ReplayBatches, big.ReplayBatches)
-	}
-	if small.ReplayChunks <= big.ReplayChunks {
-		t.Fatalf("chunk=3 streamed %d chunks, default streamed %d — want strictly more",
-			small.ReplayChunks, big.ReplayChunks)
-	}
-	// Whole ticks are emitted per fill: a chunk may exceed the bound by one
-	// tick's batches, but never by the network size.
-	minChunks := small.ReplayBatches / (3 + sc.Net.N())
-	if small.ReplayChunks < minChunks {
-		t.Fatalf("chunk=3 streamed only %d chunks for %d batches", small.ReplayChunks, small.ReplayBatches)
-	}
-}
-
-// TestReplayLongHorizonHeavyFamily runs the replay-only scenario family —
-// long-horizon heavy-tail coordination at m=4 and m=16 — end to end in
-// replay mode and cross-checks the m=4 member against the goroutine oracle.
-// (The family exists because goroutine mode can't afford these horizons at
-// scale; the oracle check on the small member keeps it honest without
-// paying the big one twice.)
+// TestReplayLongHorizonHeavyFamily runs the long-horizon heavy-tail
+// coordination family at m=4 and m=16 end to end and cross-checks the m=4
+// member against the reference environment. (The reference check on the
+// small member keeps the family honest without paying the big one twice.)
 func TestReplayLongHorizonHeavyFamily(t *testing.T) {
 	fam := scenario.ReplayFamily()
 	if len(fam) == 0 {
@@ -124,30 +87,26 @@ func TestReplayLongHorizonHeavyFamily(t *testing.T) {
 	}
 	for _, sc := range fam {
 		policy := func() sim.Policy { return sim.NewHeavyTail(int64(3)) }
-		got := runScenarioWith(t, sc.Name+"/replay", Replay, sc, policy(), 0)
-		if got.ReplayChunks < 2 {
-			t.Errorf("%s: long-horizon run streamed %d chunks; want at least 2 (batches=%d)",
-				sc.Name, got.ReplayChunks, got.ReplayBatches)
-		}
+		got := runScenarioWith(t, sc.Name+"/replay", Replay, sc, policy())
 		if len(got.Actions) == 0 {
 			t.Errorf("%s: no agent acted within the stretched horizon", sc.Name)
 		}
 		if sc.Net.N() <= 6 {
-			want := runScenarioWith(t, sc.Name+"/goroutine", Run, sc, policy(), 0)
+			want := runScenarioWith(t, sc.Name+"/reference", refExecute, sc, policy())
 			requireIdenticalRuns(t, sc.Name, got.Run, want.Run)
 			requireIdenticalActions(t, sc.Name, got, want)
 		}
 	}
 }
 
-// TestReplayPredictsViewNodes locks the recorder's state-index bookkeeping
+// TestReplayPredictsViewNodes locks the stepper's state-index bookkeeping
 // to View.Absorb's: a replay of a dense multi-agent scenario must never trip
 // the per-batch node cross-check (which also guards the snapshot rings'
 // slot-reuse invariant), and the batch count must equal the recording's
 // non-initial node count — one driven batch per created state.
 func TestReplayPredictsViewNodes(t *testing.T) {
 	sc := scenario.MultiAgent(8)
-	got := runScenarioWith(t, "replay", Replay, sc, sim.NewRandom(5), 0)
+	got := runScenarioWith(t, "replay", Replay, sc, sim.NewRandom(5))
 	nodes := 0
 	for _, p := range sc.Net.Procs() {
 		nodes += got.Run.LastIndex(p)
@@ -158,11 +117,9 @@ func TestReplayPredictsViewNodes(t *testing.T) {
 	}
 }
 
-// TestReplayAllocationGuard pins the perf contract of the replay mode at
-// every multi-agent size: a full replay cell must allocate strictly less
-// than the goroutine cell on the identical configuration. (Time is covered
-// by BenchmarkSweepReplayLive / BenchmarkSweepGoroutineLive in the committed
-// benchmark trajectory.)
+// TestReplayAllocationGuard pins the perf contract of Replay at every
+// multi-agent size: a full live cell must allocate strictly less than the
+// map-keyed reference environment on the identical configuration.
 func TestReplayAllocationGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement in -short")
@@ -171,11 +128,10 @@ func TestReplayAllocationGuard(t *testing.T) {
 		sc := scenario.MultiAgent(m)
 		cell := func(exec func(Config) (*Result, error), seed int64) {
 			agents, agentMap := NewTaskAgents(sc.TaskList())
-			res, err := exec(Config{
+			if _, err := exec(Config{
 				Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewRandom(seed),
 				Externals: sc.Externals, Agents: agentMap,
-			})
-			if err != nil {
+			}); err != nil {
 				t.Fatal(err)
 			}
 			for i := range agents {
@@ -183,15 +139,14 @@ func TestReplayAllocationGuard(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			_ = res
 		}
 		var seed int64
 		replayAllocs := testing.AllocsPerRun(3, func() { seed++; cell(Replay, seed) })
 		seed = 0
-		goroutineAllocs := testing.AllocsPerRun(3, func() { seed++; cell(Run, seed) })
-		if replayAllocs >= goroutineAllocs {
-			t.Errorf("m=%d: replay cell allocates %.0f/run, goroutine cell %.0f/run — want strictly fewer",
-				m, replayAllocs, goroutineAllocs)
+		refAllocs := testing.AllocsPerRun(3, func() { seed++; cell(refExecute, seed) })
+		if replayAllocs >= refAllocs {
+			t.Errorf("m=%d: replay cell allocates %.0f/run, reference cell %.0f/run — want strictly fewer",
+				m, replayAllocs, refAllocs)
 		}
 	}
 }

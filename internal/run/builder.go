@@ -71,6 +71,18 @@ func (bl *Builder) Tolerate() *Builder {
 // untrusted trace fails with ErrBadHorizon instead of an allocation panic.
 const maxTableCells = 1 << 24
 
+// CheckHorizon reports, as an ErrBadHorizon wrap, a horizon that is
+// negative or too long to tabulate for n processes. Build calls it, and so
+// does every producer that allocates horizon-indexed state before building.
+func CheckHorizon(n int, horizon model.Time) error {
+	// Compared before multiplying, so n*(h+1) cannot overflow.
+	if horizon < 0 || horizon >= maxTableCells/n {
+		return fmt.Errorf("%w: %d with %d processes (n*(horizon+1) must stay within %d)",
+			ErrBadHorizon, horizon, n, maxTableCells)
+	}
+	return nil
+}
+
 // Build derives node indices, wires deliveries to nodes and returns the Run.
 // It fails if any event is inconsistent (bad channel, bad times, sender has
 // no node at the send time, event beyond horizon) or if the horizon is
@@ -80,10 +92,8 @@ const maxTableCells = 1 << 24
 func (bl *Builder) Build() (*Run, error) {
 	n := bl.net.N()
 	h := int(bl.horizon)
-	// Compared before multiplying, so n*(h+1) cannot overflow.
-	if h < 0 || h >= maxTableCells/n {
-		return nil, fmt.Errorf("%w: %d with %d processes (n*(horizon+1) must stay within %d)",
-			ErrBadHorizon, h, n, maxTableCells)
+	if err := CheckHorizon(n, bl.horizon); err != nil {
+		return nil, err
 	}
 
 	// 1. Collect the receive times of every process in horizon-indexed

@@ -23,7 +23,7 @@ var viewIDs atomic.Uint64
 //
 // Views come from two places: ViewOf extracts one from a recorded run
 // (offline analysis), and the live engine of internal/live accumulates one
-// message by message inside each process goroutine (online decisions).
+// receive batch by receive batch at each process (online decisions).
 //
 // A view only ever grows, and it records that growth in append-only logs:
 // DeliveryCount/DeliveriesSince expose the delivery log as a cheap delta

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -42,19 +43,30 @@ func (s *Scenario) WithChannel(fromRole, toRole string, lower, upper int) (*Scen
 	return &out, nil
 }
 
+// ErrBadScale reports a bound-scaling factor ScaleBounds cannot apply.
+var ErrBadScale = errors.New("scenario: bad bound scale")
+
 // ScaleBounds returns a copy of the scenario whose every channel bound is
 // scaled by factor: L' = max(1, round(L*factor)) and U' = max(L',
 // round(U*factor)). The horizon stretches by the same factor (rounded up)
 // so truncation artifacts stay beyond the analysis window, while external
 // input times are left alone — the schedule is part of the scenario's
 // identity. Scaled copies are the bound-scaling axis of parameter sweeps;
-// a factor of 1 returns the scenario unchanged.
+// a factor of 1 returns the scenario unchanged. A factor that is not
+// finite and positive, or that scales a bound or the horizon to
+// model.Infinity or beyond, fails with ErrBadScale.
 func (s *Scenario) ScaleBounds(factor float64) (*Scenario, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("scenario %s: bound scale %g not positive", s.Name, factor)
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		return nil, fmt.Errorf("%w: scenario %s: factor %g not finite and positive", ErrBadScale, s.Name, factor)
 	}
 	if factor == 1 {
 		return s, nil
+	}
+	if h := math.Ceil(float64(s.Horizon) * factor); h >= float64(model.Infinity) {
+		return nil, fmt.Errorf("%w: scenario %s: factor %g scales the horizon to %g", ErrBadScale, s.Name, factor, h)
+	}
+	if u := math.Round(float64(s.Net.MaxUpper()) * factor); u >= float64(model.Infinity) {
+		return nil, fmt.Errorf("%w: scenario %s: factor %g scales a bound to %g", ErrBadScale, s.Name, factor, u)
 	}
 	scale := func(b int) int {
 		v := int(math.Round(float64(b) * factor))

@@ -121,10 +121,9 @@ func MultiAgentEarlyFamily() []*Scenario {
 	return out
 }
 
-// ReplayHorizonFactor stretches the horizon of the replay-only heavy-tail
-// family past the multi-agent baseline. Replay cells stream the schedule in
-// bounded chunks, so the factor costs memory nothing; the goroutine
-// environment would pay it in channel handshakes per tick.
+// ReplayHorizonFactor stretches the horizon of the long-horizon heavy-tail
+// family past the multi-agent baseline. Live cells hold one tick of
+// schedule at a time, so the factor costs no schedule memory.
 const ReplayHorizonFactor = 8
 
 // MultiAgentHeavy builds the coord-heavy-m<m> scenario: the topology and
@@ -132,9 +131,8 @@ const ReplayHorizonFactor = 8
 // heavy-tailed latency policies (sim.HeavyTail) whose straggler deliveries
 // need the longer window to resolve. DefaultPolicy stays nil (sweeps supply
 // the policy axis; canonical single runs fall back to Eager). The family is
-// deliberately NOT in the registry: it exists for the goroutine-free replay
-// live mode, at horizons the goroutine environment can't afford, and the CLI
-// appends it to the live grid only when replay mode is selected.
+// deliberately NOT in the registry: it exists for live cells, and the CLI
+// appends it to every live grid.
 func MultiAgentHeavy(m int) *Scenario {
 	sc := MultiAgent(m)
 	sc.Name = fmt.Sprintf("coord-heavy-m%d", m)

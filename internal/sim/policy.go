@@ -82,10 +82,9 @@ func (r *Random) Name() string { return "random" }
 // most messages arrive at or near the lower bound, but a seeded minority
 // straggles all the way to the deadline (extra = floor((span+1)·u³) for
 // uniform u, truncated to the window). It models the asymmetric networks the
-// paper's bounds are interesting for — fast common case, slow tail — and is
-// the first policy family the replay live mode opens at horizons the
-// goroutine environment can't afford. The zero value is not usable; use
-// NewHeavyTail.
+// paper's bounds are interesting for — fast common case, slow tail — and
+// drives the long-horizon coord-heavy-m family. The zero value is not
+// usable; use NewHeavyTail.
 type HeavyTail struct {
 	rng *rand.Rand
 }

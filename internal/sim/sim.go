@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 
 	"github.com/clockless/zigzag/internal/faults"
 	"github.com/clockless/zigzag/internal/model"
@@ -65,140 +64,24 @@ func SimulateFaulty(cfg Config) (*run.Run, *faults.Report, error) {
 }
 
 func simulate(cfg Config) (*run.Run, *faults.Injector, error) {
-	if cfg.Net == nil {
-		return nil, nil, fmt.Errorf("%w: nil network", ErrBadConfig)
-	}
-	if cfg.Horizon < 1 {
-		return nil, nil, fmt.Errorf("%w: horizon %d < 1", ErrBadConfig, cfg.Horizon)
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = Eager{}
-	}
-	var inj *faults.Injector
-	if cfg.Faults != nil {
-		var err error
-		if inj, err = faults.NewInjector(cfg.Faults, cfg.Net, cfg.Horizon); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// arrivals[t] lists internal messages scheduled to arrive at time t:
-	// horizon-indexed slice buckets rather than a map, with consumed bucket
-	// backing recycled through a freelist to keep the hot loop allocation-
-	// light.
-	arrivals := make([][]Send, cfg.Horizon+1)
-	extAt := make([][]run.ExternalEvent, cfg.Horizon+1)
-	for _, ev := range cfg.Externals {
-		if !cfg.Net.ValidProc(ev.Proc) {
-			return nil, nil, fmt.Errorf("%w: external %q to process %d", ErrBadConfig, ev.Label, ev.Proc)
-		}
-		if ev.Time < 1 || ev.Time > cfg.Horizon {
-			return nil, nil, fmt.Errorf("%w: external %q at time %d outside [1,%d]",
-				ErrBadConfig, ev.Label, ev.Time, cfg.Horizon)
-		}
-		if inj != nil && inj.Dead(ev.Proc, ev.Time) {
-			continue // delivered into a crashed process: no batch, no node
-		}
-		extAt[ev.Time] = append(extAt[ev.Time], ev)
-	}
-
-	bl := run.NewBuilder(cfg.Net, cfg.Horizon)
-	if inj != nil {
-		bl.Tolerate()
-	}
-	n := cfg.Net.N()
-	var free [][]Send
-
-	// send floods the history of process p at time t on all outgoing
-	// channels, scheduling each delivery per the policy. The per-process arc
-	// slice carries destination and bounds together, so the loop is one
-	// contiguous read with no per-channel lookups. The fault hooks mirror
-	// the live environment loops exactly: dead-link drops and deadline
-	// delays act on the policy's schedule, and messages to destinations the
-	// (static) plan has crashed by arrival are discarded here at flood time,
-	// so no mode ever materializes an arrival at a dead process.
-	send := func(p model.ProcID, t model.Time) error {
-		arcs := cfg.Net.OutArcs(p)
-		for _, a := range arcs {
-			if inj != nil && inj.SendDrop(a.ID, p, a.To, t) {
-				continue
-			}
-			s := Send{From: p, To: a.To, SendTime: t}
-			lat := policy.Latency(s, a.Bounds)
-			if err := validateLatency(policy, s, a.Bounds, lat); err != nil {
-				return err
-			}
-			if inj != nil {
-				lat = inj.Delay(a.ID, p, a.To, t, lat)
-			}
-			rt := t + lat
-			if rt > cfg.Horizon {
-				continue // in transit at the horizon; recorded as pending
-			}
-			if inj != nil && inj.Dead(a.To, rt) {
-				inj.Discard(a.ID, p, a.To, t, rt)
-				continue
-			}
-			if arrivals[rt] == nil {
-				if len(free) > 0 {
-					arrivals[rt] = free[len(free)-1]
-					free = free[:len(free)-1]
-				} else {
-					arrivals[rt] = make([]Send, 0, len(arcs))
-				}
-			}
-			arrivals[rt] = append(arrivals[rt], s)
-		}
-		return nil
-	}
-
-	// received[p] marks processes that got something this tick; reused
-	// across ticks and cleared entry by entry in the flooding pass.
-	received := make([]bool, n+1)
-	for t := model.Time(1); t <= cfg.Horizon; t++ {
-		active := false
-		for _, s := range arrivals[t] {
-			bl.Message(run.MessageEvent{
-				FromProc: s.From,
-				ToProc:   s.To,
-				SendTime: s.SendTime,
-				RecvTime: t,
-			})
-			if inj != nil {
-				inj.Deliver(cfg.Net.ChanIDOf(s.From, s.To), s.From, s.To, s.SendTime, t)
-			}
-			received[s.To] = true
-			active = true
-		}
-		if arrivals[t] != nil {
-			free = append(free, arrivals[t][:0])
-			arrivals[t] = nil
-		}
-		for _, ev := range extAt[t] {
-			bl.External(ev)
-			received[ev.Proc] = true
-			active = true
-		}
-		if !active {
-			continue
-		}
-		// Every process that received something transitions to a new node
-		// and floods. Iterate in process order for determinism.
-		for p := model.ProcID(1); int(p) <= n; p++ {
-			if received[p] {
-				received[p] = false
-				if err := send(p, t); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-	}
-	r, err := bl.Build()
+	s, err := NewStepper(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
-	return r, inj, nil
+	for {
+		batches, err := s.Step()
+		if err != nil {
+			return nil, nil, err
+		}
+		if batches == nil {
+			break
+		}
+	}
+	r, err := s.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return r, s.inj, nil
 }
 
 // MustSimulate is Simulate that panics on error; intended for fixtures.

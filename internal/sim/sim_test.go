@@ -79,6 +79,8 @@ func TestSimulateConfigErrors(t *testing.T) {
 		{Net: net, Horizon: 10, Externals: []run.ExternalEvent{{Proc: 9, Time: 1}}},
 		{Net: net, Horizon: 10, Externals: []run.ExternalEvent{{Proc: 1, Time: 0}}},
 		{Net: net, Horizon: 10, Externals: []run.ExternalEvent{{Proc: 1, Time: 99}}},
+		{Net: net, Horizon: 1 << 30, Externals: GoAt(1, 1, "go")},
+		{Net: net, Horizon: model.Infinity},
 	}
 	for i, cfg := range cases {
 		if _, err := Simulate(cfg); !errors.Is(err, ErrBadConfig) {

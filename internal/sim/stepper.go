@@ -1,0 +1,227 @@
+package sim
+
+import (
+	"fmt"
+
+	"github.com/clockless/zigzag/internal/faults"
+	"github.com/clockless/zigzag/internal/model"
+	"github.com/clockless/zigzag/internal/run"
+)
+
+// Arrival is one scheduled delivery: the sending state, the receiving
+// process and the send time.
+type Arrival struct {
+	From run.BasicNode
+	To   model.ProcID
+	Send model.Time
+}
+
+// Batch is one receive batch: everything process Proc receives at tick
+// Time, which moves it to its next state Node.
+type Batch struct {
+	Proc model.ProcID
+	Time model.Time
+	// Node is the state the batch creates. A process's states are numbered
+	// 1, 2, ... in batch order, exactly as run.Builder and run.View.Absorb
+	// number them.
+	Node run.BasicNode
+	// Arrivals (in scheduling order) and Externals (in configuration order)
+	// are what the batch delivers. Both are reused by the next Step.
+	Arrivals  []Arrival
+	Externals []string
+	// Floods counts Node's flood messages that arrive within the horizon;
+	// dropped, horizon-crossing and discarded ones are not counted.
+	Floods int
+	// Degraded reports that the fault injector's taint frontier covers the
+	// batch: the process's knowledge may rest on a violated bound. Always
+	// false without a fault plan.
+	Degraded bool
+}
+
+// Stepper is the environment of Section 2.1, one tick at a time: it
+// delivers every FFIP flood at the instant the Policy picks within the
+// channel's [L, U], moves every process that receives something at a tick
+// to one new state, records the run and applies the fault plan. Simulate
+// steps it to the horizon; live.Replay drives agents from its batches.
+//
+// Stepping a tick at a time is exact because every latency is at least 1:
+// an arrival at tick t comes from a state created strictly before t, so a
+// tick's batches depend only on earlier ticks, and scheduling never depends
+// on what consumers do with the batches.
+//
+// Each flood applies the fault hooks in one fixed order: dead-link drop,
+// then the policy's latency, then a deadline delay, then the horizon cut,
+// then the discard of messages whose destination has crashed by arrival.
+// Messages delivered into a crashed process therefore never materialize.
+type Stepper struct {
+	net    *model.Network
+	policy Policy
+	hor    model.Time
+	inj    *faults.Injector // nil for fault-free executions
+	bl     *run.Builder
+
+	arrivals [][]Arrival // horizon-indexed buckets
+	free     [][]Arrival // recycled bucket backing
+	extAt    [][]run.ExternalEvent
+
+	procArr [][]Arrival // per-process slab for the current tick
+	procExt [][]string
+	lastIdx []int // per-process state counter
+	batches []Batch
+
+	t model.Time // next tick to process
+}
+
+// NewStepper validates the configuration and prepares its first tick. A
+// horizon too long to tabulate fails with ErrBadConfig and
+// run.ErrBadHorizon before anything horizon-sized is allocated.
+func NewStepper(cfg Config) (*Stepper, error) {
+	if cfg.Net == nil {
+		return nil, fmt.Errorf("%w: nil network", ErrBadConfig)
+	}
+	if cfg.Horizon < 1 {
+		return nil, fmt.Errorf("%w: horizon %d < 1", ErrBadConfig, cfg.Horizon)
+	}
+	n := cfg.Net.N()
+	if err := run.CheckHorizon(n, cfg.Horizon); err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
+	}
+	s := &Stepper{
+		net:     cfg.Net,
+		policy:  cfg.Policy,
+		hor:     cfg.Horizon,
+		bl:      run.NewBuilder(cfg.Net, cfg.Horizon),
+		procArr: make([][]Arrival, n),
+		procExt: make([][]string, n),
+		lastIdx: make([]int, n),
+		batches: make([]Batch, 0, n),
+		t:       1,
+	}
+	if s.policy == nil {
+		s.policy = Eager{}
+	}
+	if cfg.Faults != nil {
+		inj, err := faults.NewInjector(cfg.Faults, cfg.Net, cfg.Horizon)
+		if err != nil {
+			return nil, err
+		}
+		s.inj = inj
+		s.bl.Tolerate()
+	}
+	s.extAt = make([][]run.ExternalEvent, cfg.Horizon+1)
+	for _, ev := range cfg.Externals {
+		if !cfg.Net.ValidProc(ev.Proc) {
+			return nil, fmt.Errorf("%w: external %q to process %d", ErrBadConfig, ev.Label, ev.Proc)
+		}
+		if ev.Time < 1 || ev.Time > cfg.Horizon {
+			return nil, fmt.Errorf("%w: external %q at time %d outside [1,%d]",
+				ErrBadConfig, ev.Label, ev.Time, cfg.Horizon)
+		}
+		if s.inj != nil && s.inj.Dead(ev.Proc, ev.Time) {
+			continue // delivered into a crashed process: no batch, no node
+		}
+		s.extAt[ev.Time] = append(s.extAt[ev.Time], ev)
+	}
+	s.arrivals = make([][]Arrival, cfg.Horizon+1)
+	return s, nil
+}
+
+// Injector returns the execution's fault injector, nil without a plan.
+func (s *Stepper) Injector() *faults.Injector { return s.inj }
+
+// Build returns the recorded run. Call it once Step has returned nil.
+func (s *Stepper) Build() (*run.Run, error) { return s.bl.Build() }
+
+// Step advances to the next tick at which some process receives something
+// and returns that tick's batches in process order, at most one per
+// process. It returns nil once the horizon is exhausted. The returned
+// batches and their slices are valid until the next call.
+func (s *Stepper) Step() ([]Batch, error) {
+	s.batches = s.batches[:0]
+	for ; s.t <= s.hor; s.t++ {
+		t := s.t
+		if s.arrivals[t] == nil && s.extAt[t] == nil {
+			continue
+		}
+		for _, a := range s.arrivals[t] {
+			s.procArr[a.To-1] = append(s.procArr[a.To-1], a)
+		}
+		if s.arrivals[t] != nil {
+			s.free = append(s.free, s.arrivals[t][:0])
+			s.arrivals[t] = nil
+		}
+		// The tick's externals are recorded first, in configuration order.
+		for _, e := range s.extAt[t] {
+			s.bl.External(run.ExternalEvent{Proc: e.Proc, Time: t, Label: e.Label})
+			s.procExt[e.Proc-1] = append(s.procExt[e.Proc-1], e.Label)
+		}
+		for p := model.ProcID(1); int(p) <= len(s.procArr); p++ {
+			arr, ext := s.procArr[p-1], s.procExt[p-1]
+			if len(arr) == 0 && len(ext) == 0 {
+				continue
+			}
+			// The slabs are refilled only at the next tick, after the
+			// caller is done with this one's batches.
+			s.procArr[p-1], s.procExt[p-1] = arr[:0], ext[:0]
+			for _, a := range arr {
+				s.bl.Message(run.MessageEvent{FromProc: a.From.Proc, ToProc: p, SendTime: a.Send, RecvTime: t})
+				if s.inj != nil {
+					s.inj.Deliver(s.net.ChanIDOf(a.From.Proc, p), a.From.Proc, p, a.Send, t)
+				}
+			}
+			s.lastIdx[p-1]++
+			node := run.BasicNode{Proc: p, Index: s.lastIdx[p-1]}
+			floods, err := s.flood(node, t)
+			if err != nil {
+				return nil, err
+			}
+			s.batches = append(s.batches, Batch{
+				Proc: p, Time: t, Node: node, Arrivals: arr, Externals: ext,
+				Floods:   floods,
+				Degraded: s.inj != nil && s.inj.DegradedAt(p, t),
+			})
+		}
+		s.t++
+		return s.batches, nil
+	}
+	return nil, nil
+}
+
+// flood schedules node's FFIP messages, sent at t on every outgoing channel,
+// and returns how many arrive within the horizon.
+func (s *Stepper) flood(node run.BasicNode, t model.Time) (int, error) {
+	p := node.Proc
+	arcs := s.net.OutArcs(p)
+	floods := 0
+	for _, a := range arcs {
+		if s.inj != nil && s.inj.SendDrop(a.ID, p, a.To, t) {
+			continue
+		}
+		snd := Send{From: p, To: a.To, SendTime: t}
+		lat := s.policy.Latency(snd, a.Bounds)
+		if err := validateLatency(s.policy, snd, a.Bounds, lat); err != nil {
+			return 0, err
+		}
+		if s.inj != nil {
+			lat = s.inj.Delay(a.ID, p, a.To, t, lat)
+		}
+		rt := t + lat
+		if rt > s.hor {
+			continue // in transit at the horizon; recorded as pending
+		}
+		if s.inj != nil && s.inj.Dead(a.To, rt) {
+			s.inj.Discard(a.ID, p, a.To, t, rt)
+			continue
+		}
+		if s.arrivals[rt] == nil {
+			if k := len(s.free); k > 0 {
+				s.arrivals[rt], s.free = s.free[k-1], s.free[:k-1]
+			} else {
+				s.arrivals[rt] = make([]Arrival, 0, len(arcs))
+			}
+		}
+		s.arrivals[rt] = append(s.arrivals[rt], Arrival{From: node, To: a.To, Send: t})
+		floods++
+	}
+	return floods, nil
+}

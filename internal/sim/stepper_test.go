@@ -1,0 +1,58 @@
+package sim_test
+
+import (
+	"testing"
+
+	"github.com/clockless/zigzag/internal/model"
+	"github.com/clockless/zigzag/internal/scenario"
+	"github.com/clockless/zigzag/internal/sim"
+)
+
+// TestStepperHoldsOneTick pins the stepper's bounded memory on the longest
+// schedule the sweeps run, coord-heavy-m16 under the heavy-tail policy: every
+// Step yields exactly one tick's batches — at most one per process, in
+// process order, from a buffer that never grows past n — ticks strictly
+// increase, and the batches number exactly the run's non-initial nodes.
+func TestStepperHoldsOneTick(t *testing.T) {
+	sc := scenario.MultiAgentHeavy(16)
+	s, err := sim.NewStepper(sim.Config{Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewHeavyTail(3), Externals: sc.Externals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := sc.Net.N()
+	last, total, steps := model.Time(0), 0, 0
+	for {
+		batches, err := s.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if batches == nil {
+			break
+		}
+		steps++
+		if len(batches) == 0 || len(batches) > n || cap(batches) > n {
+			t.Fatalf("step %d: %d batches in a buffer of %d, want 1..%d", steps, len(batches), cap(batches), n)
+		}
+		tick := batches[0].Time
+		if tick <= last {
+			t.Fatalf("step %d: tick %d after tick %d", steps, tick, last)
+		}
+		for i, b := range batches {
+			if b.Time != tick || (i > 0 && b.Proc <= batches[i-1].Proc) {
+				t.Fatalf("step %d: batch %d is (proc %d, t=%d) in tick %d", steps, i, b.Proc, b.Time, tick)
+			}
+		}
+		last = tick
+		total += len(batches)
+	}
+	r, err := s.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := r.NumNodes() - n; total != want {
+		t.Fatalf("stepped %d batches, the run holds %d non-initial nodes", total, want)
+	}
+	if steps < 100 {
+		t.Fatalf("only %d ticks stepped: the schedule is not long", steps)
+	}
+}

@@ -24,7 +24,7 @@ var csvHeader = []string{
 	"agents", "agents_acted",
 	"prefix_hits", "prefix_misses",
 	"rev_hits", "rev_rebuilds", "band_refreshes", "rev_relaxations",
-	"replay_batches", "replay_chunks",
+	"replay_batches",
 	"batch_queries", "batch_hits", "x_fanout",
 	"degraded", "crashed", "violations", "err",
 }
@@ -52,7 +52,7 @@ func WriteCSV(w io.Writer, aggs []Aggregate) error {
 			strconv.Itoa(a.PrefixHits), strconv.Itoa(a.PrefixMisses),
 			strconv.FormatInt(a.Rev.RevHits, 10), strconv.FormatInt(a.Rev.RevRebuilds, 10),
 			strconv.FormatInt(a.Rev.BandRefreshes, 10), strconv.FormatInt(a.Rev.RevRelaxations, 10),
-			strconv.Itoa(a.ReplayBatches), strconv.Itoa(a.ReplayChunks),
+			strconv.Itoa(a.ReplayBatches),
 			strconv.FormatInt(a.Rev.BatchQueries, 10), strconv.FormatInt(a.Rev.BatchHits, 10),
 			strconv.Itoa(a.XFanout),
 			strconv.Itoa(a.Degraded), strconv.Itoa(a.Crashed), strconv.Itoa(a.Violations), a.FirstErr,

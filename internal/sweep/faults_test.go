@@ -13,10 +13,9 @@ import (
 // chaosGrid is the chaos sweep of the tests: every coord-faulty scenario
 // (both sizes, all four plan families) crossed with the eager policy and a
 // couple of seeds, run live-only.
-func chaosGrid(mode string, workers int) sweep.Grid {
+func chaosGrid(workers int) sweep.Grid {
 	return sweep.Grid{
-		Live:     scenario.FaultyFamily(),
-		LiveMode: mode,
+		Live: scenario.FaultyFamily(),
 		Policies: []sweep.PolicySpec{
 			{Name: "eager", New: func(int64) sim.Policy { return sim.Eager{} }, Deterministic: true},
 		},
@@ -30,7 +29,7 @@ func chaosGrid(mode string, workers int) sweep.Grid {
 // are data, not errors), the plans actually fire, and degradation reaches
 // agents somewhere in the grid.
 func TestChaosSweep(t *testing.T) {
-	results, err := chaosGrid(sweep.ModeReplay, 0).Run()
+	results, err := chaosGrid(0).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,40 +68,24 @@ func TestChaosSweep(t *testing.T) {
 }
 
 // TestChaosSweepDeterministic pins scheduling-independence: the same chaos
-// grid run serially, with parallel workers, and through the goroutine live
-// mode yields identical per-cell results (modulo the Mode tag).
+// grid run serially and with parallel workers yields identical per-cell
+// results.
 func TestChaosSweepDeterministic(t *testing.T) {
-	serial, err := chaosGrid(sweep.ModeReplay, 1).Run()
+	serial, err := chaosGrid(1).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := chaosGrid(sweep.ModeReplay, 4).Run()
+	parallel, err := chaosGrid(4).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	goroutine, err := chaosGrid(sweep.ModeLive, 0).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial) != len(parallel) || len(serial) != len(goroutine) {
-		t.Fatalf("result counts differ: %d serial, %d parallel, %d goroutine",
-			len(serial), len(parallel), len(goroutine))
+	if len(serial) != len(parallel) {
+		t.Fatalf("result counts differ: %d serial, %d parallel", len(serial), len(parallel))
 	}
 	for i := range serial {
 		if !reflect.DeepEqual(serial[i], parallel[i]) {
 			t.Fatalf("cell %d differs across worker counts:\n serial   %+v\n parallel %+v",
 				i, serial[i], parallel[i])
-		}
-		g := goroutine[i]
-		if g.Mode != sweep.ModeLive {
-			t.Fatalf("cell %d: goroutine sweep ran in mode %q", i, g.Mode)
-		}
-		g.Mode = serial[i].Mode
-		// Replay counts batches and chunks the goroutine mode doesn't have.
-		g.ReplayBatches, g.ReplayChunks = serial[i].ReplayBatches, serial[i].ReplayChunks
-		if !reflect.DeepEqual(serial[i], g) {
-			t.Fatalf("cell %d differs across live modes:\n replay    %+v\n goroutine %+v",
-				i, serial[i], g)
 		}
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -26,14 +27,10 @@ import (
 var ErrEmptyGrid = errors.New("sweep: empty grid")
 
 // Cell execution modes: offline simulation plus paper analysis, or a live
-// execution with one Protocol2 agent per task subscribing to a per-network
-// knowledge engine — either the goroutine-per-process environment (ModeLive)
-// or the goroutine-free single-threaded replay drive (ModeReplay, the
-// default live mode; the goroutine environment is kept as its differential
-// oracle).
+// execution (live.Replay) with one Protocol2 agent per task subscribing to
+// a per-network knowledge engine.
 const (
 	ModeSim    = "sim"
-	ModeLive   = "live"
 	ModeReplay = "replay"
 )
 
@@ -71,23 +68,19 @@ func DefaultPolicies() []PolicySpec {
 // simulate-and-analyze path.
 type Grid struct {
 	Scenarios []*scenario.Scenario
-	// Live lists scenarios additionally executed as live cells: the
-	// goroutine-per-process environment drives one live.Protocol2 agent per
-	// task, all subscribing (through per-run bounds.Shared handles) to ONE
-	// bounds.NetworkEngine per distinct network content — built once by Run,
+	// Live lists scenarios additionally executed as live cells: live.Replay
+	// drives one live.Protocol2 agent per task, all subscribing (through
+	// per-run bounds.Shared handles) to ONE bounds.NetworkEngine per
+	// distinct network content — built once by Run,
 	// keyed by the network's fingerprint, and reused across every policy and
 	// seed of that topology, which is the cross-run amortization the engine
 	// tier exists for. Cells of Deterministic policies additionally share
 	// their standing run material through the engine's prefix cache (see
 	// RunWithEngines). Live cells enumerate after the sim cells,
-	// scenario-major, then policy, then seed, and report under the grid's
-	// live mode (LiveMode).
+	// scenario-major, then policy, then seed, and report as ModeReplay.
 	Live []*scenario.Scenario
-	// LiveMode selects how live cells execute: ModeReplay (goroutine-free
-	// single-threaded replay, the default when empty) or ModeLive (the
-	// goroutine-per-process environment, kept as the replay mode's
-	// differential oracle). Both record byte-identical runs; cells report
-	// under the chosen mode.
+	// LiveMode must be empty or ModeReplay, the one live execution mode;
+	// any other value fails the run.
 	LiveMode string
 	Policies []PolicySpec
 	Seeds    []int64
@@ -142,14 +135,6 @@ func xJoinable(a, b *scenario.Scenario) bool {
 	return true
 }
 
-// liveMode resolves the grid's live execution mode, defaulting to replay.
-func (g Grid) liveMode() string {
-	if g.LiveMode == "" {
-		return ModeReplay
-	}
-	return g.LiveMode
-}
-
 // Size returns the number of cells in the grid.
 func (g Grid) Size() int {
 	return (len(g.Scenarios) + len(g.Live)) * len(g.Policies) * len(g.Seeds)
@@ -162,8 +147,8 @@ type Result struct {
 	Scenario string
 	Policy   string
 	Seed     int64
-	// Mode is ModeSim, ModeLive or ModeReplay (empty results from older
-	// callers mean sim).
+	// Mode is ModeSim or ModeReplay (empty results from older callers mean
+	// sim).
 	Mode string
 	Err  error
 
@@ -197,11 +182,9 @@ type Result struct {
 	// reverse SPFA relaxations.
 	Rev bounds.HandleStats
 
-	// ReplayBatches / ReplayChunks count the receive batches driven and the
-	// chunk buffers streamed by a replay-mode cell (zero for sim and
-	// goroutine-mode cells).
+	// ReplayBatches counts the receive batches a live cell drove (zero for
+	// sim cells).
 	ReplayBatches int
-	ReplayChunks  int
 
 	// Fault-injected cell outcome (scenarios with a FaultFamily): agents
 	// that ended the run degraded (withholding their action after a detected
@@ -215,7 +198,7 @@ type Result struct {
 	// XFanout, on the primary row of an x-batched group, is the number of
 	// per-x result rows answered by this cell's single execution (its own
 	// included); zero on fanned-out rows and in dedicated mode. Execution
-	// attribution — prefix traffic, replay streaming, agent counters — also
+	// attribution — prefix traffic, replay batches, agent counters — also
 	// lands on the primary row: the fanned rows ran no execution of their
 	// own.
 	XFanout int
@@ -268,7 +251,7 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 	if g.Size() == 0 {
 		return nil, EngineReport{}, ErrEmptyGrid
 	}
-	if m := g.liveMode(); m != ModeReplay && m != ModeLive {
+	if g.LiveMode != "" && g.LiveMode != ModeReplay {
 		return nil, EngineReport{}, fmt.Errorf("sweep: unknown live mode %q", g.LiveMode)
 	}
 	for _, sc := range g.Scenarios {
@@ -388,7 +371,6 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 		rep.Stats.BandRefreshes += st.BandRefreshes
 		rep.Stats.RevRelaxations += st.RevRelaxations
 		rep.Stats.ReplayBatches += st.ReplayBatches
-		rep.Stats.ReplayChunks += st.ReplayChunks
 		rep.Stats.BatchQueries += st.BatchQueries
 		rep.Stats.BatchHits += st.BatchHits
 		rep.Stats.XFanout += st.XFanout
@@ -453,14 +435,14 @@ func (g Grid) cell(i int, engines map[uint64]*bounds.NetworkEngine, memo *fpMemo
 		if r := recover(); r != nil {
 			mode := ModeSim
 			if isLive {
-				mode = g.liveMode()
+				mode = ModeReplay
 			}
 			res = Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed,
 				Mode: mode, Err: fmt.Errorf("sweep: cell panicked: %v", r)}
 		}
 	}()
 	if isLive {
-		return liveCell(sc, spec, seed, g.liveMode(), engines[sc.Net.Fingerprint()], memo)
+		return liveCell(sc, spec, seed, engines[sc.Net.Fingerprint()], memo)
 	}
 
 	res = Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeSim}
@@ -497,11 +479,9 @@ func (g Grid) cell(i int, engines map[uint64]*bounds.NetworkEngine, memo *fpMemo
 // still execute (pure FFIP relay runs) and report shape only. Cells of
 // deterministic policies learn their run fingerprint up front (memoized
 // pre-simulation) and route their per-run engine through the network
-// engine's standing-prefix cache. mode picks the execution engine —
-// live.Replay (ModeReplay) or live.Run (ModeLive); both produce identical
-// recordings and actions, so everything below the dispatch is shared.
-func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, mode string, eng *bounds.NetworkEngine, memo *fpMemo) Result {
-	res := Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: mode}
+// engine's standing-prefix cache.
+func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine, memo *fpMemo) Result {
+	res := Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeReplay}
 	var plan *faults.Plan
 	if sc.FaultFamily != "" {
 		p, err := faults.NewPlan(sc.FaultFamily, sc.Net, sc.Horizon, seed)
@@ -522,11 +502,7 @@ func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, mode string, e
 	}
 	tasks := sc.TaskList()
 	agents, agentMap := live.NewTaskAgents(tasks)
-	exec := live.Run
-	if mode == ModeReplay {
-		exec = live.Replay
-	}
-	out, err := exec(live.Config{
+	out, err := live.Replay(live.Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: spec.New(seed),
 		Externals: sc.Externals, Agents: agentMap, Engine: eng,
 		Fingerprint: runFP, Faults: plan,
@@ -539,7 +515,6 @@ func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, mode string, e
 	res.Crashed = len(out.Crashed)
 	res.Violations = len(out.Violations)
 	res.ReplayBatches = out.ReplayBatches
-	res.ReplayChunks = out.ReplayChunks
 	if runFP != 0 {
 		if out.PrefixHit {
 			res.Prefix = PrefixHit
@@ -577,16 +552,15 @@ func (g Grid) xBatch(cells []int, engines map[uint64]*bounds.NetworkEngine, memo
 	for j, i := range cells {
 		scs[j], spec, seed, _ = g.decode(i)
 	}
-	mode := g.liveMode()
 	defer func() {
 		if r := recover(); r != nil {
 			for j, i := range cells {
 				results[i] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed,
-					Mode: mode, Err: fmt.Errorf("sweep: cell panicked: %v", r)}
+					Mode: ModeReplay, Err: fmt.Errorf("sweep: cell panicked: %v", r)}
 			}
 		}
 	}()
-	rs := xBatchCells(scs, spec, seed, mode, engines[scs[0].Net.Fingerprint()], memo)
+	rs := xBatchCells(scs, spec, seed, engines[scs[0].Net.Fingerprint()], memo)
 	for j, i := range cells {
 		results[i] = rs[j]
 	}
@@ -601,12 +575,12 @@ func (g Grid) xBatch(cells []int, engines map[uint64]*bounds.NetworkEngine, memo
 // decision trajectories — knowledge gain is monotone, so the state at which
 // threshold x became known is exactly where a dedicated agent with that
 // threshold acts. Execution-level attribution (run shape is shared; prefix,
-// replay streaming and agent counters are real once) lands on the primary
+// replay batches and agent counters are real once) lands on the primary
 // (first) variant row, which also carries XFanout = group size.
-func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, mode string, eng *bounds.NetworkEngine, memo *fpMemo) []Result {
+func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine, memo *fpMemo) []Result {
 	rs := make([]Result, len(scs))
 	for j := range rs {
-		rs[j] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed, Mode: mode}
+		rs[j] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed, Mode: ModeReplay}
 	}
 	fail := func(err error) []Result {
 		for j := range rs {
@@ -632,11 +606,7 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, mode str
 		}
 		agents[j].XGrid = grid
 	}
-	exec := live.Run
-	if mode == ModeReplay {
-		exec = live.Replay
-	}
-	out, err := exec(live.Config{
+	out, err := live.Replay(live.Config{
 		Net: sc0.Net, Horizon: sc0.Horizon, Policy: spec.New(seed),
 		Externals: sc0.Externals, Agents: agentMap, Engine: eng,
 		Fingerprint: runFP,
@@ -676,7 +646,6 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, mode str
 	}
 	res0 := &rs[0]
 	res0.ReplayBatches = out.ReplayBatches
-	res0.ReplayChunks = out.ReplayChunks
 	if runFP != 0 {
 		if out.PrefixHit {
 			res0.Prefix = PrefixHit
@@ -698,8 +667,8 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, mode str
 type Aggregate struct {
 	Scenario string
 	Policy   string
-	// Mode is ModeSim, ModeLive or ModeReplay (empty from pre-mode results
-	// means sim).
+	// Mode is ModeSim or ModeReplay (empty from pre-mode results means
+	// sim).
 	Mode   string
 	Runs   int
 	Errors int
@@ -724,10 +693,9 @@ type Aggregate struct {
 	// Rev sums the reverse-cache counters over the group's live cells.
 	Rev bounds.HandleStats
 
-	// ReplayBatches / ReplayChunks sum the replay-mode streaming counters
-	// over the group's cells (zero for sim and goroutine-mode groups).
+	// ReplayBatches sums the receive batches driven by the group's live
+	// cells (zero for sim groups).
 	ReplayBatches int
-	ReplayChunks  int
 
 	// Fault-injection tallies summed over the group's cells: degraded
 	// agents, crashed processes and injected bound violations.
@@ -793,7 +761,6 @@ func Summarize(results []Result) []Aggregate {
 		}
 		a.Rev.Add(res.Rev)
 		a.ReplayBatches += res.ReplayBatches
-		a.ReplayChunks += res.ReplayChunks
 		a.XFanout += res.XFanout
 	}
 	for i := range aggs {
@@ -812,8 +779,8 @@ func Summarize(results []Result) []Aggregate {
 // over the group's standing-prefix cache traffic ("-" when the group
 // bypasses the cache); the rev column reads warm-hits/reverse-queries over
 // the group's reverse-cache traffic ("-" when no agent hit the Early
-// shape); the replay column reads batches/chunks streamed by replay-mode
-// cells ("-" for sim and goroutine-mode rows); the batch column reads
+// shape); the replay column reads the batches driven by live cells ("-"
+// for sim rows); the batch column reads
 // free-hits/answers over the group's batched knowledge queries with the
 // x-fanout row count in parentheses on primary rows ("-" when the group ran
 // nothing batched). Fault-injected groups fill the degr column (degraded
@@ -848,7 +815,7 @@ func Table(aggs []Aggregate) string {
 		}
 		replay := "-"
 		if a.ReplayBatches > 0 {
-			replay = fmt.Sprintf("%d/%d", a.ReplayBatches, a.ReplayChunks)
+			replay = strconv.Itoa(a.ReplayBatches)
 		}
 		batch := "-"
 		if a.Rev.BatchQueries > 0 || a.XFanout > 0 {

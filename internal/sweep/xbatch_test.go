@@ -49,10 +49,9 @@ func xVariantScenarios(t *testing.T) []*scenario.Scenario {
 	return scs
 }
 
-func xGrid(t *testing.T, mode string, noXBatch bool) sweep.Grid {
+func xGrid(t *testing.T, noXBatch bool) sweep.Grid {
 	return sweep.Grid{
-		Live:     xVariantScenarios(t),
-		LiveMode: mode,
+		Live: xVariantScenarios(t),
 		Policies: []sweep.PolicySpec{
 			{Name: "eager", New: func(int64) sim.Policy { return sim.Eager{} }, Deterministic: true},
 			{Name: "random", New: func(seed int64) sim.Policy { return sim.NewRandom(seed) }},
@@ -65,7 +64,7 @@ func xGrid(t *testing.T, mode string, noXBatch bool) sweep.Grid {
 
 // semantic strips a Result down to the fields with run-level meaning,
 // erasing execution attribution: the mode tag, prefix-cache verdict,
-// reverse/batch engine counters, replay streaming tallies and the fanout
+// reverse/batch engine counters, replay batch tallies and the fanout
 // marker all describe HOW the answer was computed — an x-batched group
 // legitimately concentrates them on its primary row — while everything kept
 // here must be byte-identical between a batched group and dedicated per-x
@@ -74,7 +73,7 @@ func semantic(r sweep.Result) sweep.Result {
 	r.Mode = ""
 	r.Prefix = ""
 	r.Rev = bounds.HandleStats{}
-	r.ReplayBatches, r.ReplayChunks = 0, 0
+	r.ReplayBatches = 0
 	r.XFanout = 0
 	return r
 }
@@ -83,32 +82,26 @@ func semantic(r sweep.Result) sweep.Result {
 // differential: over the full registry expanded across the x axis — the
 // m=16 coordination families and the chaos-family coord-faulty scenarios
 // included — every per-x row of the batched grid is semantically identical
-// to a dedicated per-x execution of the same cell, in both replay and
-// goroutine live modes; batchable families actually collapse (XFanout
+// to a dedicated per-x execution of the same cell; batchable families actually collapse (XFanout
 // covers the whole x axis) and the faulted cells are refused batching.
 func TestXBatchMatchesDedicatedCells(t *testing.T) {
-	batched, err := xGrid(t, sweep.ModeReplay, false).Run()
+	batched, err := xGrid(t, false).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedicated, err := xGrid(t, sweep.ModeReplay, true).Run()
+	dedicated, err := xGrid(t, true).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := xGrid(t, sweep.ModeLive, true).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched) != len(dedicated) || len(batched) != len(oracle) {
-		t.Fatalf("result counts differ: %d batched, %d dedicated, %d goroutine",
-			len(batched), len(dedicated), len(oracle))
+	if len(batched) != len(dedicated) {
+		t.Fatalf("result counts differ: %d batched, %d dedicated", len(batched), len(dedicated))
 	}
 	sawEarly16 := false
 	for i := range batched {
-		b, d, o := batched[i], dedicated[i], oracle[i]
-		if b.Err != nil || d.Err != nil || o.Err != nil {
-			t.Fatalf("%s/%s seed %d: cell error: batched=%v dedicated=%v goroutine=%v",
-				b.Scenario, b.Policy, b.Seed, b.Err, d.Err, o.Err)
+		b, d := batched[i], dedicated[i]
+		if b.Err != nil || d.Err != nil {
+			t.Fatalf("%s/%s seed %d: cell error: batched=%v dedicated=%v",
+				b.Scenario, b.Policy, b.Seed, b.Err, d.Err)
 		}
 		if strings.HasPrefix(b.Scenario, "coord-early-m16@") {
 			sawEarly16 = true
@@ -117,13 +110,8 @@ func TestXBatchMatchesDedicatedCells(t *testing.T) {
 			t.Errorf("cell %d differs from dedicated per-x execution:\n batched   %+v\n dedicated %+v",
 				i, semantic(b), semantic(d))
 		}
-		if !reflect.DeepEqual(semantic(b), semantic(o)) {
-			t.Errorf("cell %d differs from goroutine oracle:\n batched   %+v\n goroutine %+v",
-				i, semantic(b), semantic(o))
-		}
-		if d.XFanout != 0 || o.XFanout != 0 {
-			t.Errorf("cell %d: dedicated run reports fanout %d/%d, want 0",
-				i, d.XFanout, o.XFanout)
+		if d.XFanout != 0 {
+			t.Errorf("cell %d: dedicated run reports fanout %d, want 0", i, d.XFanout)
 		}
 		if strings.Contains(b.Scenario, "coord-faulty") && b.XFanout != 0 {
 			t.Errorf("%s: faulted cell joined an x batch (fanout %d)", b.Scenario, b.XFanout)

@@ -6,8 +6,9 @@ import (
 	"github.com/clockless/zigzag/internal/run"
 )
 
-// Live execution types: one goroutine per process, FFIP over Go channels,
-// agents deciding online from their views only (no clock access).
+// Live execution types: the simulator's environment driving an agent at
+// every process, agents deciding online from their views only (no clock
+// access).
 type (
 	// Agent is per-process application logic for the live engine.
 	Agent = live.Agent
@@ -28,15 +29,11 @@ type (
 	View = run.View
 )
 
-// RunLive executes the configuration with one goroutine per process.
-func RunLive(cfg LiveConfig) (*LiveResult, error) { return live.Run(cfg) }
-
-// RunReplay executes the configuration goroutine-free: the arrival-ordered
-// event stream is recorded once and every agent is driven state by state in
-// the calling goroutine, streaming long horizons through bounded chunks.
-// The result — recording, fingerprint and actions — is byte-identical to
-// RunLive on the same configuration.
-func RunReplay(cfg LiveConfig) (*LiveResult, error) { return live.Replay(cfg) }
+// RunLive executes the configuration: the environment schedules one tick at
+// a time and every agent is driven state by state in the calling
+// goroutine. The recording is byte-identical to Simulate's on the same
+// configuration.
+func RunLive(cfg LiveConfig) (*LiveResult, error) { return live.Replay(cfg) }
 
 // ViewOf extracts the subjective view of sigma from a recorded run.
 func ViewOf(r *Run, sigma BasicNode) (*View, error) { return run.ViewOf(r, sigma) }
