@@ -67,11 +67,11 @@ func expAblation(cfg config) error {
 			}
 		}
 	}
-	fmt.Printf("known pairs (extended graph): %d\n", pairs)
-	fmt.Printf("  bound exists ONLY with auxiliary vertices: %d\n", onlyExtended)
-	fmt.Printf("  bound strictly stronger with them:         %d\n", stronger)
+	fmt.Fprintf(cfg.out, "known pairs (extended graph): %d\n", pairs)
+	fmt.Fprintf(cfg.out, "  bound exists ONLY with auxiliary vertices: %d\n", onlyExtended)
+	fmt.Fprintf(cfg.out, "  bound strictly stronger with them:         %d\n", stronger)
 	if len(deltas) > 0 {
-		fmt.Printf("  improvement when stronger: %s\n", stats.SummarizeInts(deltas))
+		fmt.Fprintf(cfg.out, "  improvement when stronger: %s\n", stats.SummarizeInts(deltas))
 	}
 
 	// The headline case: Figure 1's coordination bound lives entirely in
@@ -91,8 +91,8 @@ func expAblation(cfg config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("Figure 1 decision bound: extended kw = %d (known=%v); ", kw, known)
-	fmt.Println("without auxiliary vertices the a-node is not even expressible.")
+	fmt.Fprintf(cfg.out, "Figure 1 decision bound: extended kw = %d (known=%v); ", kw, known)
+	fmt.Fprintln(cfg.out, "without auxiliary vertices the a-node is not even expressible.")
 	if !known {
 		return fmt.Errorf("figure-1 bound lost")
 	}

@@ -17,7 +17,7 @@ import (
 // never acts (there is no A->B chain).
 func expFigure1(cfg config) error {
 	base := scenario.DefaultFigure1()
-	fmt.Println("margin = L_CB - U_CA - x | optimal acts | act time (lazy) | baseline")
+	fmt.Fprintln(cfg.out, "margin = L_CB - U_CA - x | optimal acts | act time (lazy) | baseline")
 	for margin := -2; margin <= 3; margin++ {
 		p := base
 		p.X = p.LCB - p.UCA - margin
@@ -53,9 +53,9 @@ func expFigure1(cfg config) error {
 		if actedAll {
 			mark, at = "yes", fmt.Sprintf("t=%d", actTime)
 		}
-		fmt.Printf("%24d | %-12s | %-15s | acts=%v\n", margin, mark, at, baseOut.Acted)
+		fmt.Fprintf(cfg.out, "%24d | %-12s | %-15s | acts=%v\n", margin, mark, at, baseOut.Acted)
 	}
-	fmt.Println("shape: B acts iff margin >= 0; asynchronous baseline never acts.")
+	fmt.Fprintln(cfg.out, "shape: B acts iff margin >= 0; asynchronous baseline never acts.")
 	return nil
 }
 
@@ -78,15 +78,15 @@ func expFigure2a(cfg config) error {
 	if err != nil || !found {
 		return fmt.Errorf("extract: found=%v err=%v", found, err)
 	}
-	fmt.Printf("Equation (1): -U_CA + L_CD - U_ED + L_EB = %d\n", p.EquationOne())
-	fmt.Printf("heaviest zigzag a -> b: wt = %d (= Eq1 + 1 from the strict junction at D)\n", weight)
+	fmt.Fprintf(cfg.out, "Equation (1): -U_CA + L_CD - U_ED + L_EB = %d\n", p.EquationOne())
+	fmt.Fprintf(cfg.out, "heaviest zigzag a -> b: wt = %d (= Eq1 + 1 from the strict junction at D)\n", weight)
 	if weight != p.EquationOne()+1 {
 		return fmt.Errorf("weight %d != Eq1+1 = %d", weight, p.EquationOne()+1)
 	}
 	if err := z.Verify(r); err != nil {
 		return fmt.Errorf("zigzag verify: %w", err)
 	}
-	fmt.Print(viz.Zigzag(r.Net(), z))
+	fmt.Fprint(cfg.out, viz.Zigzag(r.Net(), z))
 	// Realized gaps across policies never undercut the zigzag weight.
 	for _, pol := range []sim.Policy{sim.Eager{}, sim.Lazy{}, sim.NewRandom(9)} {
 		r2, err := sc.Simulate(pol)
@@ -98,7 +98,7 @@ func expFigure2a(cfg config) error {
 			return err
 		}
 		gap := r2.MustTime(run.BasicNode{Proc: sc.Proc("B"), Index: 1}) - r2.MustTime(w2.ABasic)
-		fmt.Printf("policy %-7s realized gap t_b - t_a = %d (>= %d)\n", pol.Name(), gap, weight)
+		fmt.Fprintf(cfg.out, "policy %-7s realized gap t_b - t_a = %d (>= %d)\n", pol.Name(), gap, weight)
 		if gap < weight {
 			return fmt.Errorf("policy %s: gap %d < %d", pol.Name(), gap, weight)
 		}
@@ -110,7 +110,7 @@ func expFigure2a(cfg config) error {
 func expFigure2b(cfg config) error {
 	p := scenario.DefaultFigure2()
 	sc := scenario.Figure2b(p)
-	fmt.Printf("x = %d; Equation(1)+1 = %d; relay fork alone = %d (too weak)\n",
+	fmt.Fprintf(cfg.out, "x = %d; Equation(1)+1 = %d; relay fork alone = %d (too weak)\n",
 		p.X, p.EquationOne()+1, p.LCD+p.LDB-p.UCA)
 	for _, pol := range []sim.Policy{sim.Eager{}, sim.Lazy{}, sim.NewRandom(11)} {
 		r, err := sc.Simulate(pol)
@@ -127,7 +127,7 @@ func expFigure2b(cfg config) error {
 		if err := out.Witness.VerifyVisible(r); err != nil {
 			return fmt.Errorf("policy %s: witness: %w", pol.Name(), err)
 		}
-		fmt.Printf("policy %-7s a at t=%d, b at t=%d, gap %d >= x; knew %d via %d-fork zigzag\n",
+		fmt.Fprintf(cfg.out, "policy %-7s a at t=%d, b at t=%d, gap %d >= x; knew %d via %d-fork zigzag\n",
 			pol.Name(), out.ATime, out.ActTime, out.Gap, out.KnownBound, out.Witness.Len())
 	}
 	r, err := sc.Simulate(sim.Eager{})
@@ -138,14 +138,14 @@ func expFigure2b(cfg config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println("witness pattern (eager run):")
-	fmt.Print(viz.Zigzag(r.Net(), &out.Witness.Zigzag))
+	fmt.Fprintln(cfg.out, "witness pattern (eager run):")
+	fmt.Fprint(cfg.out, viz.Zigzag(r.Net(), &out.Witness.Zigzag))
 	return nil
 }
 
 // expFigure3 sweeps fork leg lengths and checks wt(F) = L(p1) - U(p2).
 func expFigure3(cfg config) error {
-	fmt.Println("head hops | tail hops | L(head) | U(tail) | extracted wt | match")
+	fmt.Fprintln(cfg.out, "head hops | tail hops | L(head) | U(tail) | extracted wt | match")
 	for _, hh := range []int{1, 2, 3} {
 		for _, th := range []int{1, 2, 3} {
 			p := scenario.Figure3Params{HeadHops: hh, TailHops: th, L: 2, U: 5, GoTime: 1}
@@ -166,7 +166,7 @@ func expFigure3(cfg config) error {
 			}
 			want := 2*hh - 5*th
 			ok := weight == want
-			fmt.Printf("%9d | %9d | %7d | %7d | %12d | %v\n", hh, th, 2*hh, 5*th, weight, ok)
+			fmt.Fprintf(cfg.out, "%9d | %9d | %7d | %7d | %12d | %v\n", hh, th, 2*hh, 5*th, weight, ok)
 			if !ok {
 				return fmt.Errorf("hh=%d th=%d: wt %d != %d", hh, th, weight, want)
 			}
@@ -193,9 +193,9 @@ func expFigure4(cfg config) error {
 	if err := out.Witness.VerifyVisible(r); err != nil {
 		return fmt.Errorf("witness: %w", err)
 	}
-	fmt.Printf("B acted at t=%d (a at t=%d), knowing a bound of %d\n", out.ActTime, out.ATime, out.KnownBound)
-	fmt.Println("sigma-visible witness:")
-	fmt.Print(viz.Zigzag(r.Net(), &out.Witness.Zigzag))
+	fmt.Fprintf(cfg.out, "B acted at t=%d (a at t=%d), knowing a bound of %d\n", out.ActTime, out.ATime, out.KnownBound)
+	fmt.Fprintln(cfg.out, "sigma-visible witness:")
+	fmt.Fprint(cfg.out, viz.Zigzag(r.Net(), &out.Witness.Zigzag))
 	if out.Witness.Len() < 2 {
 		return fmt.Errorf("witness has %d forks, want a multi-fork pattern", out.Witness.Len())
 	}
@@ -220,9 +220,9 @@ func expFigure6(cfg config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("delivery i@%d => j@%d on channel [2,5]\n", r.MustTime(send), r.MustTime(recv))
-	fmt.Printf("forward constraint (weight L): %+d\n%s", wf, viz.Steps(sf))
-	fmt.Printf("backward constraint (weight -U): %+d\n%s", wb, viz.Steps(sb))
+	fmt.Fprintf(cfg.out, "delivery i@%d => j@%d on channel [2,5]\n", r.MustTime(send), r.MustTime(recv))
+	fmt.Fprintf(cfg.out, "forward constraint (weight L): %+d\n%s", wf, viz.Steps(sf))
+	fmt.Fprintf(cfg.out, "backward constraint (weight -U): %+d\n%s", wb, viz.Steps(sb))
 	if wf != 2 || wb != -5 {
 		return fmt.Errorf("edges (%d, %d) != (2, -5)", wf, wb)
 	}
@@ -251,8 +251,8 @@ func expFigure7(cfg config) error {
 		sc.Proc("C"): "C", sc.Proc("E"): "E", sc.Proc("D"): "D",
 		sc.Proc("A"): "A", sc.Proc("B"): "B",
 	}
-	fmt.Println(viz.Timeline(r, names, 16))
-	fmt.Printf("longest GB path a -> b (weight %+d):\n%s", weight, viz.Steps(steps))
+	fmt.Fprintln(cfg.out, viz.Timeline(r, names, 16))
+	fmt.Fprintf(cfg.out, "longest GB path a -> b (weight %+d):\n%s", weight, viz.Steps(steps))
 	return nil
 }
 
@@ -276,6 +276,6 @@ func expFigure8(cfg config) error {
 	if err != nil {
 		return err
 	}
-	fmt.Print(viz.ExtendedStats(ext))
+	fmt.Fprint(cfg.out, viz.ExtendedStats(ext))
 	return nil
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -24,6 +25,8 @@ type experiment struct {
 type config struct {
 	seeds   int
 	verbose bool
+	// out receives every experiment's report.
+	out io.Writer
 }
 
 var experiments = []experiment{
@@ -45,53 +48,59 @@ var experiments = []experiment{
 	{"scale", "Scaling: graph sizes and query costs vs n", expScale},
 }
 
-func main() {
+func main() { os.Exit(execute(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// execute runs one invocation and returns its exit code: 0 when every
+// selected experiment passes, 1 when one fails, 2 for bad flags or an
+// unknown experiment.
+func execute(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("zigzag-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		expName = flag.String("exp", "", "run a single experiment (default: all)")
-		seeds   = flag.Int("seeds", 10, "number of random seeds for randomized experiments")
-		verbose = flag.Bool("v", false, "verbose output")
-		list    = flag.Bool("list", false, "list experiments and exit")
+		expName = fs.String("exp", "", "run a single experiment (default: all)")
+		seeds   = fs.Int("seeds", 10, "number of random seeds for randomized experiments")
+		verbose = fs.Bool("v", false, "verbose output")
+		list    = fs.Bool("list", false, "list experiments and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *list {
 		for _, e := range experiments {
-			fmt.Printf("%-7s %s\n", e.name, e.desc)
+			fmt.Fprintf(stdout, "%-7s %s\n", e.name, e.desc)
 		}
-		return
+		return 0
 	}
-	cfg := config{seeds: *seeds, verbose: *verbose}
-	names := map[string]experiment{}
-	for _, e := range experiments {
-		names[e.name] = e
-	}
-	var toRun []experiment
+	cfg := config{seeds: *seeds, verbose: *verbose, out: stdout}
+	toRun := experiments
 	if *expName != "" {
-		e, ok := names[*expName]
-		if !ok {
-			keys := make([]string, 0, len(names))
-			for k := range names {
-				keys = append(keys, k)
+		toRun = nil
+		var names []string
+		for _, e := range experiments {
+			if e.name == *expName {
+				toRun = []experiment{e}
 			}
-			sort.Strings(keys)
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %v\n", *expName, keys)
-			os.Exit(2)
+			names = append(names, e.name)
 		}
-		toRun = []experiment{e}
-	} else {
-		toRun = experiments
+		if toRun == nil {
+			sort.Strings(names)
+			fmt.Fprintf(stderr, "unknown experiment %q; available: %v\n", *expName, names)
+			return 2
+		}
 	}
 	failures := 0
 	for _, e := range toRun {
-		fmt.Printf("==== %s — %s ====\n", e.name, e.desc)
+		fmt.Fprintf(stdout, "==== %s — %s ====\n", e.name, e.desc)
 		if err := e.run(cfg); err != nil {
 			failures++
-			fmt.Printf("FAIL %s: %v\n\n", e.name, err)
+			fmt.Fprintf(stdout, "FAIL %s: %v\n\n", e.name, err)
 			continue
 		}
-		fmt.Printf("PASS %s\n\n", e.name)
+		fmt.Fprintf(stdout, "PASS %s\n\n", e.name)
 	}
 	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "%d experiment(s) failed\n", failures)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "%d experiment(s) failed\n", failures)
+		return 1
 	}
+	return 0
 }

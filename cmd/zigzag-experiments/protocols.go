@@ -14,7 +14,7 @@ import (
 // earlier once x exceeds what the direct chain's prefix certifies, and
 // keeps acting for x beyond the baseline's reach.
 func expLate(cfg config) error {
-	fmt.Println("  x | optimal acts at | baseline acts at | optimal wins by")
+	fmt.Fprintln(cfg.out, "  x | optimal acts at | baseline acts at | optimal wins by")
 	p := scenario.DefaultFigure2()
 	for x := 1; x <= p.EquationOne()+2; x++ {
 		px := p
@@ -54,16 +54,16 @@ func expLate(cfg config) error {
 		if base.Acted && !opt.Acted {
 			return fmt.Errorf("x=%d: baseline acted but optimal did not", x)
 		}
-		fmt.Printf("%3d | %-15s | %-16s | %s\n", x, optAt, baseAt, wins)
+		fmt.Fprintf(cfg.out, "%3d | %-15s | %-16s | %s\n", x, optAt, baseAt, wins)
 	}
-	fmt.Println("shape: optimal acts no later than the baseline and covers larger x.")
+	fmt.Fprintln(cfg.out, "shape: optimal acts no later than the baseline and covers larger x.")
 	return nil
 }
 
 // expEarly sweeps x on the takeoff scenario: the optimal protocol acts up
 // to the fork weight; the baseline can never act.
 func expEarly(cfg config) error {
-	fmt.Println("  x | optimal acts | lead (lazy) | baseline")
+	fmt.Fprintln(cfg.out, "  x | optimal acts | lead (lazy) | baseline")
 	for x := 1; x <= 8; x++ {
 		sc := scenario.Takeoff(x)
 		acted := true
@@ -100,8 +100,8 @@ func expEarly(cfg config) error {
 		if acted {
 			mark = "yes"
 		}
-		fmt.Printf("%3d | %-12s | %-11s | never\n", x, mark, lead)
+		fmt.Fprintf(cfg.out, "%3d | %-12s | %-11s | never\n", x, mark, lead)
 	}
-	fmt.Println("shape: Early feasible exactly up to the fork weight; impossible asynchronously.")
+	fmt.Fprintln(cfg.out, "shape: Early feasible exactly up to the fork weight; impossible asynchronously.")
 	return nil
 }

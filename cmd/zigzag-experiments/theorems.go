@@ -63,7 +63,7 @@ func expTheorem1(cfg config) error {
 			}
 		}
 	}
-	fmt.Printf("zigzag patterns extracted & verified: %d; re-verified in slow runs: %d\n",
+	fmt.Fprintf(cfg.out, "zigzag patterns extracted & verified: %d; re-verified in slow runs: %d\n",
 		patterns, slowChecks)
 	if patterns == 0 {
 		return fmt.Errorf("no patterns extracted")
@@ -118,8 +118,8 @@ func expTheorem2(cfg config) error {
 			}
 		}
 	}
-	fmt.Printf("pairs: %d; slow-run gap == longest path: %d (must be all)\n", pairs, exact)
-	fmt.Printf("bound weights: %s\n", stats.SummarizeInts(weights))
+	fmt.Fprintf(cfg.out, "pairs: %d; slow-run gap == longest path: %d (must be all)\n", pairs, exact)
+	fmt.Fprintf(cfg.out, "bound weights: %s\n", stats.SummarizeInts(weights))
 	if pairs == 0 || exact != pairs {
 		return fmt.Errorf("tightness failed: %d/%d", exact, pairs)
 	}
@@ -203,7 +203,7 @@ func expTheorem3(cfg config) error {
 			audited++
 		}
 	}
-	fmt.Printf("scenario/policy decisions audited: %d (knowledge held at action, never earlier)\n", audited)
+	fmt.Fprintf(cfg.out, "scenario/policy decisions audited: %d (knowledge held at action, never earlier)\n", audited)
 	return nil
 }
 
@@ -274,7 +274,7 @@ func expTheorem4(cfg config) error {
 			}
 		}
 	}
-	fmt.Printf("known pairs: %d; fast-run gap == knowledge weight: %d; visible witnesses verified: %d\n",
+	fmt.Fprintf(cfg.out, "known pairs: %d; fast-run gap == knowledge weight: %d; visible witnesses verified: %d\n",
 		pairs, exact, witnesses)
 	if pairs == 0 {
 		return fmt.Errorf("no pairs")
@@ -284,7 +284,7 @@ func expTheorem4(cfg config) error {
 
 // expScale reports graph sizes and query costs against network size.
 func expScale(cfg config) error {
-	fmt.Println("    n | nodes |  GB edges |  GE edges | kw query")
+	fmt.Fprintln(cfg.out, "    n | nodes |  GB edges |  GE edges | kw query")
 	for _, n := range []int{4, 8, 16, 32} {
 		wcfg := workload.DefaultConfig(int64(n))
 		wcfg.Procs = n
@@ -314,7 +314,7 @@ func expScale(cfg config) error {
 			}
 			kwDur = time.Since(t0)
 		}
-		fmt.Printf("%5d | %5d | %9d | %9d | %8s (build+query %s)\n",
+		fmt.Fprintf(cfg.out, "%5d | %5d | %9d | %9d | %8s (build+query %s)\n",
 			n, r.NumNodes(), gb.NumEdges(), ext.NumEdges(), kwDur, time.Since(start))
 	}
 	return nil

@@ -76,34 +76,46 @@ func protocol2Task(in *workload.Instance) coord.Task {
 	return task
 }
 
-// StateBatch is one recorded receive batch of an observed process: the
-// receipts and external labels whose absorption creates one new state of
-// its view. Payload snapshots are immutable and shared with the
-// capture-time evolution, so recorded batches can be re-absorbed into
-// fresh views any number of times — the replay fixture behind the
-// Protocol2 benchmark bodies and the engine-tier differential tests
-// (internal/bounds's external test package imports it rather than keeping
-// its own copy of the replay loop).
+// StateBatch is one recorded receive batch: the process it moves to its
+// next state, the sender nodes of its deliveries and its external labels.
+// Recorded batches can be re-absorbed, in order, into fresh Views any
+// number of times — the replay fixture behind the Protocol2 benchmark
+// bodies and the engine-tier differential tests (internal/bounds's
+// external test package imports it rather than keeping its own copy of the
+// replay loop).
 type StateBatch struct {
 	Proc      model.ProcID
-	Receipts  []run.Receipt
+	From      []run.BasicNode
 	Externals []string
 }
 
-// ReplayBatches reconstructs the receive batches of every observed process
-// from a recorded run, in global (time, process) order, with payload
-// snapshots taken from per-process views evolved in lockstep — the exact
-// payload structure (shared source identities, prefix-extending logs) the
-// live engine produces, so view merges hit the same watermark fast path.
-// It also returns the observed processes' fully-evolved views, for
+// Views is one fresh causal store's per-process views, grown by absorbing
+// recorded batches in order.
+type Views []*run.View
+
+// NewViews returns the initial views of every process over a new store.
+func NewViews(net *model.Network) Views {
+	st := run.NewStore(net)
+	vs := make(Views, net.N())
+	for _, p := range net.Procs() {
+		vs[p-1] = st.LocalView(p)
+	}
+	return vs
+}
+
+// Absorb moves batch b's process to its next state and returns its view.
+func (vs Views) Absorb(b StateBatch) (*run.View, error) {
+	v := vs[b.Proc-1]
+	_, err := v.Absorb(b.From, b.Externals)
+	return v, err
+}
+
+// ReplayBatches reconstructs every receive batch of a recorded run in
+// global (time, process) order — the order live.Replay absorbs them. It
+// also returns the observed processes' views after the whole run, for
 // harnesses that subscribe fresh engines to a finished run.
 func ReplayBatches(r *run.Run, observed map[model.ProcID]bool) ([]StateBatch, map[model.ProcID]*run.View) {
 	net := r.Net()
-	views := make([]*run.View, net.N())
-	for _, p := range net.Procs() {
-		views[p-1] = run.NewLocalView(net, p)
-	}
-	snaps := make(map[run.BasicNode]*run.Snapshot)
 	var out []StateBatch
 	for t := model.Time(1); t <= r.Horizon(); t++ {
 		for _, p := range net.Procs() {
@@ -111,21 +123,20 @@ func ReplayBatches(r *run.Run, observed map[model.ProcID]bool) ([]StateBatch, ma
 			if node.IsInitial() || r.MustTime(node) != t {
 				continue
 			}
-			var receipts []run.Receipt
+			b := StateBatch{Proc: p}
 			for _, d := range r.Inbox(node) {
-				receipts = append(receipts, run.Receipt{From: d.From, Payload: snaps[d.From]})
+				b.From = append(b.From, d.From)
 			}
-			var externals []string
 			for _, e := range r.ExternalsAt(node) {
-				externals = append(externals, e.Label)
+				b.Externals = append(b.Externals, e.Label)
 			}
-			if _, err := views[p-1].Absorb(receipts, externals); err != nil {
-				panic(err)
-			}
-			snaps[node] = views[p-1].Snapshot()
-			if observed[p] {
-				out = append(out, StateBatch{Proc: p, Receipts: receipts, Externals: externals})
-			}
+			out = append(out, b)
+		}
+	}
+	views := NewViews(net)
+	for _, b := range out {
+		if _, err := views.Absorb(b); err != nil {
+			panic(err)
 		}
 	}
 	final := make(map[model.ProcID]*run.View, len(observed))
@@ -135,24 +146,28 @@ func ReplayBatches(r *run.Run, observed map[model.ProcID]bool) ([]StateBatch, ma
 	return out, final
 }
 
-// replayBatches is ReplayBatches for a single benchmarked process.
-func replayBatches(r *run.Run, bproc model.ProcID) []StateBatch {
-	batches, _ := ReplayBatches(r, map[model.ProcID]bool{bproc: true})
+// replayBatches is ReplayBatches without the final views.
+func replayBatches(r *run.Run) []StateBatch {
+	batches, _ := ReplayBatches(r, nil)
 	return batches
 }
 
 // protocol2 measures the per-state online decision loop of Protocol 2 for
-// B over a recorded scaling run: absorb each receive batch into B's view
-// and let the agent decide, under the selected engine: the default private
-// one-handle run (Online) or a fresh build per state (Rebuild). Only the
-// engines differ between the variants; the replayed view maintenance is
-// identical.
-func protocol2(n int, name string, rebuild bool) Case {
+// B over a recorded scaling run: replay every receive batch into the
+// processes' views and let B's agent decide at each of its states, under
+// the selected engine: the default private one-handle run (Online) or a
+// fresh build per state (Rebuild). Only the engines differ between the
+// variants; the replayed view maintenance is identical. With kind Early
+// the query source is B's moving state while the target stays fixed on
+// A's node, so the forward (fixed-source) cache misses at every state and
+// the handle's reverse (fixed-target) cache carries the load.
+func protocol2(n int, name string, rebuild bool, kind coord.Kind) Case {
 	return Case{
 		Name: fmt.Sprintf("%s/n=%d", name, n),
 		Run: func(b *testing.B) {
 			in := instance(n)
 			task := protocol2Task(in)
+			task.Kind = kind
 			r, err := sim.Simulate(sim.Config{
 				Net: in.Net, Horizon: in.Horizon, Policy: sim.NewRandom(11),
 				Externals: sim.GoAt(task.C, task.GoTime, "go"),
@@ -160,71 +175,35 @@ func protocol2(n int, name string, rebuild bool) Case {
 			if err != nil {
 				b.Fatal(err)
 			}
-			batches := replayBatches(r, task.B)
-			if len(batches) == 0 {
+			batches := replayBatches(r)
+			states := 0
+			for _, sb := range batches {
+				if sb.Proc == task.B {
+					states++
+				}
+			}
+			if states == 0 {
 				b.Fatal("B never moves")
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agent := &live.Protocol2{Task: task, Rebuild: rebuild}
-				view := run.NewLocalView(in.Net, task.B)
-				for bi := range batches {
-					if _, err := view.Absorb(batches[bi].Receipts, batches[bi].Externals); err != nil {
+				views := NewViews(in.Net)
+				for _, sb := range batches {
+					view, err := views.Absorb(sb)
+					if err != nil {
 						b.Fatal(err)
 					}
-					agent.OnState(view, batches[bi].Externals)
+					if sb.Proc == task.B {
+						agent.OnState(view, sb.Externals)
+					}
 				}
 				if err := agent.Err(); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(len(batches)), "states")
-		},
-	}
-}
-
-// protocol2Early measures the per-state decision loop of an EARLY-kind
-// Protocol2 agent over the same recorded scaling run as protocol2: the
-// query source is B's moving state while the target stays fixed on A's
-// node, so the forward (fixed-source) cache misses at every state and the
-// handle's reverse (fixed-target) cache carries the load. rebuild selects
-// the fresh-build-per-state baseline over the default private one-handle
-// run.
-func protocol2Early(n int, name string, rebuild bool) Case {
-	return Case{
-		Name: fmt.Sprintf("%s/n=%d", name, n),
-		Run: func(b *testing.B) {
-			in := instance(n)
-			task := protocol2Task(in)
-			task.Kind = coord.Early
-			r, err := sim.Simulate(sim.Config{
-				Net: in.Net, Horizon: in.Horizon, Policy: sim.NewRandom(11),
-				Externals: sim.GoAt(task.C, task.GoTime, "go"),
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			batches := replayBatches(r, task.B)
-			if len(batches) == 0 {
-				b.Fatal("B never moves")
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agent := &live.Protocol2{Task: task, Rebuild: rebuild}
-				view := run.NewLocalView(in.Net, task.B)
-				for bi := range batches {
-					if _, err := view.Absorb(batches[bi].Receipts, batches[bi].Externals); err != nil {
-						b.Fatal(err)
-					}
-					agent.OnState(view, batches[bi].Externals)
-				}
-				if err := agent.Err(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(batches)), "states")
+			b.ReportMetric(float64(states), "states")
 		},
 	}
 }
@@ -255,8 +234,14 @@ func protocol2Multi(m int, name string, shared bool) Case {
 			if err != nil {
 				b.Fatal(err)
 			}
-			batches, _ := ReplayBatches(r, observed)
-			if len(batches) == 0 {
+			batches := replayBatches(r)
+			states := 0
+			for _, sb := range batches {
+				if observed[sb.Proc] {
+					states++
+				}
+			}
+			if states == 0 {
 				b.Fatal("no agent ever moves")
 			}
 			b.ReportAllocs()
@@ -267,17 +252,18 @@ func protocol2Multi(m int, name string, shared bool) Case {
 					eng = bounds.NewNetworkEngine(sc.Net).NewRun()
 				}
 				agents := make(map[model.ProcID]*live.Protocol2, m)
-				views := make(map[model.ProcID]*run.View, m)
 				for j := range tasks {
 					agents[tasks[j].B] = &live.Protocol2{Task: tasks[j], Shared: eng}
-					views[tasks[j].B] = run.NewLocalView(sc.Net, tasks[j].B)
 				}
-				for bi := range batches {
-					p := batches[bi].Proc
-					if _, err := views[p].Absorb(batches[bi].Receipts, batches[bi].Externals); err != nil {
+				views := NewViews(sc.Net)
+				for _, sb := range batches {
+					view, err := views.Absorb(sb)
+					if err != nil {
 						b.Fatal(err)
 					}
-					agents[p].OnState(views[p], batches[bi].Externals)
+					if agent := agents[sb.Proc]; agent != nil {
+						agent.OnState(view, sb.Externals)
+					}
 				}
 				for _, agent := range agents {
 					if err := agent.Err(); err != nil {
@@ -285,7 +271,7 @@ func protocol2Multi(m int, name string, shared bool) Case {
 					}
 				}
 			}
-			b.ReportMetric(float64(len(batches)), "states")
+			b.ReportMetric(float64(states), "states")
 		},
 	}
 }
@@ -484,22 +470,24 @@ func Protocol2MultiOnline(m int) Case { return protocol2Multi(m, "Protocol2Multi
 // Protocol2Online is the end-to-end online coordination decision with the
 // agent's default incremental engine, a private one-handle run: every
 // state of B pays only for the view's growth.
-func Protocol2Online(n int) Case { return protocol2(n, "Protocol2Online", false) }
+func Protocol2Online(n int) Case { return protocol2(n, "Protocol2Online", false, coord.Late) }
 
 // Protocol2Rebuild is the rebuild-per-state baseline recorded alongside
 // Protocol2Online: identical workload, but B reconstructs GE(r, sigma)
 // from scratch at every state.
-func Protocol2Rebuild(n int) Case { return protocol2(n, "Protocol2Rebuild", true) }
+func Protocol2Rebuild(n int) Case { return protocol2(n, "Protocol2Rebuild", true, coord.Late) }
 
 // Protocol2EarlyOnline is the Early-kind online decision loop with the
 // agent's default private one-handle run: the moving-source query shape
 // served by the handle's reverse (fixed-target) cache.
-func Protocol2EarlyOnline(n int) Case { return protocol2Early(n, "Protocol2EarlyOnline", false) }
+func Protocol2EarlyOnline(n int) Case {
+	return protocol2(n, "Protocol2EarlyOnline", false, coord.Early)
+}
 
 // Protocol2EarlyRebuild is the fresh-build-per-state baseline recorded
 // alongside the Early variants.
 func Protocol2EarlyRebuild(n int) Case {
-	return protocol2Early(n, "Protocol2EarlyRebuild", true)
+	return protocol2(n, "Protocol2EarlyRebuild", true, coord.Early)
 }
 
 // ScalingSimulate measures lockstep simulator throughput (the B1 row). The

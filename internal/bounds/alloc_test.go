@@ -53,23 +53,27 @@ func TestNewBasicAllocationsFlatInRunSize(t *testing.T) {
 	}
 }
 
-// TestExtendedRejectsUnmodeledChannel pins the error path the dense
-// construction must preserve: a view assembled online that records a
-// receipt over a channel the network does not model yields ErrNoChannel
-// from NewExtendedFromView, not a panic.
+// TestExtendedRejectsUnmodeledChannel pins the error path for a receipt
+// over a channel the network does not model: the view rejects it with
+// run.ErrChannelMissing and stays as it was, so NewExtendedFromView only
+// ever sees resolved channels.
 func TestExtendedRejectsUnmodeledChannel(t *testing.T) {
 	// No channel 3->2.
 	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).MustBuild()
-	sender := run.NewLocalView(net, 3)
-	from, err := sender.Absorb(nil, []string{"go"})
+	st := run.NewStore(net)
+	from, err := st.LocalView(3).Absorb(nil, []string{"go"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver := run.NewLocalView(net, 2)
-	if _, err := receiver.Absorb([]run.Receipt{{From: from, Payload: sender.Snapshot()}}, nil); err != nil {
+	receiver := st.LocalView(2)
+	if _, err := receiver.Absorb([]run.BasicNode{from}, nil); !errors.Is(err, run.ErrChannelMissing) {
+		t.Fatalf("got %v, want run.ErrChannelMissing", err)
+	}
+	e, err := NewExtendedFromView(receiver)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewExtendedFromView(receiver); !errors.Is(err, model.ErrNoChannel) {
-		t.Fatalf("got %v, want model.ErrNoChannel", err)
+	if got := len(e.View().Deliveries()); got != 0 {
+		t.Fatalf("rejected receipt left %d deliveries in the view", got)
 	}
 }

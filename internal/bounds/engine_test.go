@@ -18,44 +18,38 @@ import (
 )
 
 // batchDriver re-absorbs recorded receive batches into fresh per-process
-// views, one state at a time — the incremental growth an agent's engine
-// sees live.
+// views over one causal store, one state at a time — the incremental growth
+// an agent's engine sees live.
 type batchDriver struct {
-	net     *model.Network
-	batches []bench.StateBatch
-	views   map[model.ProcID]*run.View
-	next    int
+	batches   []bench.StateBatch
+	observers map[model.ProcID]bool
+	views     bench.Views
+	next      int
 }
 
 func newBatchDriver(t *testing.T, r *run.Run, observers map[model.ProcID]bool) *batchDriver {
 	t.Helper()
 	batches, _ := bench.ReplayBatches(r, observers)
-	return &batchDriver{
-		net:     r.Net(),
-		batches: batches,
-		views:   make(map[model.ProcID]*run.View, len(observers)),
-	}
+	return &batchDriver{batches: batches, observers: observers, views: bench.NewViews(r.Net())}
 }
 
-// step absorbs the next recorded batch and returns the new state's process,
-// node index and view; ok is false once the run is exhausted.
+// step absorbs recorded batches up to the next observer state and returns
+// that state's process, node index and view; ok is false once the run is
+// exhausted.
 func (d *batchDriver) step(t *testing.T) (p model.ProcID, k int, v *run.View, ok bool) {
 	t.Helper()
-	if d.next >= len(d.batches) {
-		return 0, 0, nil, false
+	for d.next < len(d.batches) {
+		b := d.batches[d.next]
+		d.next++
+		v, err := d.views.Absorb(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.observers[b.Proc] {
+			return b.Proc, v.Origin().Index, v, true
+		}
 	}
-	b := d.batches[d.next]
-	d.next++
-	v = d.views[b.Proc]
-	if v == nil {
-		v = run.NewLocalView(d.net, b.Proc)
-		d.views[b.Proc] = v
-	}
-	node, err := v.Absorb(b.Receipts, b.Externals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return b.Proc, node.Index, v, true
+	return 0, 0, nil, false
 }
 
 // registryQueryNodes picks up to max query nodes from a view: the origin,

@@ -114,13 +114,6 @@ func NewExtendedFromView(view *run.View) (*Extended, error) {
 		}
 	}
 	for i := range deliveries {
-		if deliveries[i].Chan == model.NoChan {
-			// A view assembled online can record a receipt over a channel
-			// the network does not model; surface it as the error the
-			// map-based construction used to return.
-			ch := deliveries[i].Channel()
-			return nil, fmt.Errorf("%w: %d->%d", model.ErrNoChannel, ch.From, ch.To)
-		}
 		u := e.offset[deliveries[i].From.Proc-1] + deliveries[i].From.Index
 		v := e.offset[deliveries[i].To.Proc-1] + deliveries[i].To.Index
 		out[u]++

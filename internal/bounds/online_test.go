@@ -11,39 +11,13 @@ import (
 )
 
 // replayViews reconstructs, from a recorded run, the exact view evolution
-// process p's goroutine would see live: for each state k >= 1 it absorbs
-// the recorded inbox (with the senders' views at their send nodes as
-// payload snapshots) and externals, and calls visit with the shared,
-// mutating view. This is the offline stand-in for a live process that lets
-// tests walk every state deterministically.
+// process p sees live: every process absorbs its recorded batches over one
+// causal store in global time order, and visit is called at each state
+// k >= 1 of p with p's shared, mutating view. This is the offline stand-in
+// for a live process that lets tests walk every state deterministically.
 func replayViews(t *testing.T, r *run.Run, p model.ProcID, visit func(k int, v *run.View)) {
 	t.Helper()
-	payloads := make(map[run.BasicNode]*run.Snapshot)
-	view := run.NewLocalView(r.Net(), p)
-	for k := 1; k <= r.LastIndex(p); k++ {
-		node := run.BasicNode{Proc: p, Index: k}
-		var receipts []run.Receipt
-		for _, d := range r.Inbox(node) {
-			snap, ok := payloads[d.From]
-			if !ok {
-				pv, err := run.ViewOf(r, d.From)
-				if err != nil {
-					t.Fatal(err)
-				}
-				snap = pv.Snapshot()
-				payloads[d.From] = snap
-			}
-			receipts = append(receipts, run.Receipt{From: d.From, Payload: snap})
-		}
-		var labels []string
-		for _, e := range r.ExternalsAt(node) {
-			labels = append(labels, e.Label)
-		}
-		if _, err := view.Absorb(receipts, labels); err != nil {
-			t.Fatal(err)
-		}
-		visit(k, view)
-	}
+	replayAll(t, r, map[model.ProcID]bool{p: true}, func(_ model.ProcID, k int, v *run.View) { visit(k, v) })
 }
 
 // queryNodes picks the query endpoints for one state: the origin itself and

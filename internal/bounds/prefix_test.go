@@ -260,20 +260,19 @@ func TestPrefixEngineAllocationGuard(t *testing.T) {
 	batches, _ := bench.ReplayBatches(r, observers)
 
 	absorb := func(shared *bounds.Shared) {
-		views := make(map[model.ProcID]*run.View, len(observers))
+		views := bench.NewViews(sc.Net)
 		handles := make(map[model.ProcID]*bounds.Handle, len(observers))
+		for p := range observers {
+			handles[p] = mustHandle(t, shared, views[p-1])
+		}
 		for _, b := range batches {
-			v := views[b.Proc]
-			if v == nil {
-				v = run.NewLocalView(sc.Net, b.Proc)
-				views[b.Proc] = v
-				handles[b.Proc] = mustHandle(t, shared, v)
-			}
-			if _, err := v.Absorb(b.Receipts, b.Externals); err != nil {
+			if _, err := views.Absorb(b); err != nil {
 				t.Fatal(err)
 			}
-			if err := handles[b.Proc].Sync(); err != nil {
-				t.Fatal(err)
+			if h := handles[b.Proc]; h != nil {
+				if err := h.Sync(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for _, h := range handles {

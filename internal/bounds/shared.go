@@ -218,8 +218,9 @@ type Handle struct {
 	// other agents forced into the standing graph. Extended on every sync;
 	// chain vertices are appended true per query and truncated on rollback.
 	vis []bool
-	// logMark is the watermark into this agent's view delivery log.
-	logMark int
+	// delta is the sync's reused buffer of deliveries into newly covered
+	// nodes.
+	delta []run.Delivery
 	// overlay[q-1] holds the agent's live E'' edges out of psi_q.
 	overlay [][]graph.Edge
 
@@ -481,9 +482,11 @@ func (h *Handle) sync() error {
 		h.vis = append(h.vis, false)
 	}
 
-	// Pass 2: wire the new deliveries. The standing edge pair is added once
-	// across all handles; a delivery whose sender predates this sync
-	// retires the overlay entry recorded for it earlier. Retirement does not
+	// Pass 2: wire the new deliveries, which are the inboxes of the nodes
+	// pass 1 newly covered (a view is downward-closed, so nothing else
+	// changed). The standing edge pair is added once across all handles;
+	// a delivery whose sender predates this sync retires the overlay entry
+	// recorded for it earlier. Retirement does not
 	// invalidate the cached forward distances: per-state fresh distances of
 	// this agent are pointwise non-decreasing — on node vertices they are,
 	// by Theorem 4, the knowledge weights against the fixed cached source,
@@ -491,16 +494,14 @@ func (h *Handle) sync() error {
 	// edge whose support only strengthens — so the cache stays a valid
 	// under-approximating warm start and re-relaxing from the added edges'
 	// sources converges to the exact new fixpoint.
-	delta := h.view.DeliveriesSince(h.logMark)
-	for i := range delta {
-		d := &delta[i]
-		if d.Chan == model.NoChan {
-			// The watermark stays on this entry, so every retry re-reports
-			// the same error — exactly as a fresh build from the same view
-			// does at every state.
-			ch := d.Channel()
-			return fmt.Errorf("%w: %d->%d", model.ErrNoChannel, ch.From, ch.To)
+	h.delta = h.delta[:0]
+	for i, cur := range h.members {
+		for k := h.prev[i] + 1; k <= cur; k++ {
+			h.delta = h.view.AppendInbox(h.delta, run.BasicNode{Proc: model.ProcID(i + 1), Index: k})
 		}
+	}
+	for i := range h.delta {
+		d := &h.delta[i]
 		grew = true
 		bd := net.BoundsOf(d.Chan)
 		u := h.vertex(d.From)
@@ -524,7 +525,6 @@ func (h *Handle) sync() error {
 			// cache.
 			h.revRetired = h.revRetired || h.revCacheValid
 		}
-		h.logMark++
 	}
 	if grew && !h.cacheValid {
 		h.seeds = h.seeds[:0]

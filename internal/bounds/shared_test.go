@@ -11,36 +11,34 @@ import (
 )
 
 // replayAll reconstructs every process's view evolution from a recorded run
-// in global time order — the interleaving the live environment produces —
-// and calls visit at each new state of an observer process. Payload
-// snapshots come from the per-process views themselves, so merges exercise
-// the same watermark fast path as live execution.
+// in global time order — the interleaving the live environment produces,
+// over one causal store — and calls visit at each new state of an observer
+// process.
 func replayAll(t *testing.T, r *run.Run, observers map[model.ProcID]bool, visit func(p model.ProcID, k int, v *run.View)) {
 	t.Helper()
 	net := r.Net()
+	st := run.NewStore(net)
 	views := make([]*run.View, net.N())
 	for _, p := range net.Procs() {
-		views[p-1] = run.NewLocalView(net, p)
+		views[p-1] = st.LocalView(p)
 	}
-	snaps := make(map[run.BasicNode]*run.Snapshot)
 	for tick := model.Time(1); tick <= r.Horizon(); tick++ {
 		for _, p := range net.Procs() {
 			node := r.NodeAt(p, tick)
 			if node.IsInitial() || r.MustTime(node) != tick {
 				continue
 			}
-			var receipts []run.Receipt
+			var from []run.BasicNode
 			for _, d := range r.Inbox(node) {
-				receipts = append(receipts, run.Receipt{From: d.From, Payload: snaps[d.From]})
+				from = append(from, d.From)
 			}
 			var labels []string
 			for _, e := range r.ExternalsAt(node) {
 				labels = append(labels, e.Label)
 			}
-			if _, err := views[p-1].Absorb(receipts, labels); err != nil {
+			if _, err := views[p-1].Absorb(from, labels); err != nil {
 				t.Fatal(err)
 			}
-			snaps[node] = views[p-1].Snapshot()
 			if observers[p] {
 				visit(p, node.Index, views[p-1])
 			}
@@ -186,31 +184,36 @@ func TestSharedQueriesAreRepeatable(t *testing.T) {
 	})
 }
 
-// TestSharedRejectsUnmodeledChannel mirrors the fresh-build error path: a
-// delivery over a channel the network does not model surfaces as
-// model.ErrNoChannel through a handle too — and keeps doing so on every
-// retry (the log watermark stays on the bad entry), matching a fresh
-// build's stable answer instead of degrading into an internal error.
+// TestSharedRejectsUnmodeledChannel: a receipt over a channel the network
+// does not model is rejected by the view itself with run.ErrChannelMissing,
+// so it never reaches a handle; the handle keeps answering, on every retry,
+// exactly what a fresh build of the unchanged view answers.
 func TestSharedRejectsUnmodeledChannel(t *testing.T) {
 	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).MustBuild()
-	sender := run.NewLocalView(net, 3)
-	from, err := sender.Absorb(nil, []string{"go"})
+	st := run.NewStore(net)
+	from, err := st.LocalView(3).Absorb(nil, []string{"go"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver := run.NewLocalView(net, 2)
+	receiver := st.LocalView(2)
 	eng := NewNetworkEngine(net).NewRun()
 	h := mustHandle(t, eng, receiver)
-	if _, err := receiver.Absorb([]run.Receipt{{From: from, Payload: sender.Snapshot()}}, nil); err != nil {
+	if _, err := receiver.Absorb([]run.BasicNode{from}, nil); !errors.Is(err, run.ErrChannelMissing) {
+		t.Fatalf("receipt over 3->2: %v, want run.ErrChannelMissing", err)
+	}
+	fresh, err := NewExtendedFromView(receiver)
+	if err != nil {
 		t.Fatal(err)
 	}
+	sigma := run.At(receiver.Origin())
+	wantW, _, wantOK, wantErr := fresh.KnowledgeWeight(sigma, sigma)
 	for round := 0; round < 3; round++ {
-		if err := h.Sync(); !errors.Is(err, model.ErrNoChannel) {
-			t.Fatalf("round %d: got %v, want model.ErrNoChannel", round, err)
+		if err := h.Sync(); err != nil {
+			t.Fatalf("round %d: sync: %v", round, err)
 		}
-		sigma := run.At(receiver.Origin())
-		if _, _, err := h.KnowledgeWeight(sigma, sigma); !errors.Is(err, model.ErrNoChannel) {
-			t.Fatalf("round %d: query error = %v, want model.ErrNoChannel", round, err)
+		w, ok, err := h.KnowledgeWeight(sigma, sigma)
+		if w != wantW || ok != wantOK || (err == nil) != (wantErr == nil) {
+			t.Fatalf("round %d: handle %d %v %v, fresh %d %v %v", round, w, ok, err, wantW, wantOK, wantErr)
 		}
 	}
 }

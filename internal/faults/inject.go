@@ -146,22 +146,6 @@ func NewInjector(p *Plan, net *model.Network, hor model.Time) (*Injector, error)
 // Active reports whether the plan carries any fault at all.
 func (inj *Injector) Active() bool { return inj != nil }
 
-// MaxSlack returns the largest deadline slack any rule of the plan can add
-// on top of a channel's upper bound — the amount by which an injected
-// delivery may outlive the network's own latency ceiling. Replay sizes its
-// snapshot rings by maxUpper+MaxSlack so late deliveries stay resolvable.
-func (inj *Injector) MaxSlack() int {
-	max := 0
-	for _, rules := range inj.dl {
-		for _, r := range rules {
-			if r.slack > max {
-				max = r.slack
-			}
-		}
-	}
-	return max
-}
-
 // Dead reports whether process p has crashed at or before tick t. Execution
 // modes consult it when scheduling (a message to a dead destination is
 // discarded at flood time, identically in all modes) and when recording

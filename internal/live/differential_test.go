@@ -95,8 +95,8 @@ func TestLiveMatchesSimulatorOnRandomFamily(t *testing.T) {
 // TestLiveAllocationGuard keeps a live execution allocation-light: the
 // stepper's arrivals and externals live in horizon-indexed slice buckets,
 // per-process slabs replace per-tick grouping maps and their sort, payloads
-// are O(n) snapshots instead of deep view clones, and the receipt plumbing
-// is reused. The bound has slack over the measured count (which includes
+// are sender nodes over one shared causal store, and the sender buffer is
+// reused. The bound has slack over the measured count (which includes
 // the growing views) but sits far below per-tick map churn.
 func TestLiveAllocationGuard(t *testing.T) {
 	net := model.MustComplete(4, 1, 5)

@@ -10,8 +10,9 @@
 // sim.Simulate records: Replay takes each tick's receive batches from it
 // and feeds them straight into the receiving processes' views and agents,
 // in (time, process) order, in one goroutine. Agents never see the tick
-// value. Message payloads are immutable run.Snapshot values shared by every
-// out-arc of a state and dropped once their last arrival is absorbed.
+// value. Every process's view is a frontier over one run.Store that the
+// views fill as they absorb, so a message's full-information payload is
+// just its sender node: the store already holds that node's causal past.
 package live
 
 import (

@@ -222,7 +222,7 @@ func TestProtocol2SharedGuards(t *testing.T) {
 
 	shared := bounds.NewNetworkEngine(sc.Net).NewRun()
 	agent := &Protocol2{Task: sc.Tasks[0], Shared: shared}
-	v1 := run.NewLocalView(sc.Net, sc.Tasks[0].B)
+	v1 := run.NewStore(sc.Net).LocalView(sc.Tasks[0].B)
 	if _, err := v1.Absorb(nil, []string{"go"}); err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestProtocol2SharedGuards(t *testing.T) {
 	if agent.Err() != nil {
 		t.Fatalf("first view: %v", agent.Err())
 	}
-	v2 := run.NewLocalView(sc.Net, sc.Tasks[0].B)
+	v2 := run.NewStore(sc.Net).LocalView(sc.Tasks[0].B)
 	if _, err := v2.Absorb(nil, []string{"go"}); err != nil {
 		t.Fatal(err)
 	}

@@ -13,17 +13,18 @@ import (
 // package.
 var RefExecute = refExecute
 
-// refMsg is one in-flight message of the reference environment.
+// refMsg is one in-flight message of the reference environment. Its
+// full-information payload is the sender node: every view shares one
+// causal store that already holds the sender's past.
 type refMsg struct {
-	from    run.BasicNode
-	payload *run.Snapshot
-	send    model.Time
+	from run.BasicNode
+	send model.Time
 }
 
 // refExecute is the reference environment the production path is checked
 // against. It shares no scheduling code with sim.Stepper: a plain loop over
-// every tick with map-keyed arrivals — no buckets, freelists, slabs, rings
-// or node prediction. Each tick it records the externals, then visits the
+// every tick with map-keyed arrivals — no buckets, freelists, slabs or node
+// prediction. Each tick it records the externals, then visits the
 // processes in id order; a process that receives anything absorbs its batch
 // into its view, runs its agent and floods the new state at once, calling
 // the policy and the fault hooks in the documented order: drop, latency,
@@ -48,9 +49,10 @@ func refExecute(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("reference: bad external %v", e)
 		}
 	}
+	st := run.NewStore(net)
 	views := make(map[model.ProcID]*run.View)
 	for _, p := range net.Procs() {
-		views[p] = run.NewLocalView(net, p)
+		views[p] = st.LocalView(p)
 	}
 	inFlight := make(map[model.Time]map[model.ProcID][]refMsg)
 	res := &Result{}
@@ -70,15 +72,15 @@ func refExecute(cfg Config) (*Result, error) {
 			if len(msgs) == 0 && len(ext[p]) == 0 {
 				continue
 			}
-			var receipts []run.Receipt
+			var from []run.BasicNode
 			for _, m := range msgs {
 				bl.Message(run.MessageEvent{FromProc: m.from.Proc, ToProc: p, SendTime: m.send, RecvTime: t})
 				if inj != nil {
 					inj.Deliver(net.ChanIDOf(m.from.Proc, p), m.from.Proc, p, m.send, t)
 				}
-				receipts = append(receipts, run.Receipt{From: m.from, Payload: m.payload})
+				from = append(from, m.from)
 			}
-			node, err := views[p].Absorb(receipts, ext[p])
+			node, err := views[p].Absorb(from, ext[p])
 			if err != nil {
 				return nil, err
 			}
@@ -90,7 +92,6 @@ func refExecute(cfg Config) (*Result, error) {
 					res.Actions = append(res.Actions, Action{Proc: p, Node: node, Time: t, Label: label})
 				}
 			}
-			payload := views[p].Snapshot()
 			for _, a := range net.OutArcs(p) {
 				if inj != nil && inj.SendDrop(a.ID, p, a.To, t) {
 					continue
@@ -113,7 +114,7 @@ func refExecute(cfg Config) (*Result, error) {
 				if inFlight[at] == nil {
 					inFlight[at] = make(map[model.ProcID][]refMsg)
 				}
-				inFlight[at][a.To] = append(inFlight[at][a.To], refMsg{from: node, payload: payload, send: t})
+				inFlight[at][a.To] = append(inFlight[at][a.To], refMsg{from: node, send: t})
 			}
 		}
 	}

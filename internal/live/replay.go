@@ -9,88 +9,40 @@ import (
 	"github.com/clockless/zigzag/internal/sim"
 )
 
-// snapEntry is a live payload the driver holds for pending arrivals: the
-// state occupying the ring slot, its frozen history and how many scheduled
-// deliveries still reference it. The snapshot is dropped at zero, so memory
-// tracks in-flight messages, not the horizon.
-type snapEntry struct {
-	idx  int
-	snap *run.Snapshot
-	left int
-}
-
-// driver feeds the stepper's batches into every process's view and agent:
-// per batch it absorbs the arrivals' payloads, runs the agent and snapshots
-// the new state for the arrivals that will reference it.
-//
-// Pending payloads live in fixed per-process rings indexed by node index
-// modulo maxUpper+1. The slot reuse is sound: a process creates at most one
-// state per tick, so two states maxUpper+1 indices apart are at least
-// maxUpper+1 ticks apart, and every arrival flooding off the earlier one
-// (latency ≤ maxUpper) is absorbed — batches are driven in tick order —
-// before the later one's batch stores into the slot.
+// driver feeds the stepper's batches into every process's view and agent.
+// All views share one causal store; an arrival's payload is just its
+// sender node, whose frontier the store already holds, since every latency
+// is at least 1 and batches are driven in tick order.
 type driver struct {
-	inj      *faults.Injector
-	views    []*run.View
-	agents   []Agent
-	rings    [][]snapEntry
-	receipts []run.Receipt
-	res      *Result
+	inj    *faults.Injector
+	views  []*run.View
+	agents []Agent
+	from   []run.BasicNode
+	res    *Result
 }
 
 func newDriver(cfg Config, inj *faults.Injector, res *Result) *driver {
+	st := run.NewStore(cfg.Net)
 	n := cfg.Net.N()
 	views := make([]*run.View, n)
 	agents := make([]Agent, n)
 	for _, p := range cfg.Net.Procs() {
-		views[p-1] = run.NewLocalView(cfg.Net, p)
+		views[p-1] = st.LocalView(p)
 		agents[p-1] = cfg.Agents[p]
 	}
-	maxU := 0
-	for _, a := range cfg.Net.Arcs() {
-		if a.Bounds.Upper > maxU {
-			maxU = a.Bounds.Upper
-		}
-	}
-	if inj != nil {
-		// Deadline faults deliver up to MaxSlack ticks past an arc's upper
-		// bound; the ring must keep states alive that much longer.
-		maxU += inj.MaxSlack()
-	}
-	ringBacking := make([]snapEntry, n*(maxU+1))
-	rings := make([][]snapEntry, n)
-	for i := range rings {
-		rings[i] = ringBacking[i*(maxU+1) : (i+1)*(maxU+1)]
-	}
-	return &driver{
-		inj:      inj,
-		views:    views,
-		agents:   agents,
-		rings:    rings,
-		receipts: make([]run.Receipt, 0, 8),
-		res:      res,
-	}
+	return &driver{inj: inj, views: views, agents: agents, res: res}
 }
 
 // drive feeds one tick's batches to their processes in process order.
 func (d *driver) drive(batches []sim.Batch) error {
 	for i := range batches {
 		b := &batches[i]
-		d.receipts = d.receipts[:0]
+		d.from = d.from[:0]
 		for _, a := range b.Arrivals {
-			ring := d.rings[a.From.Proc-1]
-			e := &ring[a.From.Index%len(ring)]
-			if e.idx != a.From.Index || e.left == 0 {
-				return fmt.Errorf("live: replay references unknown state %v", a.From)
-			}
-			d.receipts = append(d.receipts, run.Receipt{From: a.From, Payload: e.snap})
-			if e.left--; e.left == 0 {
-				e.snap = nil
-			}
+			d.from = append(d.from, a.From)
 		}
-
 		view := d.views[b.Proc-1]
-		node, err := view.Absorb(d.receipts, b.Externals)
+		node, err := view.Absorb(d.from, b.Externals)
 		if err != nil {
 			return fmt.Errorf("live: process %d: %w", b.Proc, err)
 		}
@@ -107,10 +59,6 @@ func (d *driver) drive(batches []sim.Batch) error {
 			for _, label := range agent.OnState(view, b.Externals) {
 				d.res.Actions = append(d.res.Actions, Action{Proc: b.Proc, Node: node, Time: b.Time, Label: label})
 			}
-		}
-		if b.Floods > 0 {
-			ring := d.rings[b.Proc-1]
-			ring[node.Index%len(ring)] = snapEntry{idx: node.Index, snap: view.Snapshot(), left: b.Floods}
 		}
 	}
 	return nil

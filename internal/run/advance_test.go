@@ -45,11 +45,11 @@ func TestAdvanceMatchesViewOf(t *testing.T) {
 					}
 				}
 				before := walked.PastSet()
-				count := walked.DeliveryCount()
+				count := len(walked.Deliveries())
 				if _, err := walked.Advance(r); !errors.Is(err, run.ErrNoNode) {
 					t.Fatalf("%s/%s: advance past p%d's last node: %v, want ErrNoNode", sc.Name, pol.Name, p, err)
 				}
-				if !walked.PastSet().Equal(before) || walked.DeliveryCount() != count ||
+				if !walked.PastSet().Equal(before) || len(walked.Deliveries()) != count ||
 					walked.Origin() != (run.BasicNode{Proc: p, Index: r.LastIndex(p)}) {
 					t.Fatalf("%s/%s: failed advance changed p%d's view", sc.Name, pol.Name, p)
 				}
@@ -68,12 +68,11 @@ func sameView(r *run.Run, got, want *run.View) string {
 			return fmt.Sprintf("boundary of p%d: %v %v, want %v %v", p, gb, gok, wb, wok)
 		}
 	}
-	// The walked log may record deliveries in another order, and logs hold
-	// no duplicates: equal counts plus inclusion make the sets equal.
-	if got.DeliveryCount() != want.DeliveryCount() {
-		return fmt.Sprintf("%d deliveries, want %d", got.DeliveryCount(), want.DeliveryCount())
+	deliveries := want.Deliveries()
+	if !reflect.DeepEqual(got.Deliveries(), deliveries) {
+		return fmt.Sprintf("%d deliveries, want %d", len(got.Deliveries()), len(deliveries))
 	}
-	for _, d := range want.DeliveriesSince(0) {
+	for _, d := range deliveries {
 		if to, ok := got.DeliveryTo(d.From, d.To.Proc); !ok || to != d.To {
 			return fmt.Sprintf("DeliveryTo(%s, %d) = %s %v, want %s", d.From, d.To.Proc, to, ok, d.To)
 		}

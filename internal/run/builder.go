@@ -139,13 +139,14 @@ func (bl *Builder) Build() (*Run, error) {
 		total += c
 	}
 	r := &Run{
-		net:     bl.net,
-		horizon: bl.horizon,
-		times:   make([][]model.Time, n),
-		nodeOff: make([]int32, n+1),
-		inbox:   make([]span, total),
-		extIn:   make(map[BasicNode][]int, len(bl.externs)),
-		sent:    make(map[sentKey]int, len(bl.messages)),
+		net:      bl.net,
+		horizon:  bl.horizon,
+		times:    make([][]model.Time, n),
+		nodeOff:  make([]int32, n+1),
+		inbox:    make([]span, total),
+		extIn:    make(map[BasicNode][]int, len(bl.externs)),
+		extFirst: make(map[extKey]int, len(bl.externs)),
+		sentOff:  make([]int32, n),
 	}
 	nodeBacking := make([]int32, n*(h+1))
 	nodeAt := make([][]int32, n)
@@ -165,9 +166,18 @@ func (bl *Builder) Build() (*Run, error) {
 		}
 		r.times[i] = timeBacking[start:len(timeBacking):len(timeBacking)]
 	}
+	sends := int32(0)
+	for i := 0; i < n; i++ {
+		r.sentOff[i] = sends
+		sends += (int32(counts[i]) + 1) * int32(len(bl.net.OutArcs(model.ProcID(i+1))))
+	}
+	r.sent = make([]int32, sends)
+	for i := range r.sent {
+		r.sent[i] = -1
+	}
 
-	// 3. Wire deliveries. The sent map doubles as the duplicate-send check;
-	// its indices are fixed up after sorting below.
+	// 3. Wire deliveries. The sent table doubles as the duplicate-send
+	// check; its indices are fixed up after sorting below.
 	r.deliveries = make([]Delivery, 0, len(bl.messages))
 	for _, ev := range bl.messages {
 		cid := bl.net.ChanIDOf(ev.FromProc, ev.ToProc)
@@ -196,11 +206,11 @@ func (bl *Builder) Build() (*Run, error) {
 		} else if lat < bd.Lower || lat > bd.Upper {
 			return nil, fmt.Errorf("%w: %s latency %d outside %s", ErrBadDelivery, d, lat, bd)
 		}
-		key := sentKey{from: from, to: ev.ToProc}
-		if _, dup := r.sent[key]; dup {
+		slot := r.sentIndex(from, cid)
+		if r.sent[slot] >= 0 {
 			return nil, fmt.Errorf("%w: %s to %d", ErrDuplicateSend, from, ev.ToProc)
 		}
-		r.sent[key] = -1
+		r.sent[slot] = 0
 		r.deliveries = append(r.deliveries, d)
 	}
 	r.externals = make([]External, 0, len(bl.externs))
@@ -209,6 +219,10 @@ func (bl *Builder) Build() (*Run, error) {
 		idx := len(r.externals)
 		r.externals = append(r.externals, External{To: to, Time: ev.Time, Label: ev.Label})
 		r.extIn[to] = append(r.extIn[to], idx)
+		key := extKey{proc: ev.Proc, label: ev.Label}
+		if k, ok := r.extFirst[key]; !ok || to.Index < k {
+			r.extFirst[key] = to.Index
+		}
 	}
 
 	// 4. Derive pending messages: every non-initial node sends on every
@@ -216,11 +230,13 @@ func (bl *Builder) Build() (*Run, error) {
 	// still in transit. Only presence in sent matters here, so this can run
 	// before the indices are fixed up.
 	for p := model.ProcID(1); int(p) <= n; p++ {
+		arcs := bl.net.OutArcs(p)
 		for k := 1; k <= r.LastIndex(p); k++ {
 			from := BasicNode{Proc: p, Index: k}
 			st := r.times[p-1][k]
-			for _, a := range bl.net.OutArcs(p) {
-				if _, ok := r.sent[sentKey{from: from, to: a.To}]; !ok {
+			row := r.sent[int(r.sentOff[p-1])+k*len(arcs):]
+			for j, a := range arcs {
+				if row[j] < 0 {
 					r.pending = append(r.pending, Pending{From: from, To: a.To, SendTime: st, Chan: a.ID})
 				}
 			}
@@ -257,7 +273,7 @@ func (bl *Builder) Build() (*Run, error) {
 	// (RecvTime, To.Proc) batch key, so after the sort each inbox is one
 	// contiguous span.
 	for idx, d := range r.deliveries {
-		r.sent[sentKey{from: d.From, to: d.To.Proc}] = idx
+		r.sent[r.sentIndex(d.From, d.Chan)] = int32(idx)
 		sp := &r.inbox[r.flat(d.To)]
 		if sp.hi == sp.lo {
 			sp.lo, sp.hi = int32(idx), int32(idx+1)

@@ -85,33 +85,32 @@ func (r *Run) Past(sigma BasicNode) (*PastSet, error) {
 	for i := range ps.members {
 		ps.members[i] = -1
 	}
-	// Work queue of per-process frontier indices: processing node (p, k)
-	// marks the whole prefix 0..k of p and enqueues the senders of every
-	// delivery into each prefix node not yet covered.
-	type item struct{ b BasicNode }
-	queue := []item{{b: sigma}}
+	r.raise(ps.members, sigma)
+	return ps, nil
+}
+
+// raise grows the downward-closed frontier members to cover past(r, sigma).
+// Processing node (p, k) marks the whole prefix 0..k of p and enqueues the
+// senders of every delivery into each prefix node not yet covered, so
+// nodes already covered are never revisited.
+func (r *Run) raise(members []int, sigma BasicNode) {
+	queue := []BasicNode{sigma}
 	for len(queue) > 0 {
-		cur := queue[0].b
+		cur := queue[0]
 		queue = queue[1:]
-		already := ps.members[cur.Proc-1]
+		already := members[cur.Proc-1]
 		if cur.Index <= already {
 			continue
 		}
-		ps.members[cur.Proc-1] = cur.Index
-		// Newly covered nodes are (cur.Proc, already+1 .. cur.Index); their
-		// inboxes pull sender nodes into the past.
+		members[cur.Proc-1] = cur.Index
 		for k := already + 1; k <= cur.Index; k++ {
-			node := BasicNode{Proc: cur.Proc, Index: k}
-			sp := r.inbox[r.flat(node)]
-			for _, d := range r.deliveries[sp.lo:sp.hi] {
-				from := d.From
-				if from.Index > ps.members[from.Proc-1] {
-					queue = append(queue, item{b: from})
+			for _, d := range r.inboxOf(BasicNode{Proc: cur.Proc, Index: k}) {
+				if d.From.Index > members[d.From.Proc-1] {
+					queue = append(queue, d.From)
 				}
 			}
 		}
 	}
-	return ps, nil
 }
 
 // HappensBefore reports whether a happens-before b in r (a ≼ b), i.e.

@@ -68,13 +68,6 @@ func (p Pending) Deadline(net *model.Network) model.Time {
 // slice; the zero value is the empty span.
 type span struct{ lo, hi int32 }
 
-// sentKey identifies the unique FFIP message sent at a node on one outgoing
-// channel.
-type sentKey struct {
-	from BasicNode
-	to   model.ProcID
-}
-
 // Run is a finite recording of an execution of the FFIP in a bounded
 // context: the first Horizon+1 global states of an infinite run. It is
 // immutable once built and safe for concurrent reads.
@@ -99,9 +92,13 @@ type Run struct {
 	inbox []span
 	extIn map[BasicNode][]int
 
-	// sent[{from, to}] is the index into deliveries of the message sent at
-	// node from to process to, if it was delivered within the horizon.
-	sent map[sentKey]int
+	// sent[sentOff[p-1]+k*deg(p)+j] is the index into deliveries of the
+	// message node (p, k) sent on p's j-th out-arc, or -1 while it is still
+	// pending at the horizon.
+	sent    []int32
+	sentOff []int32
+	// extFirst is the earliest node index per (process, label).
+	extFirst map[extKey]int
 
 	pending []Pending
 
@@ -223,12 +220,53 @@ func (r *Run) ExternalsAt(b BasicNode) []External {
 	return es
 }
 
+func (r *Run) inboxOf(b BasicNode) []Delivery {
+	sp := r.inbox[r.flat(b)]
+	return r.deliveries[sp.lo:sp.hi]
+}
+
+func (r *Run) receiver(from BasicNode, ch model.ChanID) (BasicNode, bool) {
+	idx := r.sent[r.sentIndex(from, ch)]
+	if idx < 0 {
+		return BasicNode{}, false
+	}
+	return r.deliveries[idx].To, true
+}
+
+// sentIndex returns the index in sent of the message the appearing node
+// from sends on its out-arc ch.
+func (r *Run) sentIndex(from BasicNode, ch model.ChanID) int {
+	arcs := r.net.OutArcs(from.Proc)
+	return int(r.sentOff[from.Proc-1]) + from.Index*len(arcs) + int(ch-arcs[0].ID)
+}
+
+func (r *Run) labelsAt(b BasicNode) []string {
+	idxs := r.extIn[b]
+	if len(idxs) == 0 {
+		return nil
+	}
+	out := make([]string, len(idxs))
+	for i, idx := range idxs {
+		out[i] = r.externals[idx].Label
+	}
+	return out
+}
+
+func (r *Run) earliest(p model.ProcID, label string) (int, bool) {
+	k, ok := r.extFirst[extKey{proc: p, label: label}]
+	return k, ok
+}
+
 // DeliveryFrom returns the delivery of the message sent at node from to
 // process to, and false if that message is still pending (or from never
 // sends, i.e. it is initial).
 func (r *Run) DeliveryFrom(from BasicNode, to model.ProcID) (Delivery, bool) {
-	idx, ok := r.sent[sentKey{from: from, to: to}]
-	if !ok {
+	ch := r.net.ChanIDOf(from.Proc, to)
+	if ch == model.NoChan || from.IsInitial() || !r.Appears(from) {
+		return Delivery{}, false
+	}
+	idx := r.sent[r.sentIndex(from, ch)]
+	if idx < 0 {
 		return Delivery{}, false
 	}
 	return r.deliveries[idx], true

@@ -29,9 +29,6 @@ type Batch struct {
 	// are what the batch delivers. Both are reused by the next Step.
 	Arrivals  []Arrival
 	Externals []string
-	// Floods counts Node's flood messages that arrive within the horizon;
-	// dropped, horizon-crossing and discarded ones are not counted.
-	Floods int
 	// Degraded reports that the fault injector's taint frontier covers the
 	// batch: the process's knowledge may rest on a violated bound. Always
 	// false without a fault plan.
@@ -171,13 +168,11 @@ func (s *Stepper) Step() ([]Batch, error) {
 			}
 			s.lastIdx[p-1]++
 			node := run.BasicNode{Proc: p, Index: s.lastIdx[p-1]}
-			floods, err := s.flood(node, t)
-			if err != nil {
+			if err := s.flood(node, t); err != nil {
 				return nil, err
 			}
 			s.batches = append(s.batches, Batch{
 				Proc: p, Time: t, Node: node, Arrivals: arr, Externals: ext,
-				Floods:   floods,
 				Degraded: s.inj != nil && s.inj.DegradedAt(p, t),
 			})
 		}
@@ -187,12 +182,10 @@ func (s *Stepper) Step() ([]Batch, error) {
 	return nil, nil
 }
 
-// flood schedules node's FFIP messages, sent at t on every outgoing channel,
-// and returns how many arrive within the horizon.
-func (s *Stepper) flood(node run.BasicNode, t model.Time) (int, error) {
+// flood schedules node's FFIP messages, sent at t on every outgoing channel.
+func (s *Stepper) flood(node run.BasicNode, t model.Time) error {
 	p := node.Proc
 	arcs := s.net.OutArcs(p)
-	floods := 0
 	for _, a := range arcs {
 		if s.inj != nil && s.inj.SendDrop(a.ID, p, a.To, t) {
 			continue
@@ -200,7 +193,7 @@ func (s *Stepper) flood(node run.BasicNode, t model.Time) (int, error) {
 		snd := Send{From: p, To: a.To, SendTime: t}
 		lat := s.policy.Latency(snd, a.Bounds)
 		if err := validateLatency(s.policy, snd, a.Bounds, lat); err != nil {
-			return 0, err
+			return err
 		}
 		if s.inj != nil {
 			lat = s.inj.Delay(a.ID, p, a.To, t, lat)
@@ -221,7 +214,6 @@ func (s *Stepper) flood(node run.BasicNode, t model.Time) (int, error) {
 			}
 		}
 		s.arrivals[rt] = append(s.arrivals[rt], Arrival{From: node, To: a.To, Send: t})
-		floods++
 	}
-	return floods, nil
+	return nil
 }
