@@ -352,9 +352,8 @@ func BenchmarkEarlyCoordination(b *testing.B) {
 }
 
 // BenchmarkScalingSimulate (B1): simulator throughput vs network size. The
-// body is shared with cmd/bench-export via internal/bench, as are all the
-// Scaling/Protocol2 families below, so go test -bench and the committed
-// BENCH_<date>.json snapshots always measure the same workloads.
+// body lives in internal/bench, as do all the Scaling/Protocol2 families
+// below.
 func BenchmarkScalingSimulate(b *testing.B) {
 	for _, n := range []int{4, 8, 16, 32} {
 		c := bench.ScalingSimulate(n)
@@ -382,10 +381,8 @@ func BenchmarkScalingKnowledge(b *testing.B) {
 	}
 }
 
-// BenchmarkScalingLive (B1): the live engine vs
-// network size — environment scheduling, FFIP relaying and per-state
-// snapshots, with no agents. The body is shared with cmd/bench-export via
-// internal/bench.
+// BenchmarkScalingLive (B1): the live engine vs network size — environment
+// scheduling, FFIP relaying and per-state view frontiers, with no agents.
 func BenchmarkScalingLive(b *testing.B) {
 	for _, n := range []int{8, 16, 32, 64} {
 		c := bench.ScalingLive(n)

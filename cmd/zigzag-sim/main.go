@@ -98,7 +98,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file (inspect with go tool pprof)")
 		memProf  = fs.String("memprofile", "", "write a heap profile at exit to this file (inspect with go tool pprof)")
 		sweepX   = fs.String("sweep-x", "", "comma-separated task-separation overrides as a sweep axis (e.g. 0,2,4; overrides -x for the sweep)")
-		noXBatch = fs.Bool("no-xbatch", false, "with -sweep -sweep-x: run every per-x live cell as its own execution instead of collapsing the x axis onto batched executions")
 		sweepSc  = fs.String("sweep-scale", "", "comma-separated channel-bound scaling factors as a sweep axis (e.g. 1,1.5,2)")
 		sweepRnd = fs.String("sweep-rand", "", "extra random topologies as procs:extra:seed triples, comma-separated (e.g. 8:12:1,12:20:2)")
 	)
@@ -121,6 +120,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if !*doSweep && *doLive {
 		fmt.Fprintln(stderr, "-live needs -sweep (single scenarios run live via -engine)")
+		return 2
+	}
+	if *doSweep && *seeds < 1 {
+		fmt.Fprintf(stderr, "-sweep needs at least one seed, got -seeds %d\n", *seeds)
 		return 2
 	}
 	if *doFaults && (!*doSweep || !*doLive) {
@@ -158,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, err)
 			return 2
 		}
-		if err := runSweep(stdout, stderr, axes, *seeds, *workers, *format, *doLive, *doFaults, *noXBatch); err != nil {
+		if err := runSweep(stdout, stderr, axes, *seeds, *workers, *format, *doLive, *doFaults); err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
 		}
@@ -510,6 +513,17 @@ func parseAxes(x, coordM int, xsFlag, scalesFlag, randFlag string) (sweep.Axes, 
 	return axes, nil
 }
 
+// engineFooter renders the sweep's engine report as one line naming every
+// bounds.StatFields counter, in table order.
+func engineFooter(report sweep.EngineReport) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "engines: %d network(s);", report.Networks)
+	for _, f := range bounds.StatFields {
+		fmt.Fprintf(&b, " %s=%d", f.Name, f.Of(report.Stats))
+	}
+	return b.String()
+}
+
 // runSweep expands the axes into the scenario × policy × seed grid —
 // optionally adding the multi-agent scenarios as live cells driven through
 // one knowledge engine per network — and prints the aggregates in
@@ -520,10 +534,7 @@ func parseAxes(x, coordM int, xsFlag, scalesFlag, randFlag string) (sweep.Axes, 
 // agents, never a cell error. The banner is only
 // printed for the human-readable table so that csv/json output can be piped
 // straight into figure scripts.
-func runSweep(stdout, stderr io.Writer, axes sweep.Axes, seeds, workers int, format string, doLive, doFaults, noXBatch bool) error {
-	if seeds < 1 {
-		return fmt.Errorf("sweep needs at least one seed, got %d", seeds)
-	}
+func runSweep(stdout, stderr io.Writer, axes sweep.Axes, seeds, workers int, format string, doLive, doFaults bool) error {
 	scs, err := axes.Scenarios()
 	if err != nil {
 		return err
@@ -533,7 +544,6 @@ func runSweep(stdout, stderr io.Writer, axes sweep.Axes, seeds, workers int, for
 		Policies:  sweep.DefaultPolicies(),
 		Seeds:     make([]int64, seeds),
 		Workers:   workers,
-		NoXBatch:  noXBatch,
 	}
 	if doLive {
 		// The multi-agent scenarios (the only ones carrying concurrent
@@ -571,19 +581,7 @@ func runSweep(stdout, stderr io.Writer, axes sweep.Axes, seeds, workers int, for
 		return err
 	}
 	if (format == "" || format == "table") && report.Networks > 0 {
-		st := report.Stats
-		fmt.Fprintf(stdout, "\nengines: %d network(s), %d run(s) stamped; prefix cache %d hit / %d miss / %d evicted; %d clone bytes, %d relaxations\n",
-			report.Networks, st.Runs, st.PrefixHits, st.PrefixMisses, st.PrefixEvictions,
-			st.CloneBytes, st.Relaxations)
-		fmt.Fprintf(stdout, "reverse cache: %d warm hit(s) / %d rebuild(s), %d band refresh(es), %d reverse relaxations\n",
-			st.RevHits, st.RevRebuilds, st.BandRefreshes, st.RevRelaxations)
-		if st.ReplayBatches > 0 {
-			fmt.Fprintf(stdout, "replay: %d batch(es) driven\n", st.ReplayBatches)
-		}
-		if st.BatchQueries > 0 || st.XFanout > 0 {
-			fmt.Fprintf(stdout, "batched queries: %d answered, %d for free from an already-computed distance array; x-fanout saved %d execution(s)\n",
-				st.BatchQueries, st.BatchHits, st.XFanout)
-		}
+		fmt.Fprintf(stdout, "\n%s\n", engineFooter(report))
 	}
 	if format == "" || format == "table" {
 		violations, degraded, crashed := 0, 0, 0

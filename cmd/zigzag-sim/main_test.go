@@ -1,8 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
+
+	"github.com/clockless/zigzag/internal/bounds"
+	"github.com/clockless/zigzag/internal/sweep"
 )
 
 // TestExitCodes is the CLI's scenario pack: each invocation must end with
@@ -27,6 +32,10 @@ func TestExitCodes(t *testing.T) {
 			code: 2, stderr: "-live needs -sweep"},
 		{name: "removed live-mode flag", args: []string{"-sweep", "-live", "-live-mode", "goroutine"},
 			code: 2, stderr: "flag provided but not defined: -live-mode"},
+		{name: "removed no-xbatch flag", args: []string{"-sweep", "-no-xbatch"},
+			code: 2, stderr: "flag provided but not defined: -no-xbatch"},
+		{name: "sweep without seeds", args: []string{"-sweep", "-seeds", "0"},
+			code: 2, stderr: "at least one seed"},
 		{name: "unknown fault family", args: []string{"-scenario", "coord-m4", "-engine", "online", "-faults", "meteor"},
 			code: 2, stderr: `unknown fault family "meteor"`},
 		{name: "non-finite sweep scale", args: []string{"-sweep", "-sweep-scale", "NaN", "-seeds", "1"},
@@ -48,5 +57,24 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("stderr lacks %q:\n%s", c.stderr, stderr.String())
 			}
 		})
+	}
+}
+
+// TestEngineFooterNamesEveryField pins the sweep footer to the counter
+// table: one line naming every bounds.StatFields entry, in table order,
+// each with its own value.
+func TestEngineFooterNamesEveryField(t *testing.T) {
+	report := sweep.EngineReport{Networks: 3}
+	st := reflect.ValueOf(&report.Stats).Elem()
+	for i := 0; i < st.NumField(); i++ {
+		st.Field(i).SetInt(int64(i + 1))
+	}
+	got := engineFooter(report)
+	want := "engines: 3 network(s);"
+	for i, f := range bounds.StatFields {
+		want += fmt.Sprintf(" %s=%d", f.Name, i+1)
+	}
+	if got != want {
+		t.Errorf("footer\n%s\nwant\n%s", got, want)
 	}
 }

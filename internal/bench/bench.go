@@ -1,7 +1,6 @@
-// Package bench defines the repository's scaling benchmark bodies once, so
-// that the root benchmark suite (go test -bench) and the perf-trajectory
-// exporter (cmd/bench-export, which runs them via testing.Benchmark and
-// writes BENCH_<date>.json) measure exactly the same workloads.
+// Package bench defines the repository's scaling benchmark bodies once, for
+// the root benchmark suite (go test -bench) and the package tests that
+// reuse their workloads. The end-to-end perf record is perfbench/.
 package bench
 
 import (
@@ -20,7 +19,7 @@ import (
 )
 
 // Case is one benchmark cell: a name like "ScalingLive/n=16" and a body
-// runnable both under go test -bench and testing.Benchmark.
+// runnable under go test -bench.
 type Case struct {
 	Name string
 	Run  func(b *testing.B)
@@ -711,67 +710,3 @@ func SweepBatchedX(m, nx int) Case { return sweepX(m, nx, "SweepBatchedX", false
 // SweepPerX is the dedicated per-x baseline recorded alongside
 // SweepBatchedX: identical grid, one full execution per x value.
 func SweepPerX(m, nx int) Case { return sweepX(m, nx, "SweepPerX", true) }
-
-// ExportCases is the perf-trajectory suite written by cmd/bench-export:
-// every scaling family at its standard sizes.
-func ExportCases() []Case {
-	var cases []Case
-	for _, n := range []int{4, 8, 16, 32} {
-		cases = append(cases, ScalingSimulate(n))
-	}
-	for _, n := range []int{4, 8, 16, 32, 64, 128} {
-		cases = append(cases, ScalingBasicGraph(n))
-	}
-	for _, n := range []int{4, 8, 16, 32, 64, 128} {
-		cases = append(cases, ScalingKnowledge(n))
-	}
-	for _, n := range []int{8, 16, 32, 64} {
-		cases = append(cases, ScalingLive(n))
-	}
-	// The rebuild baseline stops at n=32: at n=64 a single rebuild-per-state
-	// run takes over a minute, which is exactly the point of the online
-	// engine — the online variant covers n=64 on its own.
-	for _, n := range []int{8, 16, 32} {
-		cases = append(cases, Protocol2Rebuild(n))
-	}
-	for _, n := range []int{8, 16, 32, 64} {
-		cases = append(cases, Protocol2Online(n))
-	}
-	for _, n := range []int{8, 16, 32} {
-		cases = append(cases, Protocol2EarlyRebuild(n))
-	}
-	for _, n := range []int{8, 16, 32, 64} {
-		cases = append(cases, Protocol2EarlyOnline(n))
-	}
-	for _, m := range scenario.MultiAgentSizes {
-		cases = append(cases, Protocol2MultiOnline(m))
-	}
-	for _, m := range scenario.MultiAgentSizes {
-		cases = append(cases, Protocol2Shared(m))
-	}
-	for _, m := range []int{4, 8} {
-		cases = append(cases, SweepRebuildNetwork(m))
-	}
-	for _, m := range []int{4, 8} {
-		cases = append(cases, SweepSharedNetwork(m))
-	}
-	for _, seeds := range []int{4, 16, 64} {
-		cases = append(cases, SweepSharedNetworkSeeds(4, seeds))
-		cases = append(cases, SweepPrefixShared(4, seeds))
-	}
-	for _, m := range scenario.MultiAgentSizes {
-		cases = append(cases, SweepReplayLive(m))
-	}
-	// The threshold-query and x-axis pairs are interleaved per size —
-	// baseline then fast path back to back — so each comparison's two cells
-	// run under the same heap and machine conditions.
-	for _, n := range []int{8, 16, 32, 64} {
-		cases = append(cases, KnowsWitnessPath(n))
-		cases = append(cases, KnowsWeightOnly(n))
-	}
-	for _, nx := range []int{4, 8} {
-		cases = append(cases, SweepPerX(16, nx))
-		cases = append(cases, SweepBatchedX(16, nx))
-	}
-	return cases
-}

@@ -37,7 +37,7 @@ func earlyTargets(v *run.View) []run.GeneralNode {
 // the reverse path actually served (this test would be vacuous if the
 // selection policy quietly routed everything forward).
 func TestOnlineEarlyMatchesFreshBuild(t *testing.T) {
-	var served HandleStats
+	var served EngineStats
 	for seed := int64(1); seed <= 6; seed++ {
 		cfg := workload.DefaultConfig(seed)
 		cfg.Procs = 4 + int(seed%3)
@@ -114,7 +114,7 @@ func TestOnlineEarlyMatchesFreshBuild(t *testing.T) {
 // E″ transposes, reverse virtual boundary edges and the aux-band refresh
 // after E″ retirement.
 func TestSharedEarlyMatchesFreshBuild(t *testing.T) {
-	var served HandleStats
+	var served EngineStats
 	for seed := int64(1); seed <= 4; seed++ {
 		cfg := workload.DefaultConfig(seed)
 		cfg.Procs = 4 + int(seed%3)

@@ -60,13 +60,14 @@ type NetworkEngine struct {
 	wide    bool
 
 	// prefixes caches frozen standing prefixes of completed runs, keyed by
-	// run content fingerprint (NewRunAt / Shared.CommitPrefix); stats holds
-	// the engine's cumulative work counters (Stats).
+	// run content fingerprint (NewRunAt / Shared.CommitPrefix).
 	prefixes *PrefixEngine
-	stats    engineStats
 
-	mu   sync.Mutex
-	pool []*graph.Scratch
+	// mu guards the scratch pool and total, the engine's cumulative
+	// counters (Note, Stats).
+	mu    sync.Mutex
+	pool  []*graph.Scratch
+	total EngineStats
 }
 
 // NewNetworkEngine derives the run-independent knowledge structure of one
@@ -86,7 +87,7 @@ func NewNetworkEngine(net *model.Network) *NetworkEngine {
 		inCap:      make([]int, n),
 		chanBit:    make([]uint8, len(net.Arcs())),
 	}
-	e.prefixes = newPrefixEngine(&e.stats)
+	e.prefixes = newPrefixEngine(e)
 	auxOut := make([]int32, n)
 	auxIn := make([]int32, n)
 	for i := 0; i < n; i++ {
@@ -127,21 +128,20 @@ func (e *NetworkEngine) Net() *model.Network { return e.net }
 // Prefixes returns the engine's standing-prefix cache.
 func (e *NetworkEngine) Prefixes() *PrefixEngine { return e.prefixes }
 
-// Stats returns a snapshot of the engine's cumulative work counters.
-func (e *NetworkEngine) Stats() EngineStats { return e.stats.snapshot() }
-
-// NoteReplay credits a completed live execution to the engine's counters:
-// batches receive batches driven (live.Replay reports them once per
-// execution).
-func (e *NetworkEngine) NoteReplay(batches int64) {
-	e.stats.replayBatches.Add(batches)
+// Stats returns a snapshot of the engine's cumulative counters.
+func (e *NetworkEngine) Stats() EngineStats {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.total
 }
 
-// NoteXFanout credits live executions saved by x-axis fanout: a sweep that
-// answers saved per-x cells from one batched execution reports them once per
-// collapsed group.
-func (e *NetworkEngine) NoteXFanout(saved int64) {
-	e.stats.xFanout.Add(saved)
+// Note adds d to the engine's cumulative counters. Handles note each
+// query's counters as it returns, live executions their receive batches,
+// sweeps the executions their x-fanout saved.
+func (e *NetworkEngine) Note(d EngineStats) {
+	e.mu.Lock()
+	e.total.Add(d)
+	e.mu.Unlock()
 }
 
 // NewRun stamps out the run-lifetime tier: a Shared engine whose standing
@@ -167,8 +167,7 @@ func (e *NetworkEngine) NewRun() *Shared {
 	for i := range s.members {
 		s.members[i] = -1
 	}
-	e.stats.runs.Add(1)
-	e.stats.cloneBytes.Add(e.proto.CloneBytes())
+	e.Note(EngineStats{Runs: 1, CloneBytes: e.proto.CloneBytes()})
 	return s
 }
 
@@ -223,16 +222,15 @@ func (e *NetworkEngine) stampPrefix(fz *frozenPrefix) *Shared {
 			s.wide[k] = struct{}{}
 		}
 	}
-	e.stats.runs.Add(1)
-	e.stats.cloneBytes.Add(fz.g.CloneBytes())
+	e.Note(EngineStats{Runs: 1, CloneBytes: fz.g.CloneBytes()})
 	return s
 }
 
 // leaseScratch pops a pooled scratch (or makes one).
 func (e *NetworkEngine) leaseScratch() *graph.Scratch {
-	e.stats.scratchLeased.Add(1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.total.ScratchLeased++
 	if k := len(e.pool); k > 0 {
 		sc := e.pool[k-1]
 		e.pool = e.pool[:k-1]
@@ -244,8 +242,8 @@ func (e *NetworkEngine) leaseScratch() *graph.Scratch {
 // releaseScratch returns a scratch to the pool for later handles — of this
 // run or any other run of the network.
 func (e *NetworkEngine) releaseScratch(sc *graph.Scratch) {
-	e.stats.scratchLeased.Add(-1)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.total.ScratchLeased--
 	e.pool = append(e.pool, sc)
 }

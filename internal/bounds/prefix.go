@@ -2,7 +2,6 @@ package bounds
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"github.com/clockless/zigzag/internal/graph"
 )
@@ -13,97 +12,6 @@ import (
 // class times a few scenario variants), so a small cache already captures
 // every cross-seed hit.
 const DefaultPrefixCapacity = 32
-
-// EngineStats is a point-in-time snapshot of a NetworkEngine's cheap work
-// counters. All counters are cumulative since the engine was built; they are
-// maintained with atomic adds on paths that already pay a lock or a graph
-// relaxation, so keeping them costs nothing measurable.
-type EngineStats struct {
-	// Runs counts the Shared engines stamped out (NewRun and NewRunAt both
-	// count; prefix hits and misses are disjoint subsets of it).
-	Runs int64
-	// PrefixHits / PrefixMisses count NewRunAt calls that found / did not
-	// find a frozen standing prefix under the requested fingerprint.
-	// NewRunAt(0) counts as neither (no fingerprint, nothing to look up).
-	PrefixHits   int64
-	PrefixMisses int64
-	// PrefixEvictions counts frozen prefixes dropped by the LRU cache.
-	PrefixEvictions int64
-	// CloneBytes approximates the bytes copied stamping standing graphs
-	// (adjacency header arrays of every Clone, per graph.CloneBytes).
-	CloneBytes int64
-	// Relaxations counts successful SPFA relaxations across every knowledge
-	// query answered through the engine's handles — the work metric the
-	// standing tiers exist to amortize.
-	Relaxations int64
-	// RevHits / RevRebuilds count reverse-cache (fixed-target, Early-kind)
-	// queries served by a warm reverse restart versus a full reverse SPFA
-	// over the restricted standing graph.
-	RevHits     int64
-	RevRebuilds int64
-	// BandRefreshes counts auxiliary-band refreshes: reverse relaxations
-	// that had to re-derive the psi band because an E'' retirement since the
-	// last reverse run may have lowered its distances.
-	BandRefreshes int64
-	// RevRelaxations counts successful SPFA relaxations spent in reverse
-	// (into-target) queries, disjoint from Relaxations.
-	RevRelaxations int64
-	// ReplayBatches counts the receive batches driven by live executions
-	// subscribed to this engine (live.Replay with Config.Engine set).
-	ReplayBatches int64
-	// BatchQueries / BatchHits count the batched knowledge-query plane:
-	// answers served through handle KnowsAt grids, and the subset
-	// answered from an already-computed distance array (no SPFA of their
-	// own). XFanout counts live executions SAVED by x-axis fanout — sweep
-	// cells whose per-x rows were derived from another cell's single
-	// execution (NoteXFanout).
-	BatchQueries int64
-	BatchHits    int64
-	XFanout      int64
-	// ScratchLeased is a gauge, not a counter: query scratches currently
-	// leased by handles and not yet returned by Handle.Release. It reads
-	// zero once every handle of the engine has been released.
-	ScratchLeased int64
-}
-
-// engineStats is the mutable counter block behind EngineStats.
-type engineStats struct {
-	runs            atomic.Int64
-	prefixHits      atomic.Int64
-	prefixMisses    atomic.Int64
-	prefixEvictions atomic.Int64
-	cloneBytes      atomic.Int64
-	relaxations     atomic.Int64
-	revHits         atomic.Int64
-	revRebuilds     atomic.Int64
-	bandRefreshes   atomic.Int64
-	revRelaxations  atomic.Int64
-	replayBatches   atomic.Int64
-	batchQueries    atomic.Int64
-	batchHits       atomic.Int64
-	xFanout         atomic.Int64
-	scratchLeased   atomic.Int64
-}
-
-func (st *engineStats) snapshot() EngineStats {
-	return EngineStats{
-		Runs:            st.runs.Load(),
-		PrefixHits:      st.prefixHits.Load(),
-		PrefixMisses:    st.prefixMisses.Load(),
-		PrefixEvictions: st.prefixEvictions.Load(),
-		CloneBytes:      st.cloneBytes.Load(),
-		Relaxations:     st.relaxations.Load(),
-		RevHits:         st.revHits.Load(),
-		RevRebuilds:     st.revRebuilds.Load(),
-		BandRefreshes:   st.bandRefreshes.Load(),
-		RevRelaxations:  st.revRelaxations.Load(),
-		ReplayBatches:   st.replayBatches.Load(),
-		BatchQueries:    st.batchQueries.Load(),
-		BatchHits:       st.batchHits.Load(),
-		XFanout:         st.xFanout.Load(),
-		ScratchLeased:   st.scratchLeased.Load(),
-	}
-}
 
 // frozenPrefix is an immutable snapshot of a Shared engine's standing state:
 // the standing graph (aux band, node vertices, successor and delivery edges,
@@ -150,7 +58,7 @@ type frozenPrefix struct {
 // safe for concurrent use.
 type PrefixEngine struct {
 	mu       sync.Mutex
-	stats    *engineStats
+	eng      *NetworkEngine
 	capacity int
 	entries  map[uint64]*prefixEntry
 	// head is the most recently used entry, tail the least.
@@ -163,9 +71,9 @@ type prefixEntry struct {
 	prev, next *prefixEntry
 }
 
-func newPrefixEngine(stats *engineStats) *PrefixEngine {
+func newPrefixEngine(eng *NetworkEngine) *PrefixEngine {
 	return &PrefixEngine{
-		stats:    stats,
+		eng:      eng,
 		capacity: DefaultPrefixCapacity,
 		entries:  make(map[uint64]*prefixEntry),
 	}
@@ -207,10 +115,10 @@ func (pe *PrefixEngine) lookup(fp uint64) (*frozenPrefix, bool) {
 	defer pe.mu.Unlock()
 	en, ok := pe.entries[fp]
 	if !ok {
-		pe.stats.prefixMisses.Add(1)
+		pe.eng.Note(EngineStats{PrefixMisses: 1})
 		return nil, false
 	}
-	pe.stats.prefixHits.Add(1)
+	pe.eng.Note(EngineStats{PrefixHits: 1})
 	pe.unlink(en)
 	pe.pushFront(en)
 	return en.fz, true
@@ -239,7 +147,7 @@ func (pe *PrefixEngine) evictOver() {
 		victim := pe.tail
 		pe.unlink(victim)
 		delete(pe.entries, victim.fp)
-		pe.stats.prefixEvictions.Add(1)
+		pe.eng.Note(EngineStats{PrefixEvictions: 1})
 	}
 }
 

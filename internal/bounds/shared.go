@@ -138,7 +138,7 @@ func (s *Shared) CommitPrefix() bool {
 			fz.wide[k] = struct{}{}
 		}
 	}
-	s.eng.stats.cloneBytes.Add(s.g.CloneBytes())
+	s.eng.Note(EngineStats{CloneBytes: s.g.CloneBytes()})
 	s.eng.prefixes.insert(s.pendingKey, fz)
 	s.pendingKey = 0
 	return true
@@ -272,10 +272,9 @@ type Handle struct {
 	rslab      []graph.Edge
 	bfrom      []int32
 
-	// stats counts this handle's reverse-cache activity for per-cell
-	// attribution (the engine's atomic counters aggregate across every
-	// concurrent handle of a network, so they cannot be read per agent).
-	stats HandleStats
+	// stats sums the handle's per-query counters (the StatFields entries
+	// marked Handle); every query also notes its own to the engine.
+	stats EngineStats
 
 	// Per-query chain-vertex state, rolled back after each query.
 	chainKeys []chainKey
@@ -289,35 +288,19 @@ type chainUndo struct {
 	lower, upper     int
 }
 
-// HandleStats counts one handle's reverse-cache activity — warm reverse
-// restarts, full reverse rebuilds, aux-band refreshes and the SPFA
-// relaxations spent on the reverse side — plus its threshold grids:
-// BatchQueries counts answers served through KnowsAt, BatchHits the subset
-// answered from an already-computed weight (no SPFA of their own). The
-// engine-level EngineStats aggregates the same counters across all handles.
-type HandleStats struct {
-	RevHits        int64
-	RevRebuilds    int64
-	BandRefreshes  int64
-	RevRelaxations int64
-	BatchQueries   int64
-	BatchHits      int64
-}
-
-// Add accumulates other into st.
-func (st *HandleStats) Add(other HandleStats) {
-	st.RevHits += other.RevHits
-	st.RevRebuilds += other.RevRebuilds
-	st.BandRefreshes += other.BandRefreshes
-	st.RevRelaxations += other.RevRelaxations
-	st.BatchQueries += other.BatchQueries
-	st.BatchHits += other.BatchHits
-}
-
-// Stats returns the handle's cumulative reverse-cache counters. Unlike the
+// Stats returns the handle's cumulative per-query counters. Unlike the
 // scratch, they survive Release, so post-run harvesting works on released
 // handles.
-func (h *Handle) Stats() HandleStats { return h.stats }
+func (h *Handle) Stats() EngineStats { return h.stats }
+
+// count folds one query's counters into the handle's and the engine's.
+func (h *Handle) count(d EngineStats) {
+	if d == (EngineStats{}) {
+		return
+	}
+	h.stats.Add(d)
+	h.shared.eng.Note(d)
+}
 
 // ErrViewMismatch reports a view subscribed to an engine of a structurally
 // different network.
@@ -681,6 +664,14 @@ func (h *Handle) rollback(base int) {
 // false — with err == nil — when no bound is known at any x. (Witness steps
 // are an offline concern; online agents decide on the weight alone.)
 func (h *Handle) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known bool, err error) {
+	var d EngineStats
+	kw, known, err = h.weight(theta1, theta2, &d)
+	h.count(d)
+	return kw, known, err
+}
+
+// weight is KnowledgeWeight counting into d.
+func (h *Handle) weight(theta1, theta2 run.GeneralNode, d *EngineStats) (kw int, known bool, err error) {
 	s := h.shared
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -751,24 +742,18 @@ func (h *Handle) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known 
 			var refresh []int
 			if h.revRetired {
 				refresh = s.eng.auxRefresh
-				h.stats.BandRefreshes++
-				s.eng.stats.bandRefreshes.Add(1)
+				d.BandRefreshes++
 			}
 			dist, err = s.g.RelaxReverseRestrictedFrom(h.revScratch, h.revQuerySeeds, h.revAdmitted, refresh, &r)
-			h.stats.RevHits++
-			s.eng.stats.revHits.Add(1)
+			d.RevHits++
 		} else {
 			dist, err = s.g.LongestIntoRestricted(h.revScratch, v, &r)
 			h.revCacheDst = v
 			h.revCacheValid = true
-			h.stats.RevRebuilds++
-			s.eng.stats.revRebuilds.Add(1)
+			d.RevRebuilds++
 		}
-		if h.revScratch.Relaxations != 0 {
-			h.stats.RevRelaxations += h.revScratch.Relaxations
-			s.eng.stats.revRelaxations.Add(h.revScratch.Relaxations)
-			h.revScratch.Relaxations = 0
-		}
+		d.RevRelaxations += h.revScratch.Relaxations
+		h.revScratch.Relaxations = 0
 		if err != nil {
 			h.revCacheValid = false
 			h.rollback(base)
@@ -794,10 +779,8 @@ func (h *Handle) KnowledgeWeight(theta1, theta2 run.GeneralNode) (kw int, known 
 			answer = dist[v]
 		}
 	}
-	if h.scratch.Relaxations != 0 {
-		s.eng.stats.relaxations.Add(h.scratch.Relaxations)
-		h.scratch.Relaxations = 0
-	}
+	d.Relaxations += h.scratch.Relaxations
+	h.scratch.Relaxations = 0
 	if err != nil {
 		h.cacheValid = false
 		h.rollback(base)
@@ -828,20 +811,18 @@ func (h *Handle) Knows(theta1 run.GeneralNode, x int, theta2 run.GeneralNode) (b
 // KnowsAt evaluates a threshold grid against one weight computation:
 // holds[i] is set to Knows(theta1, xs[i], theta2) for the price of a single
 // (possibly cache-warm) restricted SPFA. holds must have at least len(xs)
-// entries. The grid answers count as batched queries on both the handle and
-// the engine: len(xs) served, len(xs)-1 of them without their own
-// relaxation.
+// entries. The grid answers count as batched queries: len(xs) served,
+// len(xs)-1 of them without their own relaxation.
 func (h *Handle) KnowsAt(theta1 run.GeneralNode, xs []int, theta2 run.GeneralNode, holds []bool) (kw int, known bool, err error) {
-	kw, known, err = h.KnowledgeWeight(theta1, theta2)
-	if err != nil {
-		return 0, false, err
+	var d EngineStats
+	kw, known, err = h.weight(theta1, theta2, &d)
+	if err == nil {
+		for i, x := range xs {
+			holds[i] = known && kw >= x
+		}
+		d.BatchQueries = int64(len(xs))
+		d.BatchHits = int64(len(xs) - 1)
 	}
-	for i, x := range xs {
-		holds[i] = known && kw >= x
-	}
-	h.stats.BatchQueries += int64(len(xs))
-	h.stats.BatchHits += int64(len(xs) - 1)
-	h.shared.eng.stats.batchQueries.Add(int64(len(xs)))
-	h.shared.eng.stats.batchHits.Add(int64(len(xs) - 1))
-	return kw, known, nil
+	h.count(d)
+	return kw, known, err
 }

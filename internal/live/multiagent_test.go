@@ -126,9 +126,9 @@ func TestProtocol2EarlyMultiAgentMatchesOffline(t *testing.T) {
 			}
 		}
 
-		var rev bounds.HandleStats
+		var rev bounds.EngineStats
 		for i := range sc.Tasks {
-			rev.Add(sharedAgents[i].HandleStats())
+			rev.Add(sharedAgents[i].Stats())
 			// The offline RunOptimal rebuilds an extended graph per state and
 			// dominates the test's budget at m=16; the engine-vs-engine run
 			// and act identity above already covers every agent, so sampling

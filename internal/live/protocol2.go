@@ -147,14 +147,14 @@ func (p *Protocol2) Degraded() bool { return p.degraded }
 // the agent was degraded with, or nil.
 func (p *Protocol2) DegradeReason() error { return p.reason }
 
-// HandleStats returns the agent's reverse-cache counters (zero for the
-// rebuild baseline). The counters survive the handle's Release, so post-run
-// harvesting — sweep cells, the CLI footer — works after the agent acted.
-func (p *Protocol2) HandleStats() bounds.HandleStats {
+// Stats returns the agent's knowledge-query counters (zero for the rebuild
+// baseline). The counters survive the handle's Release, so sweep cells
+// harvest them after the agent acted.
+func (p *Protocol2) Stats() bounds.EngineStats {
 	if p.handle != nil {
 		return p.handle.Stats()
 	}
-	return bounds.HandleStats{}
+	return bounds.EngineStats{}
 }
 
 // knower is the query surface Protocol2 needs, implemented by the

@@ -126,7 +126,7 @@ func Replay(cfg Config) (*Result, error) {
 		// No-op unless NewRunAt missed; the fingerprint check above keeps
 		// mispredicted runs out of the cache.
 		shared.CommitPrefix()
-		cfg.Engine.NoteReplay(int64(res.ReplayBatches))
+		cfg.Engine.Note(bounds.EngineStats{ReplayBatches: int64(res.ReplayBatches)})
 	}
 	if inj := stp.Injector(); inj != nil {
 		rep := inj.Report()

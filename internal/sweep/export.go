@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"github.com/clockless/zigzag/internal/bounds"
 )
 
 // Export formats for sweep aggregates, used by `zigzag-sim -sweep -format`.
@@ -13,21 +15,32 @@ import (
 // scripts and downstream analysis.
 
 // csvHeader is the column schema of WriteCSV, one row per
-// (scenario, policy, mode) aggregate. Gap columns are empty when no cell of
-// the group acted; the agent columns are zero for sim rows.
-var csvHeader = []string{
-	"scenario", "mode", "policy", "runs", "errors",
-	"nodes_mean", "nodes_min", "nodes_p50", "nodes_p90", "nodes_max",
-	"deliveries_mean", "deliveries_min", "deliveries_p50", "deliveries_p90", "deliveries_max",
-	"task_runs", "acted",
-	"gap_mean", "gap_min", "gap_p50", "gap_p90", "gap_max", "gap_stddev",
-	"agents", "agents_acted",
-	"prefix_hits", "prefix_misses",
-	"rev_hits", "rev_rebuilds", "band_refreshes", "rev_relaxations",
-	"replay_batches",
-	"batch_queries", "batch_hits", "x_fanout",
-	"degraded", "crashed", "violations", "err",
-}
+// (scenario, policy, mode) aggregate: csvHead, then one column per
+// bounds.StatFields entry marked Column, then csvTail. Gap columns are empty
+// when no cell of the group acted; the agent and counter columns are zero
+// for sim rows. The x-fanout column reports Aggregate.XFanout, the rows
+// answered by batched executions (see csvStats).
+var csvHeader = func() []string {
+	h := append([]string(nil), csvHead...)
+	for _, f := range bounds.StatFields {
+		if f.Column {
+			h = append(h, f.Name)
+		}
+	}
+	return append(h, csvTail...)
+}()
+
+var (
+	csvHead = []string{
+		"scenario", "mode", "policy", "runs", "errors",
+		"nodes_mean", "nodes_min", "nodes_p50", "nodes_p90", "nodes_max",
+		"deliveries_mean", "deliveries_min", "deliveries_p50", "deliveries_p90", "deliveries_max",
+		"task_runs", "acted",
+		"gap_mean", "gap_min", "gap_p50", "gap_p90", "gap_max", "gap_stddev",
+		"agents", "agents_acted",
+	}
+	csvTail = []string{"degraded", "crashed", "violations", "err"}
+)
 
 // WriteCSV renders aggregates as CSV in the given order, one row per
 // (scenario, policy, mode) aggregate, with a header row.
@@ -47,30 +60,36 @@ func WriteCSV(w io.Writer, aggs []Aggregate) error {
 			f(a.Nodes.Mean), f(a.Nodes.Min), f(a.Nodes.P50), f(a.Nodes.P90), f(a.Nodes.Max),
 			f(a.Deliveries.Mean), f(a.Deliveries.Min), f(a.Deliveries.P50), f(a.Deliveries.P90), f(a.Deliveries.Max),
 			strconv.Itoa(a.TaskRuns), strconv.Itoa(a.Acted),
-			"", "", "", "", "", "",
-			strconv.Itoa(a.AgentRuns), strconv.Itoa(a.AgentsActed),
-			strconv.Itoa(a.PrefixHits), strconv.Itoa(a.PrefixMisses),
-			strconv.FormatInt(a.Rev.RevHits, 10), strconv.FormatInt(a.Rev.RevRebuilds, 10),
-			strconv.FormatInt(a.Rev.BandRefreshes, 10), strconv.FormatInt(a.Rev.RevRelaxations, 10),
-			strconv.Itoa(a.ReplayBatches),
-			strconv.FormatInt(a.Rev.BatchQueries, 10), strconv.FormatInt(a.Rev.BatchHits, 10),
-			strconv.Itoa(a.XFanout),
-			strconv.Itoa(a.Degraded), strconv.Itoa(a.Crashed), strconv.Itoa(a.Violations), a.FirstErr,
 		}
 		if a.Acted > 0 {
-			row[17] = f(a.Gap.Mean)
-			row[18] = f(a.Gap.Min)
-			row[19] = f(a.Gap.P50)
-			row[20] = f(a.Gap.P90)
-			row[21] = f(a.Gap.Max)
-			row[22] = f(a.Gap.Stddev)
+			row = append(row, f(a.Gap.Mean), f(a.Gap.Min), f(a.Gap.P50), f(a.Gap.P90), f(a.Gap.Max), f(a.Gap.Stddev))
+		} else {
+			row = append(row, "", "", "", "", "", "")
 		}
+		row = append(row, strconv.Itoa(a.AgentRuns), strconv.Itoa(a.AgentsActed))
+		st := csvStats(a)
+		for _, sf := range bounds.StatFields {
+			if sf.Column {
+				row = append(row, strconv.FormatInt(sf.Of(st), 10))
+			}
+		}
+		row = append(row, strconv.Itoa(a.Degraded), strconv.Itoa(a.Crashed), strconv.Itoa(a.Violations), a.FirstErr)
 		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
 	cw.Flush()
 	return cw.Error()
+}
+
+// csvStats is the record behind an aggregate's CSV counter columns: its
+// Stats, with XFanout set to the rows answered by the group's batched
+// executions rather than the executions saved, which only the engine report
+// counts.
+func csvStats(a Aggregate) bounds.EngineStats {
+	st := a.Stats
+	st.XFanout = int64(a.XFanout)
+	return st
 }
 
 // WriteJSON renders aggregates as an indented JSON array in the given order.

@@ -6,13 +6,16 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"github.com/clockless/zigzag/internal/bounds"
 )
 
-// TestWriteFormats checks the CSV and JSON renderings of a small sweep:
-// schema-correct, deterministic, and carrying the same aggregates as the
-// table.
+// TestWriteFormats checks the CSV and JSON renderings of a small sweep —
+// sim cells plus the golden live grid: schema-correct, deterministic, and
+// carrying the same aggregates as the table, counters included.
 func TestWriteFormats(t *testing.T) {
 	g := fullGrid(0)
+	g.Live = goldenGrid(t).Live
 	g.Seeds = []int64{1, 2}
 	results, err := g.Run()
 	if err != nil {
@@ -35,9 +38,13 @@ func TestWriteFormats(t *testing.T) {
 		t.Fatalf("csv header has %d columns, want %d", got, len(csvHeader))
 	}
 	for i, a := range aggs {
-		if rows[i+1][0] != a.Scenario || rows[i+1][1] != ModeSim || rows[i+1][2] != a.Policy {
+		mode := a.Mode
+		if mode == "" {
+			mode = ModeSim
+		}
+		if rows[i+1][0] != a.Scenario || rows[i+1][1] != mode || rows[i+1][2] != a.Policy {
 			t.Errorf("csv row %d is (%s,%s,%s), want (%s,%s,%s)",
-				i, rows[i+1][0], rows[i+1][1], rows[i+1][2], a.Scenario, ModeSim, a.Policy)
+				i, rows[i+1][0], rows[i+1][1], rows[i+1][2], a.Scenario, mode, a.Policy)
 		}
 	}
 
@@ -52,10 +59,16 @@ func TestWriteFormats(t *testing.T) {
 	if len(decoded) != len(aggs) {
 		t.Fatalf("json aggregates = %d, want %d", len(decoded), len(aggs))
 	}
+	counted := false
 	for i := range aggs {
-		if decoded[i].Scenario != aggs[i].Scenario || decoded[i].Runs != aggs[i].Runs {
+		if decoded[i].Scenario != aggs[i].Scenario || decoded[i].Runs != aggs[i].Runs ||
+			decoded[i].Stats != aggs[i].Stats || decoded[i].XFanout != aggs[i].XFanout {
 			t.Errorf("json aggregate %d round-trips to %+v, want %+v", i, decoded[i], aggs[i])
 		}
+		counted = counted || aggs[i].Stats != (bounds.EngineStats{})
+	}
+	if !counted {
+		t.Error("no aggregate carries counters: the Stats round trip is vacuous")
 	}
 
 	buf.Reset()

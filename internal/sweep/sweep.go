@@ -176,15 +176,10 @@ type Result struct {
 	// seed-sensitive policies, which bypass the cache.
 	Prefix string
 
-	// Rev sums the reverse-cache counters of the cell's agents (zero for sim
-	// cells and for live cells whose agents never hit the Early query shape):
-	// warm reverse restarts, full reverse rebuilds, aux-band refreshes and
-	// reverse SPFA relaxations.
-	Rev bounds.HandleStats
-
-	// ReplayBatches counts the receive batches a live cell drove (zero for
-	// sim cells).
-	ReplayBatches int
+	// Stats carries a live cell's execution counters (zero for sim cells):
+	// its agents' knowledge-query counters summed, the receive batches
+	// driven and the standing-prefix verdict as one hit or miss.
+	Stats bounds.EngineStats
 
 	// Fault-injected cell outcome (scenarios with a FaultFamily): agents
 	// that ended the run degraded (withholding their action after a detected
@@ -198,9 +193,8 @@ type Result struct {
 	// XFanout, on the primary row of an x-batched group, is the number of
 	// per-x result rows answered by this cell's single execution (its own
 	// included); zero on fanned-out rows and in dedicated mode. Execution
-	// attribution — prefix traffic, replay batches, agent counters — also
-	// lands on the primary row: the fanned rows ran no execution of their
-	// own.
+	// attribution — Prefix and Stats — also lands on the primary row: the
+	// fanned rows ran no execution of their own.
 	XFanout int
 }
 
@@ -356,24 +350,9 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 	close(jobs)
 	wg.Wait()
 
-	var rep EngineReport
-	rep.Networks = len(engines)
+	rep := EngineReport{Networks: len(engines)}
 	for _, eng := range engines {
-		st := eng.Stats()
-		rep.Stats.Runs += st.Runs
-		rep.Stats.PrefixHits += st.PrefixHits
-		rep.Stats.PrefixMisses += st.PrefixMisses
-		rep.Stats.PrefixEvictions += st.PrefixEvictions
-		rep.Stats.CloneBytes += st.CloneBytes
-		rep.Stats.Relaxations += st.Relaxations
-		rep.Stats.RevHits += st.RevHits
-		rep.Stats.RevRebuilds += st.RevRebuilds
-		rep.Stats.BandRefreshes += st.BandRefreshes
-		rep.Stats.RevRelaxations += st.RevRelaxations
-		rep.Stats.ReplayBatches += st.ReplayBatches
-		rep.Stats.BatchQueries += st.BatchQueries
-		rep.Stats.BatchHits += st.BatchHits
-		rep.Stats.XFanout += st.XFanout
+		rep.Stats.Add(eng.Stats())
 	}
 	return results, rep, nil
 }
@@ -514,20 +493,12 @@ func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.Ne
 	res.Degraded = len(out.Degraded)
 	res.Crashed = len(out.Crashed)
 	res.Violations = len(out.Violations)
-	res.ReplayBatches = out.ReplayBatches
-	if runFP != 0 {
-		if out.PrefixHit {
-			res.Prefix = PrefixHit
-		} else {
-			res.Prefix = PrefixMiss
-		}
-	}
+	attribute(&res, out, runFP, agents)
 	for i := range agents {
 		if aerr := agents[i].Err(); aerr != nil {
 			res.Err = fmt.Errorf("agent %s: %w", live.TaskLabel(i), aerr)
 			return res
 		}
-		res.Rev.Add(agents[i].HandleStats())
 	}
 	res.Nodes = out.Run.NumNodes()
 	res.Deliveries = len(out.Run.Deliveries())
@@ -644,23 +615,29 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bou
 			res.ActTime = actTime
 		}
 	}
-	res0 := &rs[0]
-	res0.ReplayBatches = out.ReplayBatches
-	if runFP != 0 {
-		if out.PrefixHit {
-			res0.Prefix = PrefixHit
-		} else {
-			res0.Prefix = PrefixMiss
-		}
-	}
-	for j := range agents {
-		res0.Rev.Add(agents[j].HandleStats())
-	}
-	res0.XFanout = len(scs)
+	attribute(&rs[0], out, runFP, agents)
+	rs[0].XFanout = len(scs)
 	if eng != nil {
-		eng.NoteXFanout(int64(len(scs) - 1))
+		eng.Note(bounds.EngineStats{XFanout: int64(len(scs) - 1)})
 	}
 	return rs
+}
+
+// attribute records one live execution on its result row: the
+// standing-prefix verdict (runFP != 0 means the execution went through the
+// cache), the receive batches driven and the agents' query counters.
+func attribute(res *Result, out *live.Result, runFP uint64, agents []*live.Protocol2) {
+	switch {
+	case runFP == 0:
+	case out.PrefixHit:
+		res.Prefix, res.Stats.PrefixHits = PrefixHit, 1
+	default:
+		res.Prefix, res.Stats.PrefixMisses = PrefixMiss, 1
+	}
+	res.Stats.ReplayBatches = int64(out.ReplayBatches)
+	for _, a := range agents {
+		res.Stats.Add(a.Stats())
+	}
 }
 
 // Aggregate summarizes all cells of one (scenario, policy, mode) triple.
@@ -685,27 +662,20 @@ type Aggregate struct {
 	AgentRuns   int
 	AgentsActed int
 
-	// Standing-prefix cache tallies over the group's deterministic live
-	// cells (both zero when the group bypasses the cache).
-	PrefixHits   int
-	PrefixMisses int
+	// Stats sums the group's Result.Stats. Its XFanout stays zero: the
+	// engines count the executions x-fanout saved, the group counts rows.
+	Stats bounds.EngineStats
 
-	// Rev sums the reverse-cache counters over the group's live cells.
-	Rev bounds.HandleStats
-
-	// ReplayBatches sums the receive batches driven by the group's live
-	// cells (zero for sim groups).
-	ReplayBatches int
+	// XFanout sums the per-x rows answered by the group's x-batched
+	// executions (zero in dedicated mode); the CSV's x-fanout column
+	// exports it.
+	XFanout int
 
 	// Fault-injection tallies summed over the group's cells: degraded
 	// agents, crashed processes and injected bound violations.
 	Degraded   int
 	Crashed    int
 	Violations int
-
-	// XFanout sums the per-x rows answered by the group's x-batched
-	// executions (zero in dedicated mode).
-	XFanout int
 
 	// FirstErr is the first cell error of the group in enumeration order
 	// ("" when every cell succeeded) — the chaos sweep's machine-checkable
@@ -753,14 +723,7 @@ func Summarize(results []Result) []Aggregate {
 		}
 		a.AgentRuns += res.Agents
 		a.AgentsActed += res.AgentsActed
-		switch res.Prefix {
-		case PrefixHit:
-			a.PrefixHits++
-		case PrefixMiss:
-			a.PrefixMisses++
-		}
-		a.Rev.Add(res.Rev)
-		a.ReplayBatches += res.ReplayBatches
+		a.Stats.Add(res.Stats)
 		a.XFanout += res.XFanout
 	}
 	for i := range aggs {
@@ -805,21 +768,22 @@ func Table(aggs []Aggregate) string {
 		if a.AgentRuns > 0 {
 			acted = fmt.Sprintf("%d/%d", a.AgentsActed, a.AgentRuns)
 		}
+		st := &a.Stats
 		prefix := "-"
-		if cached := a.PrefixHits + a.PrefixMisses; cached > 0 {
-			prefix = fmt.Sprintf("%d/%d", a.PrefixHits, cached)
+		if cached := st.PrefixHits + st.PrefixMisses; cached > 0 {
+			prefix = fmt.Sprintf("%d/%d", st.PrefixHits, cached)
 		}
 		rev := "-"
-		if q := a.Rev.RevHits + a.Rev.RevRebuilds; q > 0 {
-			rev = fmt.Sprintf("%d/%d", a.Rev.RevHits, q)
+		if q := st.RevHits + st.RevRebuilds; q > 0 {
+			rev = fmt.Sprintf("%d/%d", st.RevHits, q)
 		}
 		replay := "-"
-		if a.ReplayBatches > 0 {
-			replay = strconv.Itoa(a.ReplayBatches)
+		if st.ReplayBatches > 0 {
+			replay = strconv.FormatInt(st.ReplayBatches, 10)
 		}
 		batch := "-"
-		if a.Rev.BatchQueries > 0 || a.XFanout > 0 {
-			batch = fmt.Sprintf("%d/%d", a.Rev.BatchHits, a.Rev.BatchQueries)
+		if st.BatchQueries > 0 || a.XFanout > 0 {
+			batch = fmt.Sprintf("%d/%d", st.BatchHits, st.BatchQueries)
 			if a.XFanout > 0 {
 				batch += fmt.Sprintf(" (x%d)", a.XFanout)
 			}

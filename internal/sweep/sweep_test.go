@@ -147,7 +147,7 @@ func TestRunLiveCells(t *testing.T) {
 				if res.Agents != len(sc.Tasks) {
 					t.Fatalf("cell %d hosts %d agents, want %d", i, res.Agents, len(sc.Tasks))
 				}
-				if res.ReplayBatches == 0 {
+				if res.Stats.ReplayBatches == 0 {
 					t.Fatalf("cell %d reports no replay batches", i)
 				}
 				// Cross-check the acting-agent count against the offline
@@ -181,7 +181,7 @@ func TestRunLiveCells(t *testing.T) {
 			if a.AgentRuns == 0 {
 				t.Fatalf("live aggregate %s/%s has no agent runs", a.Scenario, a.Policy)
 			}
-			if a.ReplayBatches == 0 {
+			if a.Stats.ReplayBatches == 0 {
 				t.Fatalf("replay aggregate %s/%s carries no batch counter", a.Scenario, a.Policy)
 			}
 		}
@@ -339,14 +339,14 @@ func TestRunPrefixSharing(t *testing.T) {
 			continue
 		}
 		if a.Policy == "random" || a.Policy == "heavy" {
-			if a.PrefixHits != 0 || a.PrefixMisses != 0 {
+			if a.Stats.PrefixHits != 0 || a.Stats.PrefixMisses != 0 {
 				t.Fatalf("%s/%s: seed-sensitive aggregate counts cache traffic", a.Scenario, a.Policy)
 			}
 			continue
 		}
-		if a.PrefixMisses != 1 || a.PrefixHits != len(g.Seeds)-1 {
+		if a.Stats.PrefixMisses != 1 || a.Stats.PrefixHits != int64(len(g.Seeds)-1) {
 			t.Fatalf("%s/%s: %d hits / %d misses, want %d/1",
-				a.Scenario, a.Policy, a.PrefixHits, a.PrefixMisses, len(g.Seeds)-1)
+				a.Scenario, a.Policy, a.Stats.PrefixHits, a.Stats.PrefixMisses, len(g.Seeds)-1)
 		}
 	}
 }

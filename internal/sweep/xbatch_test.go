@@ -64,16 +64,14 @@ func xGrid(t *testing.T, noXBatch bool) sweep.Grid {
 
 // semantic strips a Result down to the fields with run-level meaning,
 // erasing execution attribution: the mode tag, prefix-cache verdict,
-// reverse/batch engine counters, replay batch tallies and the fanout
-// marker all describe HOW the answer was computed — an x-batched group
+// execution counters and the fanout marker all describe HOW the answer was computed — an x-batched group
 // legitimately concentrates them on its primary row — while everything kept
 // here must be byte-identical between a batched group and dedicated per-x
 // executions.
 func semantic(r sweep.Result) sweep.Result {
 	r.Mode = ""
 	r.Prefix = ""
-	r.Rev = bounds.HandleStats{}
-	r.ReplayBatches = 0
+	r.Stats = bounds.EngineStats{}
 	r.XFanout = 0
 	return r
 }
