@@ -381,6 +381,16 @@ func BenchmarkScalingKnowledge(b *testing.B) {
 	}
 }
 
+// BenchmarkScalingEarlyWarm (B1): one warm Early-kind query (moving
+// source, fixed target, reverse cache primed) vs horizon. It costs its
+// delta, not the graph, so ns/op stays flat as the horizon grows.
+func BenchmarkScalingEarlyWarm(b *testing.B) {
+	for _, h := range []model.Time{50, 400} {
+		c := bench.ScalingEarlyWarm(h)
+		b.Run(fmt.Sprintf("horizon=%d", h), c.Run)
+	}
+}
+
 // BenchmarkScalingLive (B1): the live engine vs network size — environment
 // scheduling, FFIP relaying and per-state view frontiers, with no agents.
 func BenchmarkScalingLive(b *testing.B) {

@@ -512,6 +512,58 @@ func ScalingSimulate(n int) Case {
 	}
 }
 
+// ScalingEarlyWarm measures one warm Early-kind query against a long view:
+// an observer of a lazy complete network, whose handle has served a forward
+// query and then built its reverse cache for a fixed target, asks again
+// from its moving source with nothing new to absorb. The query costs its
+// (empty) delta, so ns/op must stay flat as the horizon, and with it the
+// standing graph, grows. The nodes metric is the observer's view size.
+func ScalingEarlyWarm(horizon model.Time) Case {
+	return Case{
+		Name: fmt.Sprintf("ScalingEarlyWarm/horizon=%d", horizon),
+		Run: func(b *testing.B) {
+			net := model.MustComplete(4, 1, 5)
+			r := sim.MustSimulate(sim.Config{
+				Net: net, Horizon: horizon, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go"),
+			})
+			const observer = 2
+			_, views := ReplayBatches(r, map[model.ProcID]bool{observer: true})
+			view := views[observer]
+			target, ok := view.Boundary(1)
+			if !ok || target.IsInitial() || view.Origin().Index < 3 {
+				b.Fatal("observer's view too short for the query shape")
+			}
+			h, err := bounds.NewNetworkEngine(net).NewRun().NewHandle(view)
+			if err != nil {
+				b.Fatal(err)
+			}
+			theta2 := run.At(target)
+			query := func(src run.BasicNode) {
+				if _, known, err := h.KnowledgeWeight(run.At(src), theta2); err != nil || !known {
+					b.Fatalf("query from %s: known=%v err=%v", src, known, err)
+				}
+			}
+			// The first source builds the forward cache, the second misses it
+			// and builds the reverse cache for theta2; every measured query
+			// is then a reverse warm hit.
+			query(run.BasicNode{Proc: observer, Index: 1})
+			query(run.BasicNode{Proc: observer, Index: 2})
+			sigma := view.Origin()
+			before := h.Stats().RevHits
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				query(sigma)
+			}
+			b.StopTimer()
+			if hits := h.Stats().RevHits - before; hits != int64(b.N) {
+				b.Fatalf("%d of %d measured queries were reverse warm hits", hits, b.N)
+			}
+			b.ReportMetric(float64(view.Size()), "nodes")
+		},
+	}
+}
+
 // ScalingBasicGraph measures dense GB(r) construction (the B1 row).
 func ScalingBasicGraph(n int) Case {
 	return Case{

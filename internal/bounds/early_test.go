@@ -227,3 +227,57 @@ func TestSharedEarlyAllocationGuard(t *testing.T) {
 		t.Fatalf("measured queries were not reverse warm hits: %+v -> %+v", base, after)
 	}
 }
+
+// TestEarlyHandleForwardDeltaBounded pins that an Early-kind handle's
+// memory does not grow with the horizon: once the reverse cache serves
+// the queries, the forward cache is retired and its delta lists (seeds,
+// admitted) stay empty after every query, so their capacity is set by
+// one sync's growth, not by the length of the run.
+func TestEarlyHandleForwardDeltaBounded(t *testing.T) {
+	deltaCap := func(horizon model.Time) (int, int) {
+		net := model.MustComplete(4, 1, 5)
+		r := sim.MustSimulate(sim.Config{
+			Net: net, Horizon: horizon, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go"),
+		})
+		eng := NewNetworkEngine(net).NewRun()
+		var h *Handle
+		var target run.GeneralNode
+		fixed, reverse, maxCap := false, 0, 0
+		replayAll(t, r, map[model.ProcID]bool{2: true}, func(p model.ProcID, k int, v *run.View) {
+			if h == nil {
+				h = mustHandle(t, eng, v)
+			}
+			if !fixed {
+				bnd, ok := v.Boundary(1)
+				if !ok || bnd.IsInitial() {
+					return
+				}
+				target, fixed = run.At(bnd), true
+			}
+			before := h.Stats()
+			if _, _, err := h.KnowledgeWeight(run.At(v.Origin()), target); err != nil {
+				t.Fatal(err)
+			}
+			after := h.Stats()
+			if after.RevHits == before.RevHits && after.RevRebuilds == before.RevRebuilds {
+				return
+			}
+			reverse++
+			if len(h.seeds) != 0 || len(h.admitted) != 0 {
+				t.Fatalf("horizon %d state %d: reverse-served query left %d forward seeds and %d admitted",
+					horizon, k, len(h.seeds), len(h.admitted))
+			}
+			maxCap = max(maxCap, cap(h.seeds), cap(h.admitted))
+		})
+		return reverse, maxCap
+	}
+	shortQueries, shortCap := deltaCap(50)
+	longQueries, longCap := deltaCap(400)
+	if shortQueries < 5 || longQueries < 5*shortQueries {
+		t.Fatalf("reverse cache served %d (h=50) and %d (h=400) queries: fixture too thin", shortQueries, longQueries)
+	}
+	t.Logf("reverse-served queries %d / %d, delta capacity %d / %d", shortQueries, longQueries, shortCap, longCap)
+	if longCap > shortCap {
+		t.Errorf("forward delta capacity grows with the horizon: %d at h=50, %d at h=400", shortCap, longCap)
+	}
+}

@@ -241,7 +241,9 @@ type Handle struct {
 
 	// The reverse cache serves the inverted (Early-kind) query shape: the
 	// target is fixed while the source moves with the agent, so u ==
-	// cacheSrc never holds and the forward cache is useless. revScratch —
+	// cacheSrc never holds and the forward cache is useless: every
+	// reverse-served query retires it (cacheValid false, seeds and admitted
+	// empty), so its delta lists stop growing with the horizon. revScratch —
 	// leased only once the shape appears, so Late-kind agents never pay for
 	// it — holds the fixpoint of longest-path distances INTO revCacheDst
 	// under this handle's frontier. The delta lists mirror the forward
@@ -764,6 +766,13 @@ func (h *Handle) weight(theta1, theta2 run.GeneralNode, d *EngineStats) (kw int,
 		h.revSeeds = h.revSeeds[:0]
 		h.revAdmitted = h.revAdmitted[:0]
 		h.revRetired = false
+		// The reverse cache has taken over: an Early-kind agent's source
+		// keeps moving, so the forward cache would never be read again,
+		// while its delta lists would grow by every sync. Retire it; a
+		// later forward query rebuilds it from scratch.
+		h.cacheValid = false
+		h.seeds = h.seeds[:0]
+		h.admitted = h.admitted[:0]
 		answer = dist[u]
 		w, reachable := int(answer), answer != graph.NegInf
 		h.rollback(base)

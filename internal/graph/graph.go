@@ -176,6 +176,17 @@ func (g *Graph) In(u int) []Edge { return g.radj[u] }
 // buffers grow to the largest graph queried and are then reused, so repeated
 // queries on a (growing) graph stop allocating O(V) per call. A Scratch is
 // owned by one querier at a time — it is not safe for concurrent use.
+//
+// Between runs every inQueue flag is false: a completed run drains its
+// queue, and a run that stops on ErrPositiveCycle clears the flags of what
+// it leaves queued (warm restarts check their arguments before queuing). Path
+// lengths need no clearing either: the cycle check reads pathLen only for
+// dequeued vertices, and each of those is a seed (whose count the run resets
+// when queuing it) or was improved during the run (which wrote its count).
+// So a run never pays O(V) for these two buffers, and a warm restart costs
+// its delta, not the graph. A run that stops on ErrPositiveCycle leaves the
+// scratch cold (n == 0): its distances are partial, and the warm restarts
+// refuse to resume from them.
 type Scratch struct {
 	// Relaxations accumulates the number of successful SPFA relaxations
 	// (distance improvements) across the queries run through this scratch —
@@ -184,8 +195,9 @@ type Scratch struct {
 	Relaxations int64
 
 	// n is the vertex count covered by the most recent completed
-	// computation; the warm restarts (RelaxRestrictedFrom and its reverse
-	// twin) use it to initialize vertices added since.
+	// computation, 0 while the scratch is cold; the warm restarts
+	// (RelaxRestrictedFrom and its reverse twin) use it to initialize
+	// vertices added since.
 	n int
 
 	dist    []int64
@@ -257,17 +269,7 @@ func longest(src int, adj [][]Edge, s *Scratch) ([]int64, error) {
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("graph: source %d outside 0..%d", src, n-1)
 	}
-	s.ensure(n)
-	dist := s.dist
-	for i := range dist {
-		dist[i] = NegInf
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
-	}
-	dist[src] = 0
-	s.queue[0] = src
-	s.inQueue[src] = true
-	s.n = n
+	dist := s.start(n, src, nil)
 	return dist, spfaRestricted(adj, s, 1, nil)
 }
 

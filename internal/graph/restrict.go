@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -96,22 +95,7 @@ func (g *Graph) LongestRestricted(s *Scratch, src int, r *Restriction) ([]int64,
 	if !r.Visible[src] {
 		return nil, fmt.Errorf("graph: source %d outside the restriction", src)
 	}
-	s.ensure(n)
-	dist := s.dist
-	vis := r.Visible
-	for i := range dist {
-		if vis[i] {
-			dist[i] = NegInf
-		} else {
-			dist[i] = posInf
-		}
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
-	}
-	dist[src] = 0
-	s.queue[0] = src
-	s.inQueue[src] = true
-	s.n = n
+	dist := s.start(n, src, r.Visible)
 	return dist, spfaRestricted(g.adj, s, 1, r)
 }
 
@@ -126,52 +110,17 @@ func (g *Graph) LongestRestricted(s *Scratch, src int, r *Restriction) ([]int64,
 // every vertex of the prior run's range that has become visible since, so
 // its masked-distance sentinel is dropped (vertices beyond the prior range
 // are initialized straight off the mask).
+//
+// The restart costs O(seeds + admitted + vertices added + work done), not
+// O(V): it touches no vertex the delta does not reach (see Scratch). A run
+// that stops on ErrPositiveCycle leaves the scratch cold, so the next query
+// must be a full run.
 func (g *Graph) RelaxRestrictedFrom(s *Scratch, seeds, admitted []int, r *Restriction) ([]int64, error) {
-	n := len(g.adj)
-	if s.n == 0 {
-		return nil, errors.New("graph: RelaxRestrictedFrom without a prior computation")
+	count, err := s.resume("RelaxRestrictedFrom", len(g.adj), seeds, admitted, nil, r)
+	if err != nil {
+		return nil, err
 	}
-	if s.n > n {
-		return nil, fmt.Errorf("graph: RelaxRestrictedFrom after shrink: %d vertices, scratch covers %d", n, s.n)
-	}
-	if len(r.Visible) < n || len(r.Band) < n || len(r.Idx) < n {
-		return nil, fmt.Errorf("graph: restriction covers %d of %d vertices", len(r.Visible), n)
-	}
-	old := s.n
-	s.ensure(n)
-	dist := s.dist
-	for i := old; i < n; i++ {
-		if r.Visible[i] {
-			dist[i] = NegInf
-		} else {
-			dist[i] = posInf
-		}
-	}
-	for _, v := range admitted {
-		if v < 0 || v >= n || !r.Visible[v] {
-			return nil, fmt.Errorf("graph: admitted vertex %d invalid", v)
-		}
-		if v < old {
-			dist[v] = NegInf
-		}
-	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
-	}
-	count := 0
-	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
-		if !s.inQueue[v] && dist[v] != NegInf && r.Visible[v] {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
-		}
-	}
-	s.n = n
-	return dist, spfaRestricted(g.adj, s, count, r)
+	return s.dist, spfaRestricted(g.adj, s, count, r)
 }
 
 // LongestIntoRestricted is LongestInto confined to the restriction's
@@ -192,22 +141,7 @@ func (g *Graph) LongestIntoRestricted(s *Scratch, dst int, r *Restriction) ([]in
 	if !r.Visible[dst] {
 		return nil, fmt.Errorf("graph: destination %d outside the restriction", dst)
 	}
-	s.ensure(n)
-	dist := s.dist
-	vis := r.Visible
-	for i := range dist {
-		if vis[i] {
-			dist[i] = NegInf
-		} else {
-			dist[i] = posInf
-		}
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
-	}
-	dist[dst] = 0
-	s.queue[0] = dst
-	s.inQueue[dst] = true
-	s.n = n
+	dist := s.start(n, dst, r.Visible)
 	return dist, spfaReverseRestricted(g.radj, s, 1, r)
 }
 
@@ -232,55 +166,14 @@ func (g *Graph) LongestIntoRestricted(s *Scratch, dst int, r *Restriction) ([]in
 // distances are knowledge weights, which persist) re-derives to its exact
 // fixpoint. refresh must not contain the destination, and refresh vertices
 // must be visible.
+//
+// Like the forward restart it costs O(seeds + admitted + refresh and its
+// out-edges + vertices added + work done), never O(V), and
+// ErrPositiveCycle leaves the scratch cold.
 func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh []int, r *Restriction) ([]int64, error) {
-	n := len(g.adj)
-	if s.n == 0 {
-		return nil, errors.New("graph: RelaxReverseRestrictedFrom without a prior computation")
-	}
-	if s.n > n {
-		return nil, fmt.Errorf("graph: RelaxReverseRestrictedFrom after shrink: %d vertices, scratch covers %d", n, s.n)
-	}
-	if len(r.Visible) < n || len(r.Band) < n || len(r.Idx) < n {
-		return nil, fmt.Errorf("graph: restriction covers %d of %d vertices", len(r.Visible), n)
-	}
-	old := s.n
-	s.ensure(n)
-	dist := s.dist
-	for i := old; i < n; i++ {
-		if r.Visible[i] {
-			dist[i] = NegInf
-		} else {
-			dist[i] = posInf
-		}
-	}
-	for _, v := range admitted {
-		if v < 0 || v >= n || !r.Visible[v] {
-			return nil, fmt.Errorf("graph: admitted vertex %d invalid", v)
-		}
-		if v < old {
-			dist[v] = NegInf
-		}
-	}
-	for _, v := range refresh {
-		if v < 0 || v >= n || !r.Visible[v] {
-			return nil, fmt.Errorf("graph: refresh vertex %d invalid", v)
-		}
-		dist[v] = NegInf
-	}
-	for i := range s.inQueue {
-		s.inQueue[i] = false
-		s.pathLen[i] = 0
-	}
-	count := 0
-	for _, v := range seeds {
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
-		}
-		if !s.inQueue[v] && dist[v] != NegInf && r.Visible[v] {
-			s.queue[count] = v
-			count++
-			s.inQueue[v] = true
-		}
+	count, err := s.resume("RelaxReverseRestrictedFrom", len(g.adj), seeds, admitted, refresh, r)
+	if err != nil {
+		return nil, err
 	}
 	// Re-deriving a refresh vertex means re-popping the heads of its
 	// surviving out-edges: each head, when dequeued, re-relaxes its in-edges
@@ -288,33 +181,133 @@ func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh 
 	// refresh-reset are skipped here (unreachable seeds are useless) and
 	// re-enter the queue once a neighbor with a valid distance improves
 	// them, so a whole band re-derives to its fixpoint through the queue.
+	// A head's path length restarts at zero like any seed's: the path that
+	// last improved it may have run through the refresh vertices, so its
+	// old count no longer describes a path of the current graph.
+	vis := r.Visible
 	for _, v := range refresh {
 		for _, e := range g.adj[v] {
-			if h := e.To; !s.inQueue[h] && dist[h] != NegInf && r.Visible[h] {
-				s.queue[count] = h
-				count++
-				s.inQueue[h] = true
-			}
+			count = s.seed(count, e.To, vis)
 		}
 		if v < len(r.Overlay) {
 			for _, e := range r.Overlay[v] {
-				if h := e.To; !s.inQueue[h] && dist[h] != NegInf && r.Visible[h] {
-					s.queue[count] = h
-					count++
-					s.inQueue[h] = true
-				}
+				count = s.seed(count, e.To, vis)
 			}
 		}
 		if r.BoundaryTo != nil && r.Idx[v] == r.Limit[r.Band[v]] {
-			if h := int(r.BoundaryTo[r.Band[v]]); h >= 0 && !s.inQueue[h] && dist[h] != NegInf {
-				s.queue[count] = h
-				count++
-				s.inQueue[h] = true
+			if h := int(r.BoundaryTo[r.Band[v]]); h >= 0 {
+				count = s.seed(count, h, vis)
 			}
 		}
 	}
+	return s.dist, spfaReverseRestricted(g.radj, s, count, r)
+}
+
+// start initializes a full run over n vertices from the single seed src:
+// every distance is reset off the mask (vis nil: all visible), and src is
+// queued at distance zero. It relies on the Scratch invariant instead of
+// clearing the queue flags and path lengths.
+func (s *Scratch) start(n, src int, vis []bool) []int64 {
+	s.ensure(n)
+	dist := s.dist
+	for i := range dist {
+		if vis == nil || vis[i] {
+			dist[i] = NegInf
+		} else {
+			dist[i] = posInf
+		}
+	}
+	dist[src] = 0
+	s.seed(0, src, nil)
 	s.n = n
-	return dist, spfaReverseRestricted(g.radj, s, count, r)
+	return dist
+}
+
+// resume prepares a warm restart over n vertices: it initializes the
+// vertices added since the prior run off the mask, drops the sentinels of
+// admitted vertices, resets refresh vertices to unreachable and queues the
+// usable seeds, returning how many it queued. Every argument is checked
+// before anything is written, so an error leaves the scratch as it was.
+func (s *Scratch) resume(op string, n int, seeds, admitted, refresh []int, r *Restriction) (int, error) {
+	if s.n == 0 {
+		return 0, fmt.Errorf("graph: %s without a prior computation", op)
+	}
+	if s.n > n {
+		return 0, fmt.Errorf("graph: %s after shrink: %d vertices, scratch covers %d", op, n, s.n)
+	}
+	if len(r.Visible) < n || len(r.Band) < n || len(r.Idx) < n {
+		return 0, fmt.Errorf("graph: restriction covers %d of %d vertices", len(r.Visible), n)
+	}
+	vis := r.Visible
+	for _, v := range admitted {
+		if v < 0 || v >= n || !vis[v] {
+			return 0, fmt.Errorf("graph: admitted vertex %d invalid", v)
+		}
+	}
+	for _, v := range refresh {
+		if v < 0 || v >= n || !vis[v] {
+			return 0, fmt.Errorf("graph: refresh vertex %d invalid", v)
+		}
+	}
+	for _, v := range seeds {
+		if v < 0 || v >= n {
+			return 0, fmt.Errorf("graph: seed %d outside 0..%d", v, n-1)
+		}
+	}
+	old := s.n
+	s.ensure(n)
+	dist := s.dist
+	for i := old; i < n; i++ {
+		if vis[i] {
+			dist[i] = NegInf
+		} else {
+			dist[i] = posInf
+		}
+	}
+	for _, v := range admitted {
+		if v < old {
+			dist[v] = NegInf
+		}
+	}
+	for _, v := range refresh {
+		dist[v] = NegInf
+	}
+	count := 0
+	for _, v := range seeds {
+		count = s.seed(count, v, vis)
+	}
+	s.n = n
+	return count, nil
+}
+
+// seed queues v as the count-th seed of a run unless it is already queued,
+// unreachable or masked (vis nil: all visible), and returns the new count.
+// A seed is the one kind of dequeued vertex no relaxation of this run has
+// written a path length for, so its count restarts at zero here.
+func (s *Scratch) seed(count, v int, vis []bool) int {
+	if s.inQueue[v] || s.dist[v] == NegInf || (vis != nil && !vis[v]) {
+		return count
+	}
+	s.queue[count] = v
+	s.inQueue[v] = true
+	s.pathLen[v] = 0
+	return count + 1
+}
+
+// positiveCycle ends a run that found a positive cycle. It books the
+// relaxations done, clears the queue flags of the count ring entries from
+// head on (keeping the Scratch invariant) and leaves the scratch cold, so
+// no warm restart resumes from the run's partial distances.
+func (s *Scratch) positiveCycle(relaxed int64, head, count int) error {
+	s.Relaxations += relaxed
+	for ; count > 0; count-- {
+		s.inQueue[s.queue[head]] = false
+		if head++; head == len(s.queue) {
+			head = 0
+		}
+	}
+	s.n = 0
+	return ErrPositiveCycle
 }
 
 // spfaRestricted drains the ring queue holding count seeded vertices,
@@ -371,8 +364,7 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 				relaxed++
 				pathLen[e.To] = pathLen[u] + 1
 				if int(pathLen[e.To]) >= n {
-					s.Relaxations += relaxed
-					return ErrPositiveCycle
+					return s.positiveCycle(relaxed, head, count)
 				}
 				if !inQueue[e.To] {
 					tail := head + count
@@ -395,8 +387,7 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 					relaxed++
 					pathLen[e.To] = pathLen[u] + 1
 					if int(pathLen[e.To]) >= n {
-						s.Relaxations += relaxed
-						return ErrPositiveCycle
+						return s.positiveCycle(relaxed, head, count)
 					}
 					if !inQueue[e.To] {
 						tail := head + count
@@ -419,8 +410,7 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 					relaxed++
 					pathLen[to] = pathLen[u] + 1
 					if int(pathLen[to]) >= n {
-						s.Relaxations += relaxed
-						return ErrPositiveCycle
+						return s.positiveCycle(relaxed, head, count)
 					}
 					if !inQueue[to] {
 						tail := head + count
@@ -467,8 +457,7 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 				relaxed++
 				pathLen[e.To] = pathLen[u] + 1
 				if int(pathLen[e.To]) >= n {
-					s.Relaxations += relaxed
-					return ErrPositiveCycle
+					return s.positiveCycle(relaxed, head, count)
 				}
 				if !inQueue[e.To] {
 					tail := head + count
@@ -488,8 +477,7 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 					relaxed++
 					pathLen[e.To] = pathLen[u] + 1
 					if int(pathLen[e.To]) >= n {
-						s.Relaxations += relaxed
-						return ErrPositiveCycle
+						return s.positiveCycle(relaxed, head, count)
 					}
 					if !inQueue[e.To] {
 						tail := head + count
@@ -512,8 +500,7 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 					relaxed++
 					pathLen[from] = pathLen[u] + 1
 					if int(pathLen[from]) >= n {
-						s.Relaxations += relaxed
-						return ErrPositiveCycle
+						return s.positiveCycle(relaxed, head, count)
 					}
 					if !inQueue[from] {
 						tail := head + count
