@@ -500,8 +500,8 @@ func BenchmarkSweepPrefixShared(b *testing.B) {
 }
 
 // BenchmarkSweepReplayLive (B1): one COMPLETE live sweep cell per op —
-// policy-driven environment, FFIP flooding, view maintenance and every
-// Protocol2 decision — through live.Replay, the execution every live sweep
+// policy-driven environment, FFIP flooding, the run recording, the agents'
+// views and every Protocol2 decision — through live.Replay, the execution every live sweep
 // cell runs: the environment steps one tick at a time and every agent is
 // driven state by state in a single goroutine.
 func BenchmarkSweepReplayLive(b *testing.B) {

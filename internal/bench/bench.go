@@ -5,6 +5,7 @@ package bench
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/bounds"
@@ -33,8 +34,9 @@ func instance(n int) *workload.Instance {
 	return workload.MustGenerate(cfg)
 }
 
-// ScalingLive measures the live engine (no agents — the environment, view
-// maintenance and FFIP relay cost alone) on the standard scaling workload.
+// ScalingLive measures the live engine (no agents — the environment, the
+// run recording and FFIP relay cost alone) on the standard scaling
+// workload.
 func ScalingLive(n int) Case {
 	return Case{
 		Name: fmt.Sprintf("ScalingLive/n=%d", n),
@@ -75,88 +77,53 @@ func protocol2Task(in *workload.Instance) coord.Task {
 	return task
 }
 
-// StateBatch is one recorded receive batch: the process it moves to its
-// next state, the sender nodes of its deliveries and its external labels.
-// Recorded batches can be re-absorbed, in order, into fresh Views any
-// number of times — the replay fixture behind the Protocol2 benchmark
-// bodies and the engine-tier differential tests (internal/bounds's
-// external test package imports it rather than keeping its own copy of the
-// replay loop).
-type StateBatch struct {
-	Proc      model.ProcID
-	From      []run.BasicNode
-	Externals []string
-}
-
-// Views is one fresh causal store's per-process views, grown by absorbing
-// recorded batches in order.
-type Views []*run.View
-
-// NewViews returns the initial views of every process over a new store.
-func NewViews(net *model.Network) Views {
-	st := run.NewStore(net)
-	vs := make(Views, net.N())
-	for _, p := range net.Procs() {
-		vs[p-1] = st.LocalView(p)
-	}
-	return vs
-}
-
-// Absorb moves batch b's process to its next state and returns its view.
-func (vs Views) Absorb(b StateBatch) (*run.View, error) {
-	v := vs[b.Proc-1]
-	_, err := v.Absorb(b.From, b.Externals)
-	return v, err
-}
-
-// ReplayBatches reconstructs every receive batch of a recorded run in
-// global (time, process) order — the order live.Replay absorbs them. It
-// also returns the observed processes' views after the whole run, for
-// harnesses that subscribe fresh engines to a finished run.
-func ReplayBatches(r *run.Run, observed map[model.ProcID]bool) ([]StateBatch, map[model.ProcID]*run.View) {
-	net := r.Net()
-	var out []StateBatch
-	for t := model.Time(1); t <= r.Horizon(); t++ {
-		for _, p := range net.Procs() {
-			node := r.NodeAt(p, t)
-			if node.IsInitial() || r.MustTime(node) != t {
-				continue
-			}
-			b := StateBatch{Proc: p}
-			for _, d := range r.Inbox(node) {
-				b.From = append(b.From, d.From)
-			}
-			for _, e := range r.ExternalsAt(node) {
-				b.Externals = append(b.Externals, e.Label)
-			}
-			out = append(out, b)
-		}
-	}
-	views := NewViews(net)
-	for _, b := range out {
-		if _, err := views.Absorb(b); err != nil {
-			panic(err)
-		}
-	}
-	final := make(map[model.ProcID]*run.View, len(observed))
+// States returns the non-initial states of the observed processes of a
+// recorded run in (time, process) order — the order live.Replay drives
+// them in. Harnesses walk each observed process's view over the run with
+// run.ViewOf and View.Advance, calling its agent or engine at each of
+// these states; the internal/bounds engine-tier tests share this order.
+func States(r *run.Run, observed map[model.ProcID]bool) []run.BasicNode {
+	var out []run.BasicNode
 	for p := range observed {
-		final[p] = views[p-1]
+		for k := 1; k <= r.LastIndex(p); k++ {
+			out = append(out, run.BasicNode{Proc: p, Index: k})
+		}
 	}
-	return out, final
+	sort.Slice(out, func(i, j int) bool {
+		ti, tj := r.MustTime(out[i]), r.MustTime(out[j])
+		return ti < tj || ti == tj && out[i].Proc < out[j].Proc
+	})
+	return out
 }
 
-// replayBatches is ReplayBatches without the final views.
-func replayBatches(r *run.Run) []StateBatch {
-	batches, _ := ReplayBatches(r, nil)
-	return batches
+// initialViews returns the initial view over r of every observed process,
+// indexed by process id minus one. The observed processes are the
+// benchmark's own agents, so every node asked for appears and ViewOf
+// cannot fail.
+func initialViews(r *run.Run, observed map[model.ProcID]bool) []*run.View {
+	views := make([]*run.View, r.Net().N())
+	for p := range observed {
+		views[p-1], _ = run.ViewOf(r, run.BasicNode{Proc: p})
+	}
+	return views
+}
+
+// finalViews returns the observed processes' views at their last states
+// (which appear, as in initialViews).
+func finalViews(r *run.Run, observed map[model.ProcID]bool) map[model.ProcID]*run.View {
+	out := make(map[model.ProcID]*run.View, len(observed))
+	for p := range observed {
+		out[p], _ = run.ViewOf(r, run.BasicNode{Proc: p, Index: r.LastIndex(p)})
+	}
+	return out
 }
 
 // protocol2 measures the per-state online decision loop of Protocol 2 for
-// B over a recorded scaling run: replay every receive batch into the
-// processes' views and let B's agent decide at each of its states, under
-// the selected engine: the default private one-handle run (Online) or a
-// fresh build per state (Rebuild). Only the engines differ between the
-// variants; the replayed view maintenance is identical. With kind Early
+// B over a recorded scaling run: walk B's view along its timeline and let
+// B's agent decide at each of its states, under the selected engine: the
+// default private one-handle run (Online) or a fresh build per state
+// (Rebuild). Only the engines differ between the variants; the view walk
+// is identical. With kind Early
 // the query source is B's moving state while the target stays fixed on
 // A's node, so the forward (fixed-source) cache misses at every state and
 // the handle's reverse (fixed-target) cache carries the load.
@@ -174,13 +141,7 @@ func protocol2(n int, name string, rebuild bool, kind coord.Kind) Case {
 			if err != nil {
 				b.Fatal(err)
 			}
-			batches := replayBatches(r)
-			states := 0
-			for _, sb := range batches {
-				if sb.Proc == task.B {
-					states++
-				}
-			}
+			states := r.LastIndex(task.B)
 			if states == 0 {
 				b.Fatal("B never moves")
 			}
@@ -188,15 +149,15 @@ func protocol2(n int, name string, rebuild bool, kind coord.Kind) Case {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				agent := &live.Protocol2{Task: task, Rebuild: rebuild}
-				views := NewViews(in.Net)
-				for _, sb := range batches {
-					view, err := views.Absorb(sb)
-					if err != nil {
+				view, err := run.ViewOf(r, run.BasicNode{Proc: task.B})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for k := 1; k <= states; k++ {
+					if _, err := view.Advance(r); err != nil {
 						b.Fatal(err)
 					}
-					if sb.Proc == task.B {
-						agent.OnState(view, sb.Externals)
-					}
+					agent.OnState(view, nil)
 				}
 				if err := agent.Err(); err != nil {
 					b.Fatal(err)
@@ -233,14 +194,8 @@ func protocol2Multi(m int, name string, shared bool) Case {
 			if err != nil {
 				b.Fatal(err)
 			}
-			batches := replayBatches(r)
-			states := 0
-			for _, sb := range batches {
-				if observed[sb.Proc] {
-					states++
-				}
-			}
-			if states == 0 {
+			states := States(r, observed)
+			if len(states) == 0 {
 				b.Fatal("no agent ever moves")
 			}
 			b.ReportAllocs()
@@ -254,15 +209,13 @@ func protocol2Multi(m int, name string, shared bool) Case {
 				for j := range tasks {
 					agents[tasks[j].B] = &live.Protocol2{Task: tasks[j], Shared: eng}
 				}
-				views := NewViews(sc.Net)
-				for _, sb := range batches {
-					view, err := views.Absorb(sb)
-					if err != nil {
+				views := initialViews(r, observed)
+				for _, st := range states {
+					view := views[st.Proc-1]
+					if _, err := view.Advance(r); err != nil {
 						b.Fatal(err)
 					}
-					if agent := agents[sb.Proc]; agent != nil {
-						agent.OnState(view, sb.Externals)
-					}
+					agents[st.Proc].OnState(view, nil)
 				}
 				for _, agent := range agents {
 					if err := agent.Err(); err != nil {
@@ -270,7 +223,7 @@ func protocol2Multi(m int, name string, shared bool) Case {
 					}
 				}
 			}
-			b.ReportMetric(float64(states), "states")
+			b.ReportMetric(float64(len(states)), "states")
 		},
 	}
 }
@@ -304,7 +257,7 @@ func sweepNetwork(m int, name string, shared bool) Case {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, views := ReplayBatches(r, observed)
+			views := finalViews(r, observed)
 			var eng *bounds.NetworkEngine
 			if shared {
 				eng = bounds.NewNetworkEngine(sc.Net)
@@ -364,7 +317,7 @@ func sweepSeeded(m, seeds int, name string, prefix bool) Case {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, views := ReplayBatches(r, observed)
+			views := finalViews(r, observed)
 			fp := r.Fingerprint()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -399,9 +352,9 @@ func sweepSeeded(m, seeds int, name string, prefix bool) Case {
 	}
 }
 
-// sweepLive measures one COMPLETE live sweep cell end to end — the
-// policy-driven environment, FFIP flooding, every process's view
-// maintenance and every Protocol2 decision — through live.Replay. The
+// SweepReplayLive measures one COMPLETE live sweep cell end to end — the
+// policy-driven environment, FFIP flooding, the run recording, every
+// agent's view and every Protocol2 decision — through live.Replay. The
 // NetworkEngine is built outside the timer, as sweep.Grid amortizes it
 // across a block; each iteration is one full cell under a fresh seeded
 // random policy, so the case prices exactly what the sweep's live grid
@@ -527,8 +480,7 @@ func ScalingEarlyWarm(horizon model.Time) Case {
 				Net: net, Horizon: horizon, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go"),
 			})
 			const observer = 2
-			_, views := ReplayBatches(r, map[model.ProcID]bool{observer: true})
-			view := views[observer]
+			view := finalViews(r, map[model.ProcID]bool{observer: true})[observer]
 			target, ok := view.Boundary(1)
 			if !ok || target.IsInitial() || view.Origin().Index < 3 {
 				b.Fatal("observer's view too short for the query shape")

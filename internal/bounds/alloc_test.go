@@ -54,21 +54,13 @@ func TestNewBasicAllocationsFlatInRunSize(t *testing.T) {
 }
 
 // TestExtendedRejectsUnmodeledChannel pins the error path for a receipt
-// over a channel the network does not model: the view rejects it with
-// run.ErrChannelMissing and stays as it was, so NewExtendedFromView only
-// ever sees resolved channels.
+// over a channel the network does not model: the recorder rejects it with
+// run.ErrChannelMissing and the run stays as it was, so
+// NewExtendedFromView only ever sees resolved channels.
 func TestExtendedRejectsUnmodeledChannel(t *testing.T) {
 	// No channel 3->2.
 	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).MustBuild()
-	st := run.NewStore(net)
-	from, err := st.LocalView(3).Absorb(nil, []string{"go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver := st.LocalView(2)
-	if _, err := receiver.Absorb([]run.BasicNode{from}, nil); !errors.Is(err, run.ErrChannelMissing) {
-		t.Fatalf("got %v, want run.ErrChannelMissing", err)
-	}
+	receiver := unmodeledReceipt(t, net)
 	e, err := NewExtendedFromView(receiver)
 	if err != nil {
 		t.Fatal(err)
@@ -76,4 +68,32 @@ func TestExtendedRejectsUnmodeledChannel(t *testing.T) {
 	if got := len(e.View().Deliveries()); got != 0 {
 		t.Fatalf("rejected receipt left %d deliveries in the view", got)
 	}
+}
+
+// unmodeledReceipt records a run over net, which must lack the channel
+// 3->2, in which process 3 absorbs an external and then sends to process 2
+// over that missing channel. It checks that the recorder rejects the
+// receipt with run.ErrChannelMissing, recording nothing, and returns
+// process 2's view of the run.
+func unmodeledReceipt(t *testing.T, net *model.Network) *run.View {
+	t.Helper()
+	rec, err := run.NewRecorder(net, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, err := rec.Append(3, 1, nil, []string{"go"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver, err := run.ViewOf(rec.Run(), run.BasicNode{Proc: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Append(2, 2, []run.Arrival{{From: from, Send: 1}}, nil); !errors.Is(err, run.ErrChannelMissing) {
+		t.Fatalf("receipt over 3->2: %v, want run.ErrChannelMissing", err)
+	}
+	if _, err := receiver.Advance(rec.Run()); !errors.Is(err, run.ErrNoNode) {
+		t.Fatalf("rejected receipt recorded a node: %v", err)
+	}
+	return receiver
 }

@@ -1,8 +1,8 @@
 // The engine-tier acceptance tests live in an external test package: they
 // drive bounds.NetworkEngine through the real scenario.Registry catalogue,
-// and scenario imports coord which imports bounds. The replay fixture is
-// bench.ReplayBatches — shared with the benchmark bodies — rather than a
-// third copy of the view-evolution loop.
+// and scenario imports coord which imports bounds. The state order is
+// bench.States — shared with the benchmark bodies — rather than another
+// copy of the view-evolution loop.
 package bounds_test
 
 import (
@@ -17,39 +17,44 @@ import (
 	"github.com/clockless/zigzag/internal/sim"
 )
 
-// batchDriver re-absorbs recorded receive batches into fresh per-process
-// views over one causal store, one state at a time — the incremental growth
-// an agent's engine sees live.
-type batchDriver struct {
-	batches   []bench.StateBatch
-	observers map[model.ProcID]bool
-	views     bench.Views
-	next      int
+// stateWalker walks the observer processes' views over a recorded run, one
+// state at a time in (time, process) order — the incremental growth an
+// agent's engine sees live.
+type stateWalker struct {
+	r      *run.Run
+	states []run.BasicNode
+	views  []*run.View
+	next   int
 }
 
-func newBatchDriver(t *testing.T, r *run.Run, observers map[model.ProcID]bool) *batchDriver {
+func newStateWalker(t *testing.T, r *run.Run, observers map[model.ProcID]bool) *stateWalker {
 	t.Helper()
-	batches, _ := bench.ReplayBatches(r, observers)
-	return &batchDriver{batches: batches, observers: observers, views: bench.NewViews(r.Net())}
-}
-
-// step absorbs recorded batches up to the next observer state and returns
-// that state's process, node index and view; ok is false once the run is
-// exhausted.
-func (d *batchDriver) step(t *testing.T) (p model.ProcID, k int, v *run.View, ok bool) {
-	t.Helper()
-	for d.next < len(d.batches) {
-		b := d.batches[d.next]
-		d.next++
-		v, err := d.views.Absorb(b)
+	w := &stateWalker{r: r, states: bench.States(r, observers), views: make([]*run.View, r.Net().N())}
+	for p := range observers {
+		v, err := run.ViewOf(r, run.BasicNode{Proc: p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.observers[b.Proc] {
-			return b.Proc, v.Origin().Index, v, true
-		}
+		w.views[p-1] = v
 	}
-	return 0, 0, nil, false
+	return w
+}
+
+// step advances the view of the next observer state and returns that
+// state's process, node index and view; ok is false once the run is
+// exhausted.
+func (w *stateWalker) step(t *testing.T) (p model.ProcID, k int, v *run.View, ok bool) {
+	t.Helper()
+	if w.next == len(w.states) {
+		return 0, 0, nil, false
+	}
+	st := w.states[w.next]
+	w.next++
+	v = w.views[st.Proc-1]
+	if _, err := v.Advance(w.r); err != nil {
+		t.Fatal(err)
+	}
+	return st.Proc, st.Index, v, true
 }
 
 // registryQueryNodes picks up to max query nodes from a view: the origin,
@@ -143,7 +148,7 @@ func TestNetworkEngineMatchesFreshBuild(t *testing.T) {
 			}
 			shared := eng.NewRun()
 			handles := make(map[model.ProcID]*bounds.Handle)
-			d := newBatchDriver(t, r, observers)
+			d := newStateWalker(t, r, observers)
 			for {
 				p, k, v, ok := d.step(t)
 				if !ok {
@@ -176,7 +181,7 @@ func TestNetworkEngineRunIsolation(t *testing.T) {
 	eng := bounds.NewNetworkEngine(sc.Net)
 	observers := map[model.ProcID]bool{sc.Tasks[0].B: true, sc.Tasks[1].B: true}
 	type runState struct {
-		d       *batchDriver
+		d       *stateWalker
 		shared  *bounds.Shared
 		handles map[model.ProcID]*bounds.Handle
 	}
@@ -187,7 +192,7 @@ func TestNetworkEngineRunIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs[i] = &runState{
-			d:       newBatchDriver(t, r, observers),
+			d:       newStateWalker(t, r, observers),
 			shared:  eng.NewRun(),
 			handles: make(map[model.ProcID]*bounds.Handle),
 		}

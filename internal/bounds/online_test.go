@@ -10,11 +10,11 @@ import (
 	"github.com/clockless/zigzag/internal/workload"
 )
 
-// replayViews reconstructs, from a recorded run, the exact view evolution
-// process p sees live: every process absorbs its recorded batches over one
-// causal store in global time order, and visit is called at each state
-// k >= 1 of p with p's shared, mutating view. This is the offline stand-in
-// for a live process that lets tests walk every state deterministically.
+// replayViews walks, over a recorded run, the exact view evolution process
+// p sees live: p's view advances state by state, and visit is called at
+// each state k >= 1 of p with p's mutating view. This is the offline
+// stand-in for a live process that lets tests walk every state
+// deterministically.
 func replayViews(t *testing.T, r *run.Run, p model.ProcID, visit func(k int, v *run.View)) {
 	t.Helper()
 	replayAll(t, r, map[model.ProcID]bool{p: true}, func(_ model.ProcID, k int, v *run.View) { visit(k, v) })

@@ -18,7 +18,7 @@ import (
 func driveRun(t *testing.T, tag string, shared *bounds.Shared, r *run.Run, observers map[model.ProcID]bool, maxQueries int) {
 	t.Helper()
 	handles := make(map[model.ProcID]*bounds.Handle)
-	d := newBatchDriver(t, r, observers)
+	d := newStateWalker(t, r, observers)
 	for {
 		p, k, v, ok := d.step(t)
 		if !ok {
@@ -123,7 +123,7 @@ func TestPrefixEngineDonorSurvivesFreeze(t *testing.T) {
 	// and the stamped run's extension both exercise the aliased tables.
 	partial := map[model.ProcID]bool{procs[0]: true}
 	dh := make(map[model.ProcID]*bounds.Handle)
-	d := newBatchDriver(t, r, partial)
+	d := newStateWalker(t, r, partial)
 	for {
 		p, _, v, ok := d.step(t)
 		if !ok {
@@ -151,13 +151,13 @@ func TestPrefixEngineDonorSurvivesFreeze(t *testing.T) {
 	donorObs := map[model.ProcID]bool{procs[1]: true, procs[2]: true}
 	stampObs := map[model.ProcID]bool{procs[3]: true, procs[0]: true}
 	type side struct {
-		d       *batchDriver
+		d       *stateWalker
 		shared  *bounds.Shared
 		handles map[model.ProcID]*bounds.Handle
 	}
 	sides := []*side{
-		{d: newBatchDriver(t, r, donorObs), shared: donor, handles: dh},
-		{d: newBatchDriver(t, r, stampObs), shared: stamped, handles: make(map[model.ProcID]*bounds.Handle)},
+		{d: newStateWalker(t, r, donorObs), shared: donor, handles: dh},
+		{d: newStateWalker(t, r, stampObs), shared: stamped, handles: make(map[model.ProcID]*bounds.Handle)},
 	}
 	for live := 1; live > 0; {
 		live = 0
@@ -257,22 +257,24 @@ func TestPrefixEngineAllocationGuard(t *testing.T) {
 	eng := bounds.NewNetworkEngine(sc.Net)
 	procs := sc.Net.Procs()
 	observers := map[model.ProcID]bool{procs[0]: true, procs[len(procs)/2]: true}
-	batches, _ := bench.ReplayBatches(r, observers)
+	states := bench.States(r, observers)
 
 	absorb := func(shared *bounds.Shared) {
-		views := bench.NewViews(sc.Net)
+		views := make(map[model.ProcID]*run.View, len(observers))
 		handles := make(map[model.ProcID]*bounds.Handle, len(observers))
 		for p := range observers {
-			handles[p] = mustHandle(t, shared, views[p-1])
-		}
-		for _, b := range batches {
-			if _, err := views.Absorb(b); err != nil {
+			v, err := run.ViewOf(r, run.BasicNode{Proc: p})
+			if err != nil {
 				t.Fatal(err)
 			}
-			if h := handles[b.Proc]; h != nil {
-				if err := h.Sync(); err != nil {
-					t.Fatal(err)
-				}
+			views[p], handles[p] = v, mustHandle(t, shared, v)
+		}
+		for _, st := range states {
+			if _, err := views[st.Proc].Advance(r); err != nil {
+				t.Fatal(err)
+			}
+			if err := handles[st.Proc].Sync(); err != nil {
+				t.Fatal(err)
 			}
 		}
 		for _, h := range handles {

@@ -1,7 +1,6 @@
 package bounds
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/model"
@@ -10,38 +9,30 @@ import (
 	"github.com/clockless/zigzag/internal/workload"
 )
 
-// replayAll reconstructs every process's view evolution from a recorded run
-// in global time order — the interleaving the live environment produces,
-// over one causal store — and calls visit at each new state of an observer
-// process.
+// replayAll walks the observer processes' views over a recorded run in
+// global time order — the interleaving the live environment produces —
+// and calls visit at each new state of an observer.
 func replayAll(t *testing.T, r *run.Run, observers map[model.ProcID]bool, visit func(p model.ProcID, k int, v *run.View)) {
 	t.Helper()
 	net := r.Net()
-	st := run.NewStore(net)
 	views := make([]*run.View, net.N())
-	for _, p := range net.Procs() {
-		views[p-1] = st.LocalView(p)
+	for p := range observers {
+		v, err := run.ViewOf(r, run.BasicNode{Proc: p})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views[p-1] = v
 	}
 	for tick := model.Time(1); tick <= r.Horizon(); tick++ {
 		for _, p := range net.Procs() {
 			node := r.NodeAt(p, tick)
-			if node.IsInitial() || r.MustTime(node) != tick {
+			if !observers[p] || node.IsInitial() || r.MustTime(node) != tick {
 				continue
 			}
-			var from []run.BasicNode
-			for _, d := range r.Inbox(node) {
-				from = append(from, d.From)
-			}
-			var labels []string
-			for _, e := range r.ExternalsAt(node) {
-				labels = append(labels, e.Label)
-			}
-			if _, err := views[p-1].Absorb(from, labels); err != nil {
+			if _, err := views[p-1].Advance(r); err != nil {
 				t.Fatal(err)
 			}
-			if observers[p] {
-				visit(p, node.Index, views[p-1])
-			}
+			visit(p, node.Index, views[p-1])
 		}
 	}
 }
@@ -185,22 +176,14 @@ func TestSharedQueriesAreRepeatable(t *testing.T) {
 }
 
 // TestSharedRejectsUnmodeledChannel: a receipt over a channel the network
-// does not model is rejected by the view itself with run.ErrChannelMissing,
-// so it never reaches a handle; the handle keeps answering, on every retry,
-// exactly what a fresh build of the unchanged view answers.
+// does not model is rejected by the recorder with run.ErrChannelMissing,
+// so it never reaches a view or a handle; the handle keeps answering, on
+// every retry, exactly what a fresh build of the unchanged view answers.
 func TestSharedRejectsUnmodeledChannel(t *testing.T) {
 	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).MustBuild()
-	st := run.NewStore(net)
-	from, err := st.LocalView(3).Absorb(nil, []string{"go"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver := st.LocalView(2)
+	receiver := unmodeledReceipt(t, net)
 	eng := NewNetworkEngine(net).NewRun()
 	h := mustHandle(t, eng, receiver)
-	if _, err := receiver.Absorb([]run.BasicNode{from}, nil); !errors.Is(err, run.ErrChannelMissing) {
-		t.Fatalf("receipt over 3->2: %v, want run.ErrChannelMissing", err)
-	}
 	fresh, err := NewExtendedFromView(receiver)
 	if err != nil {
 		t.Fatal(err)

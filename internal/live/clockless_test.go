@@ -13,8 +13,8 @@ import (
 )
 
 // viewGuard is an agent that checks, at every state of its process, that the
-// live view — a frontier over the execution's shared causal store, which
-// holds more than the view may see — answers every accessor exactly as the
+// live view — a frontier over the run the stepper is recording, which holds
+// more than the view may see — answers every accessor exactly as the
 // view extracted offline from the recorded run, and never reveals a time.
 type viewGuard struct {
 	r   *run.Run
@@ -120,12 +120,12 @@ func (g *viewGuard) check(live *run.View) error {
 	return nil
 }
 
-// TestLiveViewAccessorsMatchOffline is the clockless guard of the shared
-// causal store: on every registry scenario at the full multi-agent ceiling,
+// TestLiveViewAccessorsMatchOffline is the clockless guard of views over
+// a growing run: on every registry scenario at the full multi-agent ceiling,
 // under the eager, a seeded uniform and a seeded heavy-tailed policy, plus
 // one fault-injected chaos cell, every view accessor of every process at
 // every state answers exactly as ViewOf on the recorded run — including the
-// negative answers for deliveries and externals the store already holds
+// negative answers for deliveries and externals the run already holds
 // beyond the view's frontier.
 func TestLiveViewAccessorsMatchOffline(t *testing.T) {
 	type cell struct {

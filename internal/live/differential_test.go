@@ -94,10 +94,9 @@ func TestLiveMatchesSimulatorOnRandomFamily(t *testing.T) {
 
 // TestLiveAllocationGuard keeps a live execution allocation-light: the
 // stepper's arrivals and externals live in horizon-indexed slice buckets,
-// per-process slabs replace per-tick grouping maps and their sort, payloads
-// are sender nodes over one shared causal store, and the sender buffer is
-// reused. The bound has slack over the measured count (which includes
-// the growing views) but sits far below per-tick map churn.
+// per-process slabs replace per-tick grouping maps and their sort, and
+// each batch is appended to the one recorded run. The bound has slack
+// over the measured count but sits far below per-tick map churn.
 func TestLiveAllocationGuard(t *testing.T) {
 	net := model.MustComplete(4, 1, 5)
 	cfg := Config{Net: net, Horizon: 40, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go")}

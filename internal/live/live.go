@@ -8,11 +8,13 @@
 //
 // The environment is sim.Stepper, the same tick-at-a-time schedule that
 // sim.Simulate records: Replay takes each tick's receive batches from it
-// and feeds them straight into the receiving processes' views and agents,
-// in (time, process) order, in one goroutine. Agents never see the tick
-// value. Every process's view is a frontier over one run.Store that the
-// views fill as they absorb, so a message's full-information payload is
-// just its sender node: the store already holds that node's causal past.
+// and, in (time, process) order and in one goroutine, moves each
+// agent-bearing receiver's view to its new state and calls its agent.
+// Agents never see the tick value. The stepper appends every batch to the
+// execution's one recording, a run.Run, as it schedules it; each view is a
+// frontier over that growing run, moved by run.View.Advance, so a
+// message's full-information payload is just its sender node: the run
+// already holds that node's causal past.
 package live
 
 import (

@@ -185,3 +185,52 @@ func TestLiveCustomAgentActions(t *testing.T) {
 		t.Errorf("external-triggered action missing: %v", res.Actions)
 	}
 }
+
+// labelProbe records the labels its live view reports at one node.
+type labelProbe struct {
+	at     run.BasicNode
+	labels []string
+	seen   bool
+}
+
+func (l *labelProbe) OnState(v *run.View, _ []string) []string {
+	if v.Contains(l.at) && !l.seen {
+		l.labels, l.seen = v.ExternalsAt(l.at), true
+	}
+	return nil
+}
+
+// TestRepeatedExternalLabel: an external label scheduled twice for one
+// node is recorded twice, and the live view, ViewOf on the recorded run
+// and Run.ExternalsAt all report both, from the process itself and from a
+// receiver that learns of the node by message.
+func TestRepeatedExternalLabel(t *testing.T) {
+	at := run.BasicNode{Proc: 1, Index: 1}
+	self, peer := &labelProbe{at: at}, &labelProbe{at: at}
+	go1 := run.ExternalEvent{Proc: 1, Time: 1, Label: "go"}
+	res, err := Replay(Config{
+		Net: model.MustComplete(3, 1, 2), Horizon: 10, Policy: sim.Eager{},
+		Externals: []run.ExternalEvent{go1, go1},
+		Agents:    map[model.ProcID]Agent{1: self, 2: peer},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"go", "go"}
+	var recorded []string
+	for _, e := range res.Run.ExternalsAt(at) {
+		recorded = append(recorded, e.Label)
+	}
+	offline, err := run.ViewOf(res.Run, at)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string][]string{
+		"live view": self.labels, "receiver's live view": peer.labels,
+		"ViewOf": offline.ExternalsAt(at), "Run.ExternalsAt": recorded,
+	} {
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: ExternalsAt(%s) = %v, want %v", name, at, got, want)
+		}
+	}
+}

@@ -222,21 +222,31 @@ func TestProtocol2SharedGuards(t *testing.T) {
 
 	shared := bounds.NewNetworkEngine(sc.Net).NewRun()
 	agent := &Protocol2{Task: sc.Tasks[0], Shared: shared}
-	v1 := run.NewStore(sc.Net).LocalView(sc.Tasks[0].B)
-	if _, err := v1.Absorb(nil, []string{"go"}); err != nil {
-		t.Fatal(err)
+	// goView records one run in which B's first batch is the go label and
+	// returns B's view there.
+	goView := func() *run.View {
+		rec, err := run.NewRecorder(sc.Net, sc.Horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := rec.Append(sc.Tasks[0].B, 1, nil, []string{"go"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := run.ViewOf(rec.Finish(), b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
+	v1 := goView()
 	// Force the go label into B's own view so the agent subscribes.
 	agent.Task.C = sc.Tasks[0].B
 	agent.OnState(v1, nil)
 	if agent.Err() != nil {
 		t.Fatalf("first view: %v", agent.Err())
 	}
-	v2 := run.NewStore(sc.Net).LocalView(sc.Tasks[0].B)
-	if _, err := v2.Absorb(nil, []string{"go"}); err != nil {
-		t.Fatal(err)
-	}
-	agent.OnState(v2, nil)
+	agent.OnState(goView(), nil)
 	if agent.Err() == nil {
 		t.Fatal("different view accepted by shared handle")
 	}

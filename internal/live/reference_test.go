@@ -13,22 +13,15 @@ import (
 // package.
 var RefExecute = refExecute
 
-// refMsg is one in-flight message of the reference environment. Its
-// full-information payload is the sender node: every view shares one
-// causal store that already holds the sender's past.
-type refMsg struct {
-	from run.BasicNode
-	send model.Time
-}
-
 // refExecute is the reference environment the production path is checked
 // against. It shares no scheduling code with sim.Stepper: a plain loop over
 // every tick with map-keyed arrivals — no buckets, freelists, slabs or node
-// prediction. Each tick it records the externals, then visits the
-// processes in id order; a process that receives anything absorbs its batch
-// into its view, runs its agent and floods the new state at once, calling
-// the policy and the fault hooks in the documented order: drop, latency,
-// delay, horizon cut, dead-destination discard.
+// prediction. Each tick it visits the processes in id order; a process
+// that receives anything appends its batch to the run through a
+// run.Recorder, moves its agent's view there, runs the agent and floods
+// the new state at once, calling the policy and the fault hooks in the
+// documented order: drop, latency, delay, horizon cut, dead-destination
+// discard. A message's full-information payload is its sender node.
 func refExecute(cfg Config) (*Result, error) {
 	net := cfg.Net
 	policy := cfg.Policy
@@ -36,25 +29,30 @@ func refExecute(cfg Config) (*Result, error) {
 		policy = sim.Eager{}
 	}
 	var inj *faults.Injector
-	bl := run.NewBuilder(net, cfg.Horizon)
+	rec, err := run.NewRecorder(net, cfg.Horizon)
+	if err != nil {
+		return nil, err
+	}
 	if cfg.Faults != nil {
-		var err error
 		if inj, err = faults.NewInjector(cfg.Faults, net, cfg.Horizon); err != nil {
 			return nil, err
 		}
-		bl.Tolerate()
+		rec.Tolerate()
 	}
 	for _, e := range cfg.Externals {
 		if !net.ValidProc(e.Proc) || e.Time < 1 || e.Time > cfg.Horizon {
 			return nil, fmt.Errorf("reference: bad external %v", e)
 		}
 	}
-	st := run.NewStore(net)
 	views := make(map[model.ProcID]*run.View)
-	for _, p := range net.Procs() {
-		views[p] = st.LocalView(p)
+	for p, agent := range cfg.Agents {
+		if agent != nil {
+			if views[p], err = run.ViewOf(rec.Run(), run.BasicNode{Proc: p}); err != nil {
+				return nil, err
+			}
+		}
 	}
-	inFlight := make(map[model.Time]map[model.ProcID][]refMsg)
+	inFlight := make(map[model.Time]map[model.ProcID][]run.Arrival)
 	res := &Result{}
 	for t := model.Time(1); t <= cfg.Horizon; t++ {
 		ext := make(map[model.ProcID][]string)
@@ -62,7 +60,6 @@ func refExecute(cfg Config) (*Result, error) {
 			if e.Time != t || (inj != nil && inj.Dead(e.Proc, t)) {
 				continue
 			}
-			bl.External(e)
 			ext[e.Proc] = append(ext[e.Proc], e.Label)
 		}
 		arriving := inFlight[t]
@@ -72,19 +69,19 @@ func refExecute(cfg Config) (*Result, error) {
 			if len(msgs) == 0 && len(ext[p]) == 0 {
 				continue
 			}
-			var from []run.BasicNode
-			for _, m := range msgs {
-				bl.Message(run.MessageEvent{FromProc: m.from.Proc, ToProc: p, SendTime: m.send, RecvTime: t})
-				if inj != nil {
-					inj.Deliver(net.ChanIDOf(m.from.Proc, p), m.from.Proc, p, m.send, t)
-				}
-				from = append(from, m.from)
-			}
-			node, err := views[p].Absorb(from, ext[p])
+			node, err := rec.Append(p, t, msgs, ext[p])
 			if err != nil {
 				return nil, err
 			}
+			for _, m := range msgs {
+				if inj != nil {
+					inj.Deliver(net.ChanIDOf(m.From.Proc, p), m.From.Proc, p, m.Send, t)
+				}
+			}
 			if agent := cfg.Agents[p]; agent != nil {
+				if _, err := views[p].Advance(rec.Run()); err != nil {
+					return nil, err
+				}
 				if dg, ok := agent.(Degradable); ok && inj != nil && inj.DegradedAt(p, t) {
 					dg.Degrade(inj.DegradeReason(p, t))
 				}
@@ -112,17 +109,13 @@ func refExecute(cfg Config) (*Result, error) {
 					continue
 				}
 				if inFlight[at] == nil {
-					inFlight[at] = make(map[model.ProcID][]refMsg)
+					inFlight[at] = make(map[model.ProcID][]run.Arrival)
 				}
-				inFlight[at][a.To] = append(inFlight[at][a.To], refMsg{from: node, send: t})
+				inFlight[at][a.To] = append(inFlight[at][a.To], run.Arrival{From: node, Send: t})
 			}
 		}
 	}
-	r, err := bl.Build()
-	if err != nil {
-		return nil, err
-	}
-	res.Run = r
+	res.Run = rec.Finish()
 	if inj != nil {
 		rep := inj.Report()
 		res.Violations, res.Crashed = rep.Violations, rep.Crashed

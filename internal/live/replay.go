@@ -9,56 +9,61 @@ import (
 	"github.com/clockless/zigzag/internal/sim"
 )
 
-// driver feeds the stepper's batches into every process's view and agent.
-// All views share one causal store; an arrival's payload is just its
-// sender node, whose frontier the store already holds, since every latency
-// is at least 1 and batches are driven in tick order.
+// driver moves the view of every agent-bearing process over the run the
+// stepper records, one state per batch, and calls the agent at each. A
+// view reads the recorded run, so a message's full-information payload is
+// just its sender node: every latency is at least 1 and batches are driven
+// in tick order, so the run already holds the sender's causal past.
 type driver struct {
+	r      *run.Run
 	inj    *faults.Injector
-	views  []*run.View
+	views  []*run.View // nil for processes without an agent
 	agents []Agent
-	from   []run.BasicNode
 	res    *Result
 }
 
-func newDriver(cfg Config, inj *faults.Injector, res *Result) *driver {
-	st := run.NewStore(cfg.Net)
+func newDriver(cfg Config, r *run.Run, inj *faults.Injector, res *Result) (*driver, error) {
 	n := cfg.Net.N()
-	views := make([]*run.View, n)
-	agents := make([]Agent, n)
+	d := &driver{r: r, inj: inj, views: make([]*run.View, n), agents: make([]Agent, n), res: res}
 	for _, p := range cfg.Net.Procs() {
-		views[p-1] = st.LocalView(p)
-		agents[p-1] = cfg.Agents[p]
+		agent := cfg.Agents[p]
+		if agent == nil {
+			continue
+		}
+		v, err := run.ViewOf(r, run.BasicNode{Proc: p})
+		if err != nil {
+			return nil, err
+		}
+		d.views[p-1], d.agents[p-1] = v, agent
 	}
-	return &driver{inj: inj, views: views, agents: agents, res: res}
+	return d, nil
 }
 
-// drive feeds one tick's batches to their processes in process order.
+// drive hands one tick's batches to their processes' agents in process
+// order.
 func (d *driver) drive(batches []sim.Batch) error {
 	for i := range batches {
 		b := &batches[i]
-		d.from = d.from[:0]
-		for _, a := range b.Arrivals {
-			d.from = append(d.from, a.From)
+		agent := d.agents[b.Proc-1]
+		if agent == nil {
+			continue
 		}
 		view := d.views[b.Proc-1]
-		node, err := view.Absorb(d.from, b.Externals)
+		node, err := view.Advance(d.r)
 		if err != nil {
 			return fmt.Errorf("live: process %d: %w", b.Proc, err)
 		}
 		if node != b.Node {
-			return fmt.Errorf("live: stepper predicted state %v for process %d, view produced %v",
+			return fmt.Errorf("live: stepper recorded state %v for process %d, view moved to %v",
 				b.Node, b.Proc, node)
 		}
-		if agent := d.agents[b.Proc-1]; agent != nil {
-			if b.Degraded {
-				if dg, ok := agent.(Degradable); ok {
-					dg.Degrade(d.inj.DegradeReason(b.Proc, b.Time))
-				}
+		if b.Degraded {
+			if dg, ok := agent.(Degradable); ok {
+				dg.Degrade(d.inj.DegradeReason(b.Proc, b.Time))
 			}
-			for _, label := range agent.OnState(view, b.Externals) {
-				d.res.Actions = append(d.res.Actions, Action{Proc: b.Proc, Node: node, Time: b.Time, Label: label})
-			}
+		}
+		for _, label := range agent.OnState(view, b.Externals) {
+			d.res.Actions = append(d.res.Actions, Action{Proc: b.Proc, Node: node, Time: b.Time, Label: label})
 		}
 	}
 	return nil
@@ -66,10 +71,10 @@ func (d *driver) drive(batches []sim.Batch) error {
 
 // Replay executes the configuration in a single goroutine: sim.Stepper
 // schedules the environment tick by tick — the same policy calls, fault
-// hooks and builder events as sim.Simulate — and the driver feeds each
-// tick's batches straight into the receiving processes' views and agents.
-// Only one tick's batches exist at a time, so long-horizon runs never hold
-// their event stream in memory.
+// hooks and recorded batches as sim.Simulate — and the driver moves each
+// agent-bearing receiver's view over the growing run and calls its agent.
+// Only one tick's schedule exists at a time; the run is the one record of
+// the execution.
 //
 // The recording is byte-identical to sim.Simulate's for the same
 // configuration, because scheduling is agent-independent (agents only emit
@@ -98,7 +103,10 @@ func Replay(cfg Config) (*Result, error) {
 		}
 	}
 
-	drv := newDriver(cfg, stp.Injector(), res)
+	drv, err := newDriver(cfg, stp.Run(), stp.Injector(), res)
+	if err != nil {
+		return nil, err
+	}
 	for {
 		batches, err := stp.Step()
 		if err != nil {
@@ -113,10 +121,7 @@ func Replay(cfg Config) (*Result, error) {
 		}
 	}
 
-	r, err := stp.Build()
-	if err != nil {
-		return nil, err
-	}
+	r := stp.Finish()
 	if cfg.Fingerprint != 0 && r.Fingerprint() != cfg.Fingerprint {
 		return nil, fmt.Errorf("live: recorded run fingerprint %#x differs from Config.Fingerprint %#x",
 			r.Fingerprint(), cfg.Fingerprint)

@@ -99,10 +99,11 @@ func TestReplayLongHorizonHeavyFamily(t *testing.T) {
 	}
 }
 
-// TestReplayPredictsViewNodes locks the stepper's state-index bookkeeping
-// to View.Absorb's: a replay of a dense multi-agent scenario must never trip
-// the per-batch node cross-check, and the batch count must equal the
-// recording's non-initial node count — one driven batch per created state.
+// TestReplayPredictsViewNodes locks the stepper's recorded states to the
+// agents' views: a replay of a dense multi-agent scenario must never trip
+// the per-batch check that Advance moves a view to the recorded node, and
+// the batch count must equal the recording's non-initial node count — one
+// driven batch per created state.
 func TestReplayPredictsViewNodes(t *testing.T) {
 	sc := scenario.MultiAgent(8)
 	got := runScenarioWith(t, "replay", Replay, sc, sim.NewRandom(5))

@@ -8,6 +8,7 @@ import (
 
 	"github.com/clockless/zigzag/internal/run"
 	"github.com/clockless/zigzag/internal/scenario"
+	"github.com/clockless/zigzag/internal/sim"
 	"github.com/clockless/zigzag/internal/sweep"
 )
 
@@ -99,4 +100,39 @@ func sameView(r *run.Run, got, want *run.View) string {
 		}
 	}
 	return ""
+}
+
+// TestAdvanceAllocationFlat: a view's walk reuses its own buffers, so
+// walking an agent's timeline allocates a constant number of times —
+// ViewOf's and the first Advance's — however many states the walk covers.
+// The timeline is coord-heavy-m16's first agent under the heavy-tail
+// policy, over two thousand states.
+func TestAdvanceAllocationFlat(t *testing.T) {
+	sc := scenario.MultiAgentHeavy(16)
+	r, err := sc.Simulate(sim.NewHeavyTail(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := sc.Tasks[0].B
+	last := r.LastIndex(b)
+	if last < 2000 {
+		t.Fatalf("timeline has %d states, want a long one", last)
+	}
+	walk := func(states int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			v, err := run.ViewOf(r, run.BasicNode{Proc: b})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < states; k++ {
+				if _, err := v.Advance(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	short, full := walk(10), walk(last)
+	if short != full || full > 8 {
+		t.Fatalf("walking 10 states allocates %.0f times, all %d states %.0f: want the same small count", short, last, full)
+	}
 }

@@ -24,11 +24,14 @@ type ExternalEvent struct {
 	Label string
 }
 
-// Builder assembles a Run from raw timed events. Node indices are derived:
-// every distinct time at which a process receives something (messages and/or
-// externals) becomes one batch, creating one new basic node. The builder is
-// used by the simulator and by the run-synthesis constructions of
-// internal/timing (Lemma 8 run-by-timing, Definition 24 fast run).
+// Builder assembles a Run from raw timed events, in any order. Node indices
+// are derived: every distinct time at which a process receives something
+// (messages and/or externals) becomes one batch, creating one new basic
+// node. Build sorts the batches into tick order and appends them through a
+// Recorder, so a built run is the run a live environment records from the
+// same batches. The builder serves producers that do not emit batches in
+// tick order: the run-synthesis constructions of internal/timing (Lemma 8
+// run-by-timing, Definition 24 fast run), the trace loader and tests.
 type Builder struct {
 	net      *model.Network
 	horizon  model.Time
@@ -54,21 +57,17 @@ func (bl *Builder) External(ev ExternalEvent) *Builder {
 	return bl
 }
 
-// Tolerate relaxes Build's per-delivery latency-window check to latency >= 1,
-// admitting recordings of fault-injected executions whose deliveries may
-// violate their channel's [L, U] bounds (internal/faults deadline plans).
-// All structural checks — channels exist, nodes exist, no duplicate sends,
-// horizon — still apply; dropped messages simply surface as Pending. Such a
-// run will generally fail Validate, which is the point: the faults injector,
-// not the builder, owns violation accounting for faulted runs.
+// Tolerate relaxes Build's latency-window check as Recorder.Tolerate does,
+// admitting recordings of fault-injected executions.
 func (bl *Builder) Tolerate() *Builder {
 	bl.tolerant = true
 	return bl
 }
 
-// maxTableCells caps n*(horizon+1), the length of Build's horizon-indexed
-// tables (about 80 MB of them at the cap), so a horizon read from an
-// untrusted trace fails with ErrBadHorizon instead of an allocation panic.
+// maxTableCells caps n*(horizon+1), the length of the horizon-indexed
+// tables producers such as sim.Stepper allocate, so a horizon read from an
+// untrusted trace or configuration fails with ErrBadHorizon instead of an
+// allocation panic.
 const maxTableCells = 1 << 24
 
 // CheckHorizon reports, as an ErrBadHorizon wrap, a horizon that is
@@ -83,218 +82,78 @@ func CheckHorizon(n int, horizon model.Time) error {
 	return nil
 }
 
-// Build derives node indices, wires deliveries to nodes and returns the Run.
-// It fails if any event is inconsistent (bad channel, bad times, sender has
-// no node at the send time, event beyond horizon) or if the horizon is
-// negative or too long to tabulate (ErrBadHorizon). Build does NOT check
-// the forced-delivery (upper bound deadline) discipline — call Validate on
-// the result for full legality checking.
+// Build groups the events into receive batches, sorts them into tick order
+// and appends them through a Recorder, which checks each one; see
+// Recorder.Append for the errors. A negative or untabulable horizon fails
+// with ErrBadHorizon. Build does NOT check the forced-delivery (upper bound
+// deadline) discipline — call Validate on the result for full legality
+// checking.
 func (bl *Builder) Build() (*Run, error) {
-	n := bl.net.N()
-	h := int(bl.horizon)
-	if err := CheckHorizon(n, bl.horizon); err != nil {
+	rc, err := NewRecorder(bl.net, bl.horizon)
+	if err != nil {
 		return nil, err
 	}
-
-	// 1. Collect the receive times of every process in horizon-indexed
-	// bitmaps (one shared backing array; no per-process maps).
-	recvBacking := make([]bool, n*(h+1))
-	recv := make([][]bool, n)
-	for i := range recv {
-		recv[i] = recvBacking[i*(h+1) : (i+1)*(h+1)]
-	}
-	counts := make([]int, n)
-	note := func(p model.ProcID, t model.Time) error {
-		if !bl.net.ValidProc(p) {
-			return fmt.Errorf("%w: process %d", model.ErrBadProc, p)
-		}
-		if t < 1 {
-			return fmt.Errorf("run: time %d: receipts start at time 1", t)
-		}
-		if t > bl.horizon {
-			return fmt.Errorf("%w: time %d > horizon %d", ErrOutsideHorizon, t, bl.horizon)
-		}
-		if !recv[p-1][t] {
-			recv[p-1][t] = true
-			counts[p-1]++
-		}
-		return nil
-	}
-	for _, ev := range bl.messages {
-		if err := note(ev.ToProc, ev.RecvTime); err != nil {
-			return nil, fmt.Errorf("delivery %d->%d: %w", ev.FromProc, ev.ToProc, err)
-		}
-	}
-	for _, ev := range bl.externs {
-		if err := note(ev.Proc, ev.Time); err != nil {
-			return nil, fmt.Errorf("external %q: %w", ev.Label, err)
-		}
-	}
-
-	// 2. Assign node indices per process: index 0 at time 0, then one node
-	// per distinct receive time in ascending order. nodeAt[i][t] is the
-	// index of process i+1's node created at time t (0 = none).
-	total := n
-	for _, c := range counts {
-		total += c
-	}
-	r := &Run{
-		net:      bl.net,
-		horizon:  bl.horizon,
-		times:    make([][]model.Time, n),
-		nodeOff:  make([]int32, n+1),
-		inbox:    make([]span, total),
-		extIn:    make(map[BasicNode][]int, len(bl.externs)),
-		extFirst: make(map[extKey]int, len(bl.externs)),
-		sentOff:  make([]int32, n),
-	}
-	nodeBacking := make([]int32, n*(h+1))
-	nodeAt := make([][]int32, n)
-	timeBacking := make([]model.Time, 0, total)
-	for i := 0; i < n; i++ {
-		nodeAt[i] = nodeBacking[i*(h+1) : (i+1)*(h+1)]
-		r.nodeOff[i+1] = r.nodeOff[i] + int32(counts[i]) + 1
-		start := len(timeBacking)
-		timeBacking = append(timeBacking, 0)
-		k := int32(0)
-		for t := 1; t <= h; t++ {
-			if recv[i][t] {
-				k++
-				nodeAt[i][t] = k
-				timeBacking = append(timeBacking, model.Time(t))
-			}
-		}
-		r.times[i] = timeBacking[start:len(timeBacking):len(timeBacking)]
-	}
-	sends := int32(0)
-	for i := 0; i < n; i++ {
-		r.sentOff[i] = sends
-		sends += (int32(counts[i]) + 1) * int32(len(bl.net.OutArcs(model.ProcID(i+1))))
-	}
-	r.sent = make([]int32, sends)
-	for i := range r.sent {
-		r.sent[i] = -1
-	}
-
-	// 3. Wire deliveries. The sent table doubles as the duplicate-send
-	// check; its indices are fixed up after sorting below.
-	r.deliveries = make([]Delivery, 0, len(bl.messages))
-	for _, ev := range bl.messages {
-		cid := bl.net.ChanIDOf(ev.FromProc, ev.ToProc)
-		if cid == model.NoChan {
-			return nil, fmt.Errorf("%w: %d->%d", ErrChannelMissing, ev.FromProc, ev.ToProc)
-		}
-		if ev.SendTime == 0 {
-			return nil, fmt.Errorf("%w: send at time 0 by process %d", ErrInitialSend, ev.FromProc)
-		}
-		var fromIdx int32
-		if ev.SendTime >= 1 && int(ev.SendTime) <= h {
-			fromIdx = nodeAt[ev.FromProc-1][ev.SendTime]
-		}
-		if fromIdx == 0 {
-			return nil, fmt.Errorf("run: process %d has no node at send time %d", ev.FromProc, ev.SendTime)
-		}
-		from := BasicNode{Proc: ev.FromProc, Index: int(fromIdx)}
-		to := BasicNode{Proc: ev.ToProc, Index: int(nodeAt[ev.ToProc-1][ev.RecvTime])}
-		d := Delivery{From: from, To: to, SendTime: ev.SendTime, RecvTime: ev.RecvTime, Chan: cid}
-		bd := bl.net.BoundsOf(cid)
-		lat := ev.RecvTime - ev.SendTime
-		if bl.tolerant {
-			if lat < 1 {
-				return nil, fmt.Errorf("%w: %s latency %d < 1", ErrBadDelivery, d, lat)
-			}
-		} else if lat < bd.Lower || lat > bd.Upper {
-			return nil, fmt.Errorf("%w: %s latency %d outside %s", ErrBadDelivery, d, lat, bd)
-		}
-		slot := r.sentIndex(from, cid)
-		if r.sent[slot] >= 0 {
-			return nil, fmt.Errorf("%w: %s to %d", ErrDuplicateSend, from, ev.ToProc)
-		}
-		r.sent[slot] = 0
-		r.deliveries = append(r.deliveries, d)
-	}
-	r.externals = make([]External, 0, len(bl.externs))
-	for _, ev := range bl.externs {
-		to := BasicNode{Proc: ev.Proc, Index: int(nodeAt[ev.Proc-1][ev.Time])}
-		idx := len(r.externals)
-		r.externals = append(r.externals, External{To: to, Time: ev.Time, Label: ev.Label})
-		r.extIn[to] = append(r.extIn[to], idx)
-		key := extKey{proc: ev.Proc, label: ev.Label}
-		if k, ok := r.extFirst[key]; !ok || to.Index < k {
-			r.extFirst[key] = to.Index
-		}
-	}
-
-	// 4. Derive pending messages: every non-initial node sends on every
-	// outgoing channel under FFIP; sends without a recorded delivery are
-	// still in transit. Only presence in sent matters here, so this can run
-	// before the indices are fixed up.
-	for p := model.ProcID(1); int(p) <= n; p++ {
-		arcs := bl.net.OutArcs(p)
-		for k := 1; k <= r.LastIndex(p); k++ {
-			from := BasicNode{Proc: p, Index: k}
-			st := r.times[p-1][k]
-			row := r.sent[int(r.sentOff[p-1])+k*len(arcs):]
-			for j, a := range arcs {
-				if row[j] < 0 {
-					r.pending = append(r.pending, Pending{From: from, To: a.To, SendTime: st, Chan: a.ID})
-				}
-			}
-		}
-	}
-	sort.Slice(r.pending, func(i, j int) bool {
-		a, b := r.pending[i], r.pending[j]
-		if a.SendTime != b.SendTime {
-			return a.SendTime < b.SendTime
-		}
-		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
-		}
-		return a.To < b.To
-	})
-	sort.Slice(r.deliveries, func(i, j int) bool {
-		a, b := r.deliveries[i], r.deliveries[j]
+	rc.tolerant = bl.tolerant
+	rc.r.deliveries = make([]Delivery, 0, len(bl.messages))
+	msgs := append([]MessageEvent(nil), bl.messages...)
+	sort.Slice(msgs, func(i, j int) bool {
+		a, b := msgs[i], msgs[j]
 		if a.RecvTime != b.RecvTime {
 			return a.RecvTime < b.RecvTime
 		}
-		if a.To.Proc != b.To.Proc {
-			return a.To.Proc < b.To.Proc
-		}
-		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
-		}
-		// Two messages on one channel can share a receive batch (sent at
-		// different instants); SendTime makes the key total, so the
-		// recorded order is independent of event insertion order — the
-		// environment loops of sim and live interleave differently.
-		return a.SendTime < b.SendTime
+		return a.ToProc < b.ToProc
 	})
-	// Re-index after sorting deliveries. Deliveries into one node share its
-	// (RecvTime, To.Proc) batch key, so after the sort each inbox is one
-	// contiguous span.
-	for idx, d := range r.deliveries {
-		r.sent[r.sentIndex(d.From, d.Chan)] = int32(idx)
-		sp := &r.inbox[r.flat(d.To)]
-		if sp.hi == sp.lo {
-			sp.lo, sp.hi = int32(idx), int32(idx+1)
-		} else {
-			sp.hi = int32(idx + 1)
+	exts := append([]ExternalEvent(nil), bl.externs...)
+	sort.Slice(exts, func(i, j int) bool {
+		a, b := exts[i], exts[j]
+		if a.Time != b.Time {
+			return a.Time < b.Time
+		}
+		return a.Proc < b.Proc
+	})
+
+	// Walk both sorted logs batch by batch. A sender's node at its send
+	// time is resolved against the batches appended so far: with latency
+	// at least 1 it is already there, and Append reports any that is not.
+	r := rc.Run()
+	var arrivals []Arrival
+	var labels []string
+	for len(msgs) > 0 || len(exts) > 0 {
+		var t model.Time
+		var p model.ProcID
+		switch {
+		case len(exts) == 0 || len(msgs) > 0 &&
+			(msgs[0].RecvTime < exts[0].Time || msgs[0].RecvTime == exts[0].Time && msgs[0].ToProc < exts[0].Proc):
+			t, p = msgs[0].RecvTime, msgs[0].ToProc
+		default:
+			t, p = exts[0].Time, exts[0].Proc
+		}
+		arrivals, labels = arrivals[:0], labels[:0]
+		for ; len(msgs) > 0 && msgs[0].RecvTime == t && msgs[0].ToProc == p; msgs = msgs[1:] {
+			ev := msgs[0]
+			arrivals = append(arrivals, Arrival{From: r.nodeAtExactly(ev.FromProc, ev.SendTime), Send: ev.SendTime})
+		}
+		for ; len(exts) > 0 && exts[0].Time == t && exts[0].Proc == p; exts = exts[1:] {
+			labels = append(labels, exts[0].Label)
+		}
+		if _, err := rc.Append(p, t, arrivals, labels); err != nil {
+			return nil, err
 		}
 	}
-	// Content fingerprint over the canonical event log: deliveries in the
-	// arrival order just established and externals in recorded order. The
-	// sort above makes the hash independent of event insertion order, so the
-	// interleaving differences between the sim and live environment loops
-	// cannot split fingerprints of byte-identical recordings.
-	fph := fpMix(fpSeed(bl.net), uint64(bl.horizon))
-	for _, d := range r.deliveries {
-		fph = fpDelivery(fph, d)
+	return rc.Finish(), nil
+}
+
+// nodeAtExactly returns the node of process p whose time is exactly t, or
+// index -1 if p has no such node (yet).
+func (r *Run) nodeAtExactly(p model.ProcID, t model.Time) BasicNode {
+	if !r.net.ValidProc(p) {
+		return BasicNode{Proc: p, Index: -1}
 	}
-	for _, e := range r.externals {
-		fph = fpExternal(fph, e)
+	b := r.NodeAt(p, t)
+	if r.node(b).time != t {
+		b.Index = -1
 	}
-	r.fingerprint = fpFinish(fph)
-	return r, nil
+	return b
 }
 
 // MustBuild is Build that panics on error.

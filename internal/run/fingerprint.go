@@ -4,8 +4,8 @@ import "github.com/clockless/zigzag/internal/model"
 
 // Event fingerprints: rolling 64-bit FNV-1a hashes over append-only event
 // logs, seeded with the network's content fingerprint. (*Run).Fingerprint
-// hashes the arrival-ordered delivery log and the external log of a
-// finished recording. Two byte-identical runs — in particular a live
+// hashes the tick-ordered delivery and external tables of a finished
+// recording. Two byte-identical runs — in particular a live
 // recording and sim.Simulate under the same configuration — share a
 // fingerprint, which is what lets bounds.NetworkEngine.NewRunAt address
 // frozen standing prefixes by run content across seeds and policies.
@@ -77,9 +77,9 @@ func fpFinish(h uint64) uint64 {
 }
 
 // Fingerprint returns the run's content hash: the network fingerprint, the
-// horizon, every delivery in arrival order (sorted by receive batch, the
-// order Deliveries returns) and every external input in recorded order. It
-// is computed once by Builder.Build; byte-identical recordings — notably a
-// live execution and sim.Simulate of the same configuration — agree on it.
-// It is never zero.
+// horizon, every delivery and then every external input in tick order (the
+// orders Deliveries and Externals return). It is computed once, by
+// Recorder.Finish; byte-identical recordings — a live execution and
+// sim.Simulate of the same configuration, or a Builder fed the same events
+// in any order — agree on it. It is never zero.
 func (r *Run) Fingerprint() uint64 { return r.fingerprint }

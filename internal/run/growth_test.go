@@ -8,18 +8,17 @@ import (
 )
 
 // TestSnapshotIsImmutable: a payload is just its sender node, and the
-// store's record of that node never changes — a receiver absorbing from an
+// run's record of that node never changes — a receiver absorbing from an
 // old state after the sender has grown sees the sender's past as it was
 // when the message was sent, not its current one.
 func TestSnapshotIsImmutable(t *testing.T) {
-	net := model.MustComplete(3, 1, 2)
-	st := NewStore(net)
-	v1, v2, v3 := st.LocalView(1), st.LocalView(2), st.LocalView(3)
-	n1 := absorb(t, v1, nil, "a")
+	g := newGrower(t, model.MustComplete(3, 1, 2))
+	v1, v2, v3 := g.view(1), g.view(2), g.view(3)
+	n1 := g.absorb(v1, nil, "a")
 	// Grow the sender past n1: new state, new delivery, new external.
-	n2 := absorb(t, v2, []BasicNode{n1})
-	absorb(t, v1, []BasicNode{n2}, "b")
-	got := absorb(t, v3, []BasicNode{n1})
+	n2 := g.absorb(v2, []BasicNode{n1})
+	g.absorb(v1, []BasicNode{n2}, "b")
+	got := g.absorb(v3, []BasicNode{n1})
 	if v3.Contains(BasicNode{Proc: 1, Index: 2}) || v3.Contains(n2) {
 		t.Error("receiver sees the sender's growth after the send")
 	}
@@ -38,24 +37,23 @@ func TestSnapshotIsImmutable(t *testing.T) {
 // its deliveries exactly — the contract bounds.Handle relies on to pay
 // only for growth.
 func TestViewDeltaAPI(t *testing.T) {
-	net := model.MustComplete(3, 1, 2)
-	st := NewStore(net)
-	v1, v2, v3 := st.LocalView(1), st.LocalView(2), st.LocalView(3)
-	s1 := absorb(t, v1, nil, "go")
+	g := newGrower(t, model.MustComplete(3, 1, 2))
+	v1, v2, v3 := g.view(1), g.view(2), g.view(3)
+	s1 := g.absorb(v1, nil, "go")
 	if len(v3.Deliveries()) != 0 {
 		t.Fatalf("fresh view has %d deliveries", len(v3.Deliveries()))
 	}
 	before := append([]int(nil), v3.members...)
-	absorb(t, v3, []BasicNode{s1})
+	g.absorb(v3, []BasicNode{s1})
 	delta := newlyCovered(v3, before)
 	if len(delta) != 1 || delta[0].From != s1 || delta[0].To.Proc != 3 || delta[0].Chan == model.NoChan {
 		t.Fatalf("first delta = %+v", delta)
 	}
 	// A second batch relayed through process 2 adds 2's node and its
 	// inbox; nothing covered before reappears.
-	s2 := absorb(t, v2, []BasicNode{s1})
+	s2 := g.absorb(v2, []BasicNode{s1})
 	before = append(before[:0], v3.members...)
-	absorb(t, v3, []BasicNode{s2})
+	g.absorb(v3, []BasicNode{s2})
 	second := newlyCovered(v3, before)
 	if len(second) != 2 {
 		t.Fatalf("second delta = %+v, want s1->2 and s2->3", second)
@@ -90,19 +88,18 @@ func newlyCovered(v *View, before []int) []Delivery {
 // TestMergeWatermarkSkipsPrefixes: on a non-FIFO channel a newer state's
 // message can arrive first; absorbing the older one afterwards adds only
 // the receiver's own state and that one delivery, since the newer sender's
-// stored frontier already covers everything the older one carries.
+// past already covers everything the older one carries.
 func TestMergeWatermarkSkipsPrefixes(t *testing.T) {
-	net := model.MustComplete(3, 1, 4)
-	st := NewStore(net)
-	sender, relay, v := st.LocalView(1), st.LocalView(2), st.LocalView(3)
-	s1 := absorb(t, sender, nil, "go")
-	r1 := absorb(t, relay, []BasicNode{s1})
-	s2 := absorb(t, sender, []BasicNode{r1})
+	g := newGrower(t, model.MustComplete(3, 1, 4))
+	sender, relay, v := g.view(1), g.view(2), g.view(3)
+	s1 := g.absorb(sender, nil, "go")
+	r1 := g.absorb(relay, []BasicNode{s1})
+	s2 := g.absorb(sender, []BasicNode{r1})
 
 	// Newer sender first, older second (non-FIFO channel).
-	absorb(t, v, []BasicNode{s2})
+	g.absorb(v, []BasicNode{s2})
 	sizeAfterLate, delsAfterLate := v.Size(), len(v.Deliveries())
-	absorb(t, v, []BasicNode{s1})
+	g.absorb(v, []BasicNode{s1})
 	if v.Size() != sizeAfterLate+1 { // +1: v's own new state only
 		t.Errorf("old sender changed membership: %d -> %d", sizeAfterLate, v.Size())
 	}

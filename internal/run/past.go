@@ -75,42 +75,56 @@ func (ps *PastSet) Equal(qs *PastSet) bool {
 	return true
 }
 
-// Past computes past(r, sigma) by a reverse breadth-first search over
-// locality and delivery edges.
+// Past computes past(r, sigma) by a reverse search over locality and
+// delivery edges.
 func (r *Run) Past(sigma BasicNode) (*PastSet, error) {
 	if !r.Appears(sigma) {
 		return nil, ErrNoNode
 	}
-	ps := &PastSet{origin: sigma, members: make([]int, r.net.N())}
+	n := r.net.N()
+	ps := &PastSet{origin: sigma, members: make([]int, n)}
 	for i := range ps.members {
 		ps.members[i] = -1
 	}
-	r.raise(ps.members, sigma)
+	covered := append([]int(nil), ps.members...)
+	r.raise(ps.members, covered, sigma, make([]model.ProcID, 0, n))
 	return ps, nil
 }
 
 // raise grows the downward-closed frontier members to cover past(r, sigma).
-// Processing node (p, k) marks the whole prefix 0..k of p and enqueues the
-// senders of every delivery into each prefix node not yet covered, so
-// nodes already covered are never revisited.
-func (r *Run) raise(members []int, sigma BasicNode) {
-	queue := []BasicNode{sigma}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		already := members[cur.Proc-1]
-		if cur.Index <= already {
-			continue
-		}
-		members[cur.Proc-1] = cur.Index
-		for k := already + 1; k <= cur.Index; k++ {
-			for _, d := range r.inboxOf(BasicNode{Proc: cur.Proc, Index: k}) {
-				if d.From.Index > members[d.From.Proc-1] {
-					queue = append(queue, d.From)
+// On entry and exit covered equals members. During the walk members[q] is
+// the index process q must be covered to and covered[q] the index its
+// timeline has been scanned to, so q is on the stack iff members[q] >
+// covered[q]: each process is on it at most once, and a stack with room
+// for n entries never grows. Scanning a process covers the whole prefix
+// up to its target and raises the target of the sender of every delivery
+// into the newly covered nodes, so nodes already covered are never
+// revisited. It returns the stack for reuse.
+func (r *Run) raise(members, covered []int, sigma BasicNode, stack []model.ProcID) []model.ProcID {
+	if sigma.Index <= members[sigma.Proc-1] {
+		return stack
+	}
+	members[sigma.Proc-1] = sigma.Index
+	stack = append(stack[:0], sigma.Proc)
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		lo, hi := covered[q-1]+1, members[q-1]
+		covered[q-1] = hi
+		for k := lo; k <= hi; k++ {
+			for _, d := range r.inboxOf(BasicNode{Proc: q, Index: k}) {
+				f := d.From
+				if f.Index <= members[f.Proc-1] {
+					continue
 				}
+				if members[f.Proc-1] == covered[f.Proc-1] {
+					stack = append(stack, f.Proc)
+				}
+				members[f.Proc-1] = f.Index
 			}
 		}
 	}
+	return stack
 }
 
 // HappensBefore reports whether a happens-before b in r (a ≼ b), i.e.
@@ -169,7 +183,7 @@ func (r *Run) MessagesLeavingPast(ps *PastSet) []Pending {
 		p := model.ProcID(i + 1)
 		for idx := 1; idx <= k; idx++ {
 			from := BasicNode{Proc: p, Index: idx}
-			st := r.times[p-1][idx]
+			st := r.nodes[p-1][idx].time
 			for _, a := range r.net.OutArcs(p) {
 				d, ok := r.DeliveryFrom(from, a.To)
 				if ok && ps.Contains(d.To) {

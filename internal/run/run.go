@@ -14,8 +14,8 @@ import (
 // per outgoing channel, so (From, To.Proc) identifies the message.
 //
 // Chan is the dense id of the channel travelled, resolved against the
-// network by the constructors in this package (Builder, View); consumers on
-// per-delivery hot paths use it for O(1) bounds lookups via
+// network by the constructors in this package (Recorder, Builder, View);
+// consumers on per-delivery hot paths use it for O(1) bounds lookups via
 // (*model.Network).BoundsOf. Hand-rolled zero-valued literals leave it
 // meaningless.
 type Delivery struct {
@@ -64,39 +64,42 @@ func (p Pending) Deadline(net *model.Network) model.Time {
 	return p.SendTime + net.Upper(p.From.Proc, p.To)
 }
 
-// span is a half-open range [lo, hi) of indices into a Run's deliveries
-// slice; the zero value is the empty span.
+// span is a half-open range [lo, hi) of indices into one of a Run's event
+// slices; the zero value is the empty span.
 type span struct{ lo, hi int32 }
 
+// nodeRec is one basic node's row: its time, the deliveries and externals
+// its creating batch absorbed, and where its out-arc slots start in sent.
+type nodeRec struct {
+	time model.Time
+	in   span
+	ext  span
+	sent int32
+}
+
 // Run is a finite recording of an execution of the FFIP in a bounded
-// context: the first Horizon+1 global states of an infinite run. It is
-// immutable once built and safe for concurrent reads.
+// context: the first Horizon+1 global states of an infinite run. A Recorder
+// writes it one receive batch at a time, in tick order; every View of the
+// execution reads these tables, so a live view can read a run that is
+// still being recorded. A finished run (Recorder.Finish, Builder.Build) is
+// immutable and safe for concurrent reads.
 type Run struct {
 	net     *model.Network
 	horizon model.Time
 
-	// times[p-1][k] is the time of node (p, k); times[p-1][0] == 0.
-	times [][]model.Time
+	// nodes[p-1][k] is node (p, k); nodes[p-1][0] is the initial node.
+	nodes [][]nodeRec
 
+	// deliveries are in tick order: by receive batch (time, then receiving
+	// process), each batch's in sender order, so every inbox is one span.
 	deliveries []Delivery
-	externals  []External
+	// externals are in tick order too, each batch's sorted by label.
+	externals []External
 
-	// nodeOff[p-1] is the flat-id offset of process p's nodes: node (p, k)
-	// has flat id nodeOff[p-1]+k. nodeOff has n+1 entries; the last is the
-	// total node count.
-	nodeOff []int32
-
-	// inbox[flat(node)] is the contiguous range of deliveries absorbed in
-	// the node's creating batch (deliveries are sorted by receive batch);
-	// extIn likewise lists indices into externals.
-	inbox []span
-	extIn map[BasicNode][]int
-
-	// sent[sentOff[p-1]+k*deg(p)+j] is the index into deliveries of the
-	// message node (p, k) sent on p's j-th out-arc, or -1 while it is still
-	// pending at the horizon.
-	sent    []int32
-	sentOff []int32
+	// sent[nodes[p-1][k].sent+j] is the index into deliveries of the
+	// message node (p, k) sent on p's j-th out-arc, or -1 while it is
+	// undelivered.
+	sent []int32
 	// extFirst is the earliest node index per (process, label).
 	extFirst map[extKey]int
 
@@ -106,9 +109,15 @@ type Run struct {
 	fingerprint uint64
 }
 
-// flat returns the node's index into flat per-node tables; the caller must
-// ensure the node appears in the run.
-func (r *Run) flat(b BasicNode) int32 { return r.nodeOff[b.Proc-1] + int32(b.Index) }
+// extKey identifies an external-input lookup: which process absorbed which
+// label.
+type extKey struct {
+	proc  model.ProcID
+	label string
+}
+
+// node returns the row of a node the caller knows appears in the run.
+func (r *Run) node(b BasicNode) *nodeRec { return &r.nodes[b.Proc-1][b.Index] }
 
 // Errors reported by run construction and validation.
 var (
@@ -125,6 +134,7 @@ var (
 	ErrTimeMismatch      = errors.New("run: event time disagrees with node time")
 	ErrExternalToInitial = errors.New("run: external delivered to an initial node")
 	ErrBadHorizon        = errors.New("run: horizon out of range")
+	ErrOutOfOrder        = errors.New("run: receive batch out of tick order")
 )
 
 // Net returns the network the run executes over.
@@ -137,22 +147,22 @@ func (r *Run) Horizon() model.Time { return r.horizon }
 // including the n initial nodes.
 func (r *Run) NumNodes() int {
 	total := 0
-	for _, ts := range r.times {
-		total += len(ts)
+	for _, ns := range r.nodes {
+		total += len(ns)
 	}
 	return total
 }
 
 // LastIndex returns the largest state index of process p in the run
 // (0 if p only has its initial node).
-func (r *Run) LastIndex(p model.ProcID) int { return len(r.times[p-1]) - 1 }
+func (r *Run) LastIndex(p model.ProcID) int { return len(r.nodes[p-1]) - 1 }
 
 // Appears reports whether the basic node appears in the run.
 func (r *Run) Appears(b BasicNode) bool {
 	if !r.net.ValidProc(b.Proc) || b.Index < 0 {
 		return false
 	}
-	return b.Index < len(r.times[b.Proc-1])
+	return b.Index < len(r.nodes[b.Proc-1])
 }
 
 // Time returns time_r(sigma), the (minimal) time at which the node's local
@@ -161,7 +171,7 @@ func (r *Run) Time(b BasicNode) (model.Time, error) {
 	if !r.Appears(b) {
 		return 0, fmt.Errorf("%w: %s", ErrNoNode, b)
 	}
-	return r.times[b.Proc-1][b.Index], nil
+	return r.node(b).time, nil
 }
 
 // MustTime is Time that panics if the node does not appear.
@@ -177,21 +187,22 @@ func (r *Run) MustTime(b BasicNode) model.Time {
 // last node with time <= t. The initial node covers every time before the
 // first batch.
 func (r *Run) NodeAt(p model.ProcID, t model.Time) BasicNode {
-	ts := r.times[p-1]
-	// Binary search for the last index with ts[idx] <= t.
-	idx := sort.Search(len(ts), func(i int) bool { return ts[i] > t }) - 1
+	ns := r.nodes[p-1]
+	// Binary search for the last index with a time <= t.
+	idx := sort.Search(len(ns), func(i int) bool { return ns[i].time > t }) - 1
 	if idx < 0 {
 		idx = 0
 	}
 	return BasicNode{Proc: p, Index: idx}
 }
 
-// Deliveries returns all deliveries in recording order. Callers must not
+// Deliveries returns all deliveries in tick order: by receive batch (time,
+// then receiving process), each batch's in sender order. Callers must not
 // mutate the returned slice.
 func (r *Run) Deliveries() []Delivery { return r.deliveries }
 
-// Externals returns all external inputs. Callers must not mutate the
-// returned slice.
+// Externals returns all external inputs in tick order, each batch's in
+// label order. Callers must not mutate the returned slice.
 func (r *Run) Externals() []External { return r.externals }
 
 // PendingMessages returns the messages still in transit at the horizon.
@@ -203,58 +214,43 @@ func (r *Run) Inbox(b BasicNode) []Delivery {
 	if !r.Appears(b) {
 		return []Delivery{}
 	}
-	sp := r.inbox[r.flat(b)]
-	ds := make([]Delivery, sp.hi-sp.lo)
-	copy(ds, r.deliveries[sp.lo:sp.hi])
-	return ds
+	return append([]Delivery{}, r.inboxOf(b)...)
 }
 
 // ExternalsAt returns the external inputs absorbed by the batch that
-// created node b.
+// created node b, in label order.
 func (r *Run) ExternalsAt(b BasicNode) []External {
-	idxs := r.extIn[b]
-	es := make([]External, len(idxs))
-	for i, idx := range idxs {
-		es[i] = r.externals[idx]
+	if !r.Appears(b) {
+		return []External{}
 	}
-	return es
+	return append([]External{}, r.externalsOf(b)...)
 }
 
 func (r *Run) inboxOf(b BasicNode) []Delivery {
-	sp := r.inbox[r.flat(b)]
+	sp := r.node(b).in
 	return r.deliveries[sp.lo:sp.hi]
 }
 
+func (r *Run) externalsOf(b BasicNode) []External {
+	sp := r.node(b).ext
+	return r.externals[sp.lo:sp.hi]
+}
+
+// sentAt returns the slot in sent of the message the appearing non-initial
+// node from sends on its out-arc ch.
+func (r *Run) sentAt(from BasicNode, ch model.ChanID) *int32 {
+	return &r.sent[int(r.node(from).sent)+int(ch-r.net.OutArcs(from.Proc)[0].ID)]
+}
+
+// receiver returns the node that received the message the appearing
+// non-initial node from sent on its out-arc ch, if that delivery is
+// recorded.
 func (r *Run) receiver(from BasicNode, ch model.ChanID) (BasicNode, bool) {
-	idx := r.sent[r.sentIndex(from, ch)]
+	idx := *r.sentAt(from, ch)
 	if idx < 0 {
 		return BasicNode{}, false
 	}
 	return r.deliveries[idx].To, true
-}
-
-// sentIndex returns the index in sent of the message the appearing node
-// from sends on its out-arc ch.
-func (r *Run) sentIndex(from BasicNode, ch model.ChanID) int {
-	arcs := r.net.OutArcs(from.Proc)
-	return int(r.sentOff[from.Proc-1]) + from.Index*len(arcs) + int(ch-arcs[0].ID)
-}
-
-func (r *Run) labelsAt(b BasicNode) []string {
-	idxs := r.extIn[b]
-	if len(idxs) == 0 {
-		return nil
-	}
-	out := make([]string, len(idxs))
-	for i, idx := range idxs {
-		out[i] = r.externals[idx].Label
-	}
-	return out
-}
-
-func (r *Run) earliest(p model.ProcID, label string) (int, bool) {
-	k, ok := r.extFirst[extKey{proc: p, label: label}]
-	return k, ok
 }
 
 // DeliveryFrom returns the delivery of the message sent at node from to
@@ -265,7 +261,7 @@ func (r *Run) DeliveryFrom(from BasicNode, to model.ProcID) (Delivery, bool) {
 	if ch == model.NoChan || from.IsInitial() || !r.Appears(from) {
 		return Delivery{}, false
 	}
-	idx := r.sent[r.sentIndex(from, ch)]
+	idx := *r.sentAt(from, ch)
 	if idx < 0 {
 		return Delivery{}, false
 	}

@@ -29,17 +29,17 @@ func (r *Run) Validate() error {
 	net := r.net
 	// 1. Timeline monotonicity.
 	for _, p := range net.Procs() {
-		ts := r.times[p-1]
-		if len(ts) == 0 || ts[0] != 0 {
+		ns := r.nodes[p-1]
+		if len(ns) == 0 || ns[0].time != 0 {
 			return fmt.Errorf("%w: process %d has no initial node at time 0", ErrNonMonotoneTimes, p)
 		}
-		for k := 1; k < len(ts); k++ {
-			if ts[k] <= ts[k-1] {
+		for k := 1; k < len(ns); k++ {
+			if ns[k].time <= ns[k-1].time {
 				return fmt.Errorf("%w: process %d node %d at %d after node %d at %d",
-					ErrNonMonotoneTimes, p, k, ts[k], k-1, ts[k-1])
+					ErrNonMonotoneTimes, p, k, ns[k].time, k-1, ns[k-1].time)
 			}
-			if ts[k] > r.horizon {
-				return fmt.Errorf("%w: node %s at %d", ErrOutsideHorizon, BasicNode{Proc: p, Index: k}, ts[k])
+			if ns[k].time > r.horizon {
+				return fmt.Errorf("%w: node %s at %d", ErrOutsideHorizon, BasicNode{Proc: p, Index: k}, ns[k].time)
 			}
 		}
 	}
@@ -48,8 +48,8 @@ func (r *Run) Validate() error {
 	for _, p := range net.Procs() {
 		for k := 0; k <= r.LastIndex(p); k++ {
 			b := BasicNode{Proc: p, Index: k}
-			sp := r.inbox[r.flat(b)]
-			receipts := int(sp.hi-sp.lo) + len(r.extIn[b])
+			in, ext := r.node(b).in, r.node(b).ext
+			receipts := int(in.hi-in.lo) + int(ext.hi-ext.lo)
 			if k == 0 && receipts != 0 {
 				return fmt.Errorf("run: initial node %s has %d receipts", b, receipts)
 			}
@@ -97,7 +97,7 @@ func (r *Run) Validate() error {
 	for _, p := range net.Procs() {
 		for k := 1; k <= r.LastIndex(p); k++ {
 			from := BasicNode{Proc: p, Index: k}
-			st := r.times[p-1][k]
+			st := r.nodes[p-1][k].time
 			for _, a := range net.OutArcs(p) {
 				_, delivered := r.DeliveryFrom(from, a.To)
 				if !delivered && st+a.Bounds.Upper <= r.horizon {

@@ -1,11 +1,14 @@
 package run
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"github.com/clockless/zigzag/internal/model"
 )
+
+// ErrForeignView reports a view moved over a run it was not taken from.
+var ErrForeignView = errors.New("run: view used with a run it does not belong to")
 
 // View is the subjective information content of a node's local state under
 // an FFIP: the structure of its causal past — which nodes exist, which
@@ -17,19 +20,22 @@ import (
 //
 // A causal past is downward-closed, so it is fully described by its
 // frontier: one boundary index per process, a vector clock. A View is
-// therefore (store, origin, frontier): the store holds the execution's
-// causal structure — a recorded Run for ViewOf, a live Store for the views
-// internal/live grows receive batch by receive batch — and every accessor
-// reads the store and keeps what lies at or below the frontier. That is
-// exact because a process's nodes in a view form a prefix of its timeline:
-// a delivery is in the view iff its receiver is, and the earliest node of
-// a process with a given label is in the view iff any such node is.
+// therefore (run, origin, frontier) over the one recording of its
+// execution — a finished run for ViewOf, or the run sim.Stepper is still
+// recording for the views internal/live moves state by state. Every
+// accessor reads the run and keeps what lies at or below the frontier, and
+// none returns a time. That is exact because a process's nodes in a view
+// form a prefix of its timeline: a delivery is in the view iff its receiver
+// is, and the earliest node of a process with a given label is in the view
+// iff any such node is.
 type View struct {
-	src    causal
-	net    *model.Network
+	r      *Run
 	origin BasicNode
 	// members[p-1] is the boundary index of process p (-1 if absent).
 	members []int
+	// covered and stack are Advance's reused walk state (see Run.raise).
+	covered []int
+	stack   []model.ProcID
 }
 
 // ViewOf extracts the view of sigma from a recorded run.
@@ -38,54 +44,39 @@ func ViewOf(r *Run, sigma BasicNode) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &View{src: r, net: r.net, origin: sigma, members: ps.members}, nil
+	return &View{r: r, origin: sigma, members: ps.members}, nil
 }
 
 // Advance moves a view taken from r (by ViewOf or earlier Advance calls) to
 // its origin's successor and returns the new origin. It raises the frontier
-// to past(r, next) by the same reverse BFS as Past, started from the view's
-// current frontier: a past is downward-closed and a successor's past
+// to past(r, next) by the same reverse walk as Past, started from the
+// view's current frontier: a past is downward-closed and a successor's past
 // contains its predecessor's, so the walked view equals ViewOf(r, next).
 // Walking a whole timeline costs O(|past(r, last)|) instead of one ViewOf
-// per state. It returns ErrNoNode when the successor does not appear in r,
-// and ErrForeignView when the view was not taken from r; either way the
-// view is unchanged.
+// per state, and the walk's buffers are the view's own, so after the first
+// call Advance does not allocate. r may still be growing: the successor
+// only has to be recorded. It returns ErrNoNode when the successor does
+// not appear in r, and ErrForeignView when the view was not taken from r;
+// either way the view is unchanged.
 func (v *View) Advance(r *Run) (BasicNode, error) {
-	if v.src != causal(r) {
+	if v.r != r {
 		return BasicNode{}, fmt.Errorf("%w: advancing over another run", ErrForeignView)
 	}
 	next := v.origin.Successor()
 	if !r.Appears(next) {
 		return BasicNode{}, ErrNoNode
 	}
+	if v.covered == nil {
+		v.covered = append([]int(nil), v.members...)
+		v.stack = make([]model.ProcID, 0, len(v.members))
+	}
 	v.origin = next
-	r.raise(v.members, next)
+	v.stack = r.raise(v.members, v.covered, next, v.stack)
 	return next, nil
 }
 
-// Absorb advances a view over a live Store by one receive batch: the owning
-// process moves to its next local state, whose inbox holds one delivery
-// from each sender and whose externals are the given labels, and the
-// frontier rises to the element-wise maximum of the senders' stored
-// frontiers — O(n) per receipt. It implements the FFIP state transition on
-// the receiving side, with each payload reduced to its sender node.
-//
-// Every sender must be a recorded non-initial node of the store with an
-// undelivered message on a channel to the owner (ErrUnknownSender,
-// ErrChannelMissing, ErrDuplicateSend), and the view must be at the end of
-// its process's timeline (ErrStaleView). A view taken from a recorded run
-// moves by Advance instead (ErrForeignView). A failed Absorb leaves the view
-// and the store unchanged.
-func (v *View) Absorb(from []BasicNode, externalLabels []string) (BasicNode, error) {
-	st, ok := v.src.(*Store)
-	if !ok {
-		return BasicNode{}, fmt.Errorf("%w: a recorded run's view moves by Advance", ErrForeignView)
-	}
-	return st.absorb(v, from, externalLabels)
-}
-
 // Net returns the network the view lives in.
-func (v *View) Net() *model.Network { return v.net }
+func (v *View) Net() *model.Network { return v.r.net }
 
 // Origin returns the node whose local state the view represents.
 func (v *View) Origin() BasicNode { return v.origin }
@@ -124,7 +115,7 @@ func (v *View) Size() int {
 // DeliveryTo returns the node that received the message sent at from to
 // process to, if that delivery is inside the view.
 func (v *View) DeliveryTo(from BasicNode, to model.ProcID) (BasicNode, bool) {
-	ch := v.net.ChanIDOf(from.Proc, to)
+	ch := v.r.net.ChanIDOf(from.Proc, to)
 	if ch == model.NoChan || from.IsInitial() || !v.Contains(from) {
 		return BasicNode{}, false
 	}
@@ -134,7 +125,7 @@ func (v *View) DeliveryTo(from BasicNode, to model.ProcID) (BasicNode, bool) {
 // deliveredOn is DeliveryTo for a covered non-initial sender and one of its
 // out-arcs.
 func (v *View) deliveredOn(from BasicNode, ch model.ChanID) (BasicNode, bool) {
-	b, ok := v.src.receiver(from, ch)
+	b, ok := v.r.receiver(from, ch)
 	if !ok || !v.Contains(b) {
 		return BasicNode{}, false
 	}
@@ -148,7 +139,7 @@ func (v *View) AppendInbox(dst []Delivery, b BasicNode) []Delivery {
 	if !v.Contains(b) {
 		return dst
 	}
-	for _, d := range v.src.inboxOf(b) {
+	for _, d := range v.r.inboxOf(b) {
 		dst = append(dst, Delivery{From: d.From, To: d.To, Chan: d.Chan})
 	}
 	return dst
@@ -161,7 +152,7 @@ func (v *View) Deliveries() []Delivery {
 	sends := 0
 	for i, k := range v.members {
 		if k > 0 {
-			sends += k * len(v.net.OutArcs(model.ProcID(i+1)))
+			sends += k * len(v.r.net.OutArcs(model.ProcID(i+1)))
 		}
 	}
 	out := make([]Delivery, 0, sends)
@@ -169,7 +160,7 @@ func (v *View) Deliveries() []Delivery {
 		p := model.ProcID(i + 1)
 		for idx := 1; idx <= k; idx++ {
 			from := BasicNode{Proc: p, Index: idx}
-			for _, a := range v.net.OutArcs(p) {
+			for _, a := range v.r.net.OutArcs(p) {
 				if to, ok := v.deliveredOn(from, a.ID); ok {
 					out = append(out, Delivery{From: from, To: to, Chan: a.ID})
 				}
@@ -189,7 +180,7 @@ func (v *View) Leaving() []Pending {
 		p := model.ProcID(i + 1)
 		for idx := 1; idx <= k; idx++ {
 			from := BasicNode{Proc: p, Index: idx}
-			for _, a := range v.net.OutArcs(p) {
+			for _, a := range v.r.net.OutArcs(p) {
 				if _, ok := v.deliveredOn(from, a.ID); !ok {
 					out = append(out, Pending{From: from, To: a.To, Chan: a.ID})
 				}
@@ -223,24 +214,27 @@ func (v *View) ResolvePrefix(theta GeneralNode) (prefix []BasicNode, hops int) {
 	return prefix, hops
 }
 
-// ExternalsAt returns the external labels absorbed at a view node.
+// ExternalsAt returns the external labels absorbed at a view node, one per
+// recorded external, in label order.
 func (v *View) ExternalsAt(b BasicNode) []string {
 	if !v.Contains(b) {
 		return nil
 	}
-	out := append([]string(nil), v.src.labelsAt(b)...)
-	sort.Strings(out)
+	var out []string
+	for _, e := range v.r.externalsOf(b) {
+		out = append(out, e.Label)
+	}
 	return out
 }
 
 // FindExternal locates the earliest node of process p that absorbed an
-// external input with the given label. It reads the store's earliest-node
+// external input with the given label. It reads the run's earliest-node
 // index and keeps the answer only if it lies inside the view: p's view
 // nodes are a prefix of its timeline, so if any of them absorbed the label,
 // the earliest one is among them. Online agents (live.Protocol2) call this
 // at every state until the label appears, at O(1) each.
 func (v *View) FindExternal(p model.ProcID, label string) (BasicNode, bool) {
-	k, ok := v.src.earliest(p, label)
+	k, ok := v.r.extFirst[extKey{proc: p, label: label}]
 	n := BasicNode{Proc: p, Index: k}
 	if !ok || !v.Contains(n) {
 		return BasicNode{}, false

@@ -90,25 +90,84 @@ func TestViewExternals(t *testing.T) {
 	}
 }
 
+// grower records a run one batch per tick, as a live execution does, and
+// moves views over the growing run with Advance. It tolerates any latency
+// of at least 1, so a recorded sender may deliver at any later tick.
+type grower struct {
+	t    *testing.T
+	rec  *Recorder
+	tick model.Time
+}
+
+func newGrower(t *testing.T, net *model.Network) *grower {
+	t.Helper()
+	rec, err := NewRecorder(net, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.Tolerate()
+	return &grower{t: t, rec: rec}
+}
+
+// view returns process p's initial view over the growing run.
+func (g *grower) view(p model.ProcID) *View {
+	g.t.Helper()
+	v, err := ViewOf(g.rec.Run(), BasicNode{Proc: p})
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	return v
+}
+
+// append records one batch for process p at the next tick, from the given
+// recorded senders, and returns the node it creates.
+func (g *grower) append(p model.ProcID, from []BasicNode, labels ...string) (BasicNode, error) {
+	arrivals := make([]Arrival, len(from))
+	for i, f := range from {
+		arrivals[i] = Arrival{From: f, Send: -1}
+		if g.rec.Run().Appears(f) {
+			arrivals[i].Send = g.rec.Run().MustTime(f)
+		}
+	}
+	node, err := g.rec.Append(p, g.tick+1, arrivals, labels)
+	if err == nil {
+		g.tick++
+	}
+	return node, err
+}
+
+// absorb records one batch for v's process, which must be at the end of
+// its timeline, and advances v to the node it creates.
+func (g *grower) absorb(v *View, from []BasicNode, labels ...string) BasicNode {
+	g.t.Helper()
+	node, err := g.append(v.Origin().Proc, from, labels...)
+	if err != nil {
+		g.t.Fatal(err)
+	}
+	if next, err := v.Advance(g.rec.Run()); err != nil || next != node {
+		g.t.Fatalf("advance to %s: %s, %v", node, next, err)
+	}
+	return node
+}
+
 // TestFindExternalIndexKeepsEarliest pins FindExternal against its
 // linear-scan semantics: the answer is the earliest node of the process
 // carrying the label, later occurrences never displace it, and a view whose
 // frontier stops short of the earliest node finds nothing.
 func TestFindExternalIndexKeepsEarliest(t *testing.T) {
-	net := model.MustComplete(2, 1, 2)
-	st := NewStore(net)
-	v1, v2 := st.LocalView(1), st.LocalView(2)
-	absorb(t, v1, nil, "warmup")
-	n2 := absorb(t, v1, nil, "go")
-	early := absorb(t, v2, []BasicNode{{Proc: 1, Index: 1}})
-	absorb(t, v1, nil, "go") // a later occurrence
+	g := newGrower(t, model.MustComplete(2, 1, 2))
+	v1, v2 := g.view(1), g.view(2)
+	g.absorb(v1, nil, "warmup")
+	n2 := g.absorb(v1, nil, "go")
+	early := g.absorb(v2, []BasicNode{{Proc: 1, Index: 1}})
+	g.absorb(v1, nil, "go") // a later occurrence
 	if _, ok := v2.FindExternal(1, "go"); ok {
 		t.Fatalf("view at %s finds a label absorbed beyond its frontier", early)
 	}
 	if n, ok := v1.FindExternal(1, "go"); !ok || n != n2 {
 		t.Fatalf("FindExternal = %v, %v, want %s", n, ok, n2)
 	}
-	absorb(t, v2, []BasicNode{{Proc: 1, Index: 3}})
+	g.absorb(v2, []BasicNode{{Proc: 1, Index: 3}})
 	if n, ok := v2.FindExternal(1, "go"); !ok || n != n2 {
 		t.Fatalf("after the later occurrence: FindExternal = %v, %v, want %s", n, ok, n2)
 	}
@@ -120,43 +179,33 @@ func TestFindExternalIndexKeepsEarliest(t *testing.T) {
 	}
 }
 
-// absorb moves v by one batch from the given senders and fails the test on
-// error.
-func absorb(t *testing.T, v *View, from []BasicNode, labels ...string) BasicNode {
-	t.Helper()
-	node, err := v.Absorb(from, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return node
-}
-
+// TestViewAbsorbMatchesOffline records the chain run's receipts one batch
+// at a time and checks each view moved over the growing run against
+// ViewOf on the finished run.
 func TestViewAbsorbMatchesOffline(t *testing.T) {
-	// Replay the chain run's receipts on live views and compare with
-	// ViewOf at every step.
 	r := chainRun(t)
-	st := NewStore(r.Net())
-	n1 := absorb(t, st.LocalView(1), nil, "go")
+	g := newGrower(t, r.Net())
+	n1 := g.absorb(g.view(1), nil, "go")
 	if n1 != (BasicNode{Proc: 1, Index: 1}) {
 		t.Errorf("node = %s", n1)
 	}
-	v2 := st.LocalView(2)
-	n2 := absorb(t, v2, []BasicNode{n1})
+	v2 := g.view(2)
+	n2 := g.absorb(v2, []BasicNode{n1})
 	want, err := ViewOf(r, n2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v2.PastSet().Equal(want.PastSet()) {
-		t.Error("accumulated view disagrees with extracted view")
+		t.Error("view over the growing run disagrees with the extracted view")
 	}
-	v3 := st.LocalView(3)
-	n3 := absorb(t, v3, []BasicNode{n2})
+	v3 := g.view(3)
+	n3 := g.absorb(v3, []BasicNode{n2})
 	want3, err := ViewOf(r, n3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !v3.PastSet().Equal(want3.PastSet()) {
-		t.Error("two-hop accumulated view disagrees")
+		t.Error("two-hop view disagrees")
 	}
 	if got, want := v3.Deliveries(), want3.Deliveries(); !reflect.DeepEqual(got, want) {
 		t.Errorf("deliveries = %v, want %v", got, want)
@@ -164,89 +213,87 @@ func TestViewAbsorbMatchesOffline(t *testing.T) {
 }
 
 func TestAbsorbRejectsUncoveredSender(t *testing.T) {
-	net := model.MustComplete(2, 1, 2)
-	v := NewStore(net).LocalView(2)
-	// A receipt from a node the store has never recorded.
-	_, err := v.Absorb([]BasicNode{{Proc: 1, Index: 5}}, nil)
-	if !errors.Is(err, ErrUnknownSender) {
-		t.Fatalf("unrecorded sender: %v, want ErrUnknownSender", err)
+	g := newGrower(t, model.MustComplete(2, 1, 2))
+	// A receipt from a node the run has never recorded.
+	_, err := g.append(2, []BasicNode{{Proc: 1, Index: 5}})
+	if !errors.Is(err, ErrNoNode) {
+		t.Fatalf("unrecorded sender: %v, want ErrNoNode", err)
 	}
 }
 
 // TestFailedAbsorbLeavesViewUnchanged: every rejected batch is a typed
-// error, and neither the view nor the store moves — a later legitimate
-// batch still gets the next index and the frontier it would have had.
+// error, and neither the run nor any view over it moves — a later
+// legitimate batch still gets the next index and the frontier it would
+// have had.
 func TestFailedAbsorbLeavesViewUnchanged(t *testing.T) {
 	net := model.NewBuilder(3).Chan(1, 2, 1, 2).Chan(2, 3, 1, 2).Chan(3, 1, 1, 2).MustBuild()
-	st := NewStore(net)
-	v1, v2 := st.LocalView(1), st.LocalView(2)
-	s1 := absorb(t, v1, nil, "go")
-	absorb(t, v2, []BasicNode{s1})
-	s2 := absorb(t, v1, nil) // sent, not yet delivered
-	r := chainRun(t)
-	offline, err := ViewOf(r, BasicNode{Proc: 2, Index: 1})
-	if err != nil {
-		t.Fatal(err)
+	g := newGrower(t, net)
+	v1, v2 := g.view(1), g.view(2)
+	s1 := g.absorb(v1, nil, "go")
+	g.absorb(v2, []BasicNode{s1})
+	s2 := g.absorb(v1, nil, "tick") // sent, not yet delivered
+	r := g.rec.Run()
+	appendErr := func(p model.ProcID, from ...BasicNode) func() error {
+		return func() error {
+			_, err := g.append(p, from)
+			return err
+		}
 	}
 	cases := []struct {
 		name string
-		v    *View
-		call func(v *View) error
+		call func() error
 		want error
 	}{
-		{"unknown process", v2, absorbErr([]BasicNode{{Proc: 7, Index: 1}}), ErrUnknownSender},
-		{"initial sender", v2, absorbErr([]BasicNode{{Proc: 1, Index: 0}}), ErrUnknownSender},
-		{"beyond recorded count", v2, absorbErr([]BasicNode{{Proc: 1, Index: 3}}), ErrUnknownSender},
-		{"valid then unknown", v2, absorbErr([]BasicNode{s2, {Proc: 1, Index: 9}}), ErrUnknownSender},
-		{"duplicate in batch", v2, absorbErr([]BasicNode{s2, s2}), ErrDuplicateSend},
-		{"no channel", v1, absorbErr([]BasicNode{{Proc: 2, Index: 1}}), ErrChannelMissing},
-		{"already delivered", v2, absorbErr([]BasicNode{s1}), ErrDuplicateSend},
-		{"stale view", st.LocalView(1), absorbErr(nil), ErrStaleView},
-		{"recorded run's view", offline, absorbErr(nil), ErrForeignView},
-		{"another network's run", offline, func(v *View) error {
-			_, err := v.Advance(completeRun(t))
+		{"unknown process", appendErr(2, BasicNode{Proc: 7, Index: 1}), ErrChannelMissing},
+		{"initial sender", appendErr(2, BasicNode{Proc: 1, Index: 0}), ErrInitialSend},
+		{"beyond recorded count", appendErr(2, BasicNode{Proc: 1, Index: 3}), ErrNoNode},
+		{"valid then unknown", appendErr(2, s2, BasicNode{Proc: 1, Index: 9}), ErrNoNode},
+		{"duplicate in batch", appendErr(2, s2, s2), ErrDuplicateSend},
+		{"no channel", appendErr(1, BasicNode{Proc: 2, Index: 1}), ErrChannelMissing},
+		{"already delivered", appendErr(2, s1), ErrDuplicateSend},
+		{"empty batch", appendErr(2), ErrOrphanNode},
+		{"out of tick order", func() error {
+			_, err := g.rec.Append(3, g.tick-1, nil, []string{"late"})
+			return err
+		}, ErrOutOfOrder},
+		{"another network's run", func() error {
+			_, err := v2.Advance(completeRun(t))
 			return err
 		}, ErrForeignView},
 	}
+	views := []*View{v1, v2}
 	for _, c := range cases {
-		origin, size := c.v.Origin(), c.v.Size()
-		var bounds []BasicNode
-		for _, p := range net.Procs() {
-			b, _ := c.v.Boundary(p)
-			bounds = append(bounds, b)
+		nodes, dels := r.NumNodes(), len(r.Deliveries())
+		var origins []BasicNode
+		var sizes []int
+		for _, v := range views {
+			origins, sizes = append(origins, v.Origin()), append(sizes, v.Size())
 		}
-		if err := c.call(c.v); !errors.Is(err, c.want) {
+		if err := c.call(); !errors.Is(err, c.want) {
 			t.Fatalf("%s: %v, want %v", c.name, err, c.want)
 		}
-		if c.v.Origin() != origin || c.v.Size() != size {
-			t.Fatalf("%s: view moved to %s (size %d) from %s (size %d)", c.name, c.v.Origin(), c.v.Size(), origin, size)
+		if r.NumNodes() != nodes || len(r.Deliveries()) != dels {
+			t.Fatalf("%s: run moved to %d nodes and %d deliveries from %d and %d",
+				c.name, r.NumNodes(), len(r.Deliveries()), nodes, dels)
 		}
-		for i, p := range net.Procs() {
-			if b, _ := c.v.Boundary(p); b != bounds[i] {
-				t.Fatalf("%s: boundary of p%d moved to %s from %s", c.name, p, b, bounds[i])
+		for i, v := range views {
+			if v.Origin() != origins[i] || v.Size() != sizes[i] {
+				t.Fatalf("%s: view moved to %s (size %d) from %s (size %d)", c.name, v.Origin(), v.Size(), origins[i], sizes[i])
 			}
 		}
 	}
-	// The store did not move either: the claims of rejected batches were
-	// released, and every timeline's next index is unchanged.
-	if n := absorb(t, v2, []BasicNode{s2}); n.Index != 2 || v2.Size() != 6 {
+	// The claims of rejected batches were released, and every timeline's
+	// next index is unchanged.
+	if n := g.absorb(v2, []BasicNode{s2}); n.Index != 2 || v2.Size() != 6 {
 		t.Fatalf("after rejected batches: %s with %d nodes, want 2#2 with 6", n, v2.Size())
 	}
-	v3 := st.LocalView(3)
-	n3 := absorb(t, v3, []BasicNode{{Proc: 2, Index: 1}})
+	v3 := g.view(3)
+	n3 := g.absorb(v3, []BasicNode{{Proc: 2, Index: 1}})
 	if n3.Index != 1 || v3.Size() != 6 {
 		t.Fatalf("3 moved to %s with %d nodes, want 3#1 with 6", n3, v3.Size())
 	}
-	if n := absorb(t, v1, []BasicNode{n3}); n.Index != 3 {
+	if n := g.absorb(v1, []BasicNode{n3}); n.Index != 3 {
 		t.Fatalf("process 1 moved to %s, want index 3", n)
-	}
-}
-
-// absorbErr returns a case body that absorbs one batch from the senders.
-func absorbErr(from []BasicNode) func(v *View) error {
-	return func(v *View) error {
-		_, err := v.Absorb(from, nil)
-		return err
 	}
 }
 

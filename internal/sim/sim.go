@@ -77,11 +77,7 @@ func simulate(cfg Config) (*run.Run, *faults.Injector, error) {
 			break
 		}
 	}
-	r, err := s.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return r, s.inj, nil
+	return s.Finish(), s.inj, nil
 }
 
 // MustSimulate is Simulate that panics on error; intended for fixtures.

@@ -8,12 +8,10 @@ import (
 	"github.com/clockless/zigzag/internal/run"
 )
 
-// Arrival is one scheduled delivery: the sending state, the receiving
-// process and the send time.
-type Arrival struct {
-	From run.BasicNode
-	To   model.ProcID
-	Send model.Time
+// arrival is one scheduled delivery: the message and its receiving process.
+type arrival struct {
+	run.Arrival
+	to model.ProcID
 }
 
 // Batch is one receive batch: everything process Proc receives at tick
@@ -21,13 +19,12 @@ type Arrival struct {
 type Batch struct {
 	Proc model.ProcID
 	Time model.Time
-	// Node is the state the batch creates. A process's states are numbered
-	// 1, 2, ... in batch order, exactly as run.Builder and run.View.Absorb
-	// number them.
+	// Node is the state the batch creates, as recorded in the run: a
+	// process's states are numbered 1, 2, ... in batch order.
 	Node run.BasicNode
-	// Arrivals (in scheduling order) and Externals (in configuration order)
-	// are what the batch delivers. Both are reused by the next Step.
-	Arrivals  []Arrival
+	// Externals are the batch's external labels in configuration order,
+	// reused by the next Step. Its deliveries are recorded in the run
+	// (run.Run.Inbox of Node).
 	Externals []string
 	// Degraded reports that the fault injector's taint frontier covers the
 	// batch: the process's knowledge may rest on a violated bound. Always
@@ -38,8 +35,11 @@ type Batch struct {
 // Stepper is the environment of Section 2.1, one tick at a time: it
 // delivers every FFIP flood at the instant the Policy picks within the
 // channel's [L, U], moves every process that receives something at a tick
-// to one new state, records the run and applies the fault plan. Simulate
-// steps it to the horizon; live.Replay drives agents from its batches.
+// to one new state, records the run and applies the fault plan. Each
+// batch is appended to the run (run.Recorder) as it is scheduled, in tick
+// order, so the run is the one recording of the execution: Simulate steps
+// the stepper to the horizon and finishes the run; live.Replay moves its
+// agents' views over the run while it grows.
 //
 // Stepping a tick at a time is exact because every latency is at least 1:
 // an arrival at tick t comes from a state created strictly before t, so a
@@ -55,15 +55,14 @@ type Stepper struct {
 	policy Policy
 	hor    model.Time
 	inj    *faults.Injector // nil for fault-free executions
-	bl     *run.Builder
+	rec    *run.Recorder
 
-	arrivals [][]Arrival // horizon-indexed buckets
-	free     [][]Arrival // recycled bucket backing
+	arrivals [][]arrival // horizon-indexed buckets
+	free     [][]arrival // recycled bucket backing
 	extAt    [][]run.ExternalEvent
 
-	procArr [][]Arrival // per-process slab for the current tick
+	procArr [][]run.Arrival // per-process slab for the current tick
 	procExt [][]string
-	lastIdx []int // per-process state counter
 	batches []Batch
 
 	t model.Time // next tick to process
@@ -80,17 +79,17 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		return nil, fmt.Errorf("%w: horizon %d < 1", ErrBadConfig, cfg.Horizon)
 	}
 	n := cfg.Net.N()
-	if err := run.CheckHorizon(n, cfg.Horizon); err != nil {
+	rec, err := run.NewRecorder(cfg.Net, cfg.Horizon)
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
 	s := &Stepper{
 		net:     cfg.Net,
 		policy:  cfg.Policy,
 		hor:     cfg.Horizon,
-		bl:      run.NewBuilder(cfg.Net, cfg.Horizon),
-		procArr: make([][]Arrival, n),
+		rec:     rec,
+		procArr: make([][]run.Arrival, n),
 		procExt: make([][]string, n),
-		lastIdx: make([]int, n),
 		batches: make([]Batch, 0, n),
 		t:       1,
 	}
@@ -103,7 +102,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 			return nil, err
 		}
 		s.inj = inj
-		s.bl.Tolerate()
+		s.rec.Tolerate()
 	}
 	s.extAt = make([][]run.ExternalEvent, cfg.Horizon+1)
 	for _, ev := range cfg.Externals {
@@ -119,15 +118,19 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		}
 		s.extAt[ev.Time] = append(s.extAt[ev.Time], ev)
 	}
-	s.arrivals = make([][]Arrival, cfg.Horizon+1)
+	s.arrivals = make([][]arrival, cfg.Horizon+1)
 	return s, nil
 }
 
 // Injector returns the execution's fault injector, nil without a plan.
 func (s *Stepper) Injector() *faults.Injector { return s.inj }
 
-// Build returns the recorded run. Call it once Step has returned nil.
-func (s *Stepper) Build() (*run.Run, error) { return s.bl.Build() }
+// Run returns the run being recorded: every batch stepped so far.
+func (s *Stepper) Run() *run.Run { return s.rec.Run() }
+
+// Finish returns the finished run, with its pending messages and
+// fingerprint. Call it once Step has returned nil.
+func (s *Stepper) Finish() *run.Run { return s.rec.Finish() }
 
 // Step advances to the next tick at which some process receives something
 // and returns that tick's batches in process order, at most one per
@@ -141,15 +144,13 @@ func (s *Stepper) Step() ([]Batch, error) {
 			continue
 		}
 		for _, a := range s.arrivals[t] {
-			s.procArr[a.To-1] = append(s.procArr[a.To-1], a)
+			s.procArr[a.to-1] = append(s.procArr[a.to-1], a.Arrival)
 		}
 		if s.arrivals[t] != nil {
 			s.free = append(s.free, s.arrivals[t][:0])
 			s.arrivals[t] = nil
 		}
-		// The tick's externals are recorded first, in configuration order.
 		for _, e := range s.extAt[t] {
-			s.bl.External(run.ExternalEvent{Proc: e.Proc, Time: t, Label: e.Label})
 			s.procExt[e.Proc-1] = append(s.procExt[e.Proc-1], e.Label)
 		}
 		for p := model.ProcID(1); int(p) <= len(s.procArr); p++ {
@@ -160,19 +161,20 @@ func (s *Stepper) Step() ([]Batch, error) {
 			// The slabs are refilled only at the next tick, after the
 			// caller is done with this one's batches.
 			s.procArr[p-1], s.procExt[p-1] = arr[:0], ext[:0]
-			for _, a := range arr {
-				s.bl.Message(run.MessageEvent{FromProc: a.From.Proc, ToProc: p, SendTime: a.Send, RecvTime: t})
-				if s.inj != nil {
+			node, err := s.rec.Append(p, t, arr, ext)
+			if err != nil {
+				return nil, err
+			}
+			if s.inj != nil {
+				for _, a := range arr {
 					s.inj.Deliver(s.net.ChanIDOf(a.From.Proc, p), a.From.Proc, p, a.Send, t)
 				}
 			}
-			s.lastIdx[p-1]++
-			node := run.BasicNode{Proc: p, Index: s.lastIdx[p-1]}
 			if err := s.flood(node, t); err != nil {
 				return nil, err
 			}
 			s.batches = append(s.batches, Batch{
-				Proc: p, Time: t, Node: node, Arrivals: arr, Externals: ext,
+				Proc: p, Time: t, Node: node, Externals: ext,
 				Degraded: s.inj != nil && s.inj.DegradedAt(p, t),
 			})
 		}
@@ -210,10 +212,10 @@ func (s *Stepper) flood(node run.BasicNode, t model.Time) error {
 			if k := len(s.free); k > 0 {
 				s.arrivals[rt], s.free = s.free[k-1], s.free[:k-1]
 			} else {
-				s.arrivals[rt] = make([]Arrival, 0, len(arcs))
+				s.arrivals[rt] = make([]arrival, 0, len(arcs))
 			}
 		}
-		s.arrivals[rt] = append(s.arrivals[rt], Arrival{From: node, To: a.To, Send: t})
+		s.arrivals[rt] = append(s.arrivals[rt], arrival{Arrival: run.Arrival{From: node, Send: t}, to: a.To})
 	}
 	return nil
 }

@@ -45,10 +45,7 @@ func TestStepperHoldsOneTick(t *testing.T) {
 		last = tick
 		total += len(batches)
 	}
-	r, err := s.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := s.Finish()
 	if want := r.NumNodes() - n; total != want {
 		t.Fatalf("stepped %d batches, the run holds %d non-initial nodes", total, want)
 	}
