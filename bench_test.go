@@ -222,7 +222,7 @@ func BenchmarkTheorem4(b *testing.B) {
 	}
 	window := in.WindowNodes(r)
 	sigma := window[len(window)-1]
-	ps, err := r.Past(sigma)
+	ps, err := run.ViewOf(r, sigma)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -223,7 +223,7 @@ func expTheorem4(cfg config) error {
 			continue
 		}
 		sigma := window[len(window)-1]
-		ps, err := r.Past(sigma)
+		ps, err := run.ViewOf(r, sigma)
 		if err != nil {
 			return err
 		}

@@ -114,6 +114,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
+	switch *engine {
+	case "offline", "rebuild", "online", "shared":
+	default:
+		fmt.Fprintf(stderr, "unknown engine %q (want offline, rebuild, online or shared)\n", *engine)
+		return 2
+	}
+	switch *kind {
+	case "late", "early", "mixed":
+	default:
+		fmt.Fprintf(stderr, "unknown kind %q (want late, early or mixed)\n", *kind)
+		return 2
+	}
 	if *doSweep && *engine != "offline" {
 		fmt.Fprintln(stderr, "-engine applies to single-scenario runs; use -live for engine-backed sweep cells")
 		return 2
@@ -315,19 +327,13 @@ func startProfiles(cpu, mem string) (func(), error) {
 // cross-check becomes the chaos safety audit instead: every act an agent
 // DID perform must satisfy its task on the faulted run that actually
 // happened, and the report lists the injected violations, crashed
-// processes and degraded agents.
+// processes and degraded agents. run has validated engine and kind.
 func runLiveScenario(stdout io.Writer, sc *scenario.Scenario, pol sim.Policy, engine, kind string, timeline int, dump, faultFam string, seed int64) error {
-	switch engine {
-	case "rebuild", "online", "shared":
-	default:
-		return fmt.Errorf("unknown engine %q (want offline, rebuild, online or shared)", engine)
-	}
 	tasks := sc.TaskList()
 	if len(tasks) == 0 {
 		return fmt.Errorf("scenario %s poses no coordination task; -engine needs one (try coord-m4)", sc.Name)
 	}
 	switch kind {
-	case "mixed":
 	case "late":
 		for i := range tasks {
 			tasks[i].Kind = coord.Late
@@ -336,8 +342,6 @@ func runLiveScenario(stdout io.Writer, sc *scenario.Scenario, pol sim.Policy, en
 		for i := range tasks {
 			tasks[i].Kind = coord.Early
 		}
-	default:
-		return fmt.Errorf("unknown kind %q (want late, early or mixed)", kind)
 	}
 	agents, agentMap := live.NewTaskAgents(tasks)
 	cfg := live.Config{

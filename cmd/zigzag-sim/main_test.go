@@ -36,6 +36,10 @@ func TestExitCodes(t *testing.T) {
 			code: 2, stderr: "flag provided but not defined: -no-xbatch"},
 		{name: "sweep without seeds", args: []string{"-sweep", "-seeds", "0"},
 			code: 2, stderr: "at least one seed"},
+		{name: "unknown engine", args: []string{"-scenario", "coord-m4", "-engine", "bogus"},
+			code: 2, stderr: `unknown engine "bogus"`},
+		{name: "unknown kind", args: []string{"-scenario", "coord-m4", "-engine", "online", "-kind", "bogus"},
+			code: 2, stderr: `unknown kind "bogus"`},
 		{name: "unknown fault family", args: []string{"-scenario", "coord-m4", "-engine", "online", "-faults", "meteor"},
 			code: 2, stderr: `unknown fault family "meteor"`},
 		{name: "non-finite sweep scale", args: []string{"-sweep", "-sweep-scale", "NaN", "-seeds", "1"},

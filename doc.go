@@ -34,7 +34,9 @@
 // What a single process can *know* about timing from its own observations is
 // captured by the extended bounds graph (ExtendedGraph) over its causal
 // past, with auxiliary horizon vertices standing for the earliest unseen
-// events on each timeline. K_sigma(theta1 --x--> theta2) holds exactly when
+// events on each timeline. A causal past is a View: the past is a prefix of
+// every timeline, so one boundary index per process — a vector clock —
+// names it, and ViewOf computes it. K_sigma(theta1 --x--> theta2) holds exactly when
 // a constraint path of weight >= x exists — equivalently (Theorem 4), when a
 // sigma-visible zigzag of that weight exists; KnowledgeWeight computes the
 // strongest known bound and the witness pattern, and the fast run of
@@ -71,15 +73,16 @@
 // built over exact degree counts with no per-edge metadata — all guarded by
 // allocation-budget tests in internal/sim, internal/bounds and
 // internal/live. Online agents keep one incremental knowledge engine that
-// extends a standing extended bounds graph with each state's delta — read
-// off the view's append-only delivery log — and re-relaxes longest paths
+// extends a standing extended bounds graph with each state's delta — the
+// inboxes of the nodes its view newly covers — and re-relaxes longest paths
 // from only the new edges, answering exactly as a fresh per-state build
 // would at a small fraction of the cost. Knowledge state is stratified by
 // lifetime into a three-tier hierarchy:
 // bounds.NetworkEngine owns the network-derived structure (aux band
 // prototype, presizing hints, scratch pool) shared by every run of a
 // topology, bounds.Shared is the per-run standing graph stamped out of it,
-// and bounds.Handle carries one agent's frontier over that graph. An agent
+// and bounds.Handle carries one agent's frontier over that graph, which is
+// also all that decides what the agent's queries see. An agent
 // with no run to share gets a private one-handle run.
 //
 // The implementation details live in internal packages; this package

@@ -553,7 +553,7 @@ func ScalingKnowledge(n int) Case {
 			}
 			window := in.WindowNodes(r)
 			sigma := window[len(window)-1]
-			ps, err := r.Past(sigma)
+			ps, err := run.ViewOf(r, sigma)
 			if err != nil {
 				b.Fatal(err)
 			}

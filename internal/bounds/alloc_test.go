@@ -65,7 +65,7 @@ func TestExtendedRejectsUnmodeledChannel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(e.View().Deliveries()); got != 0 {
+	if got := len(e.Past().Deliveries()); got != 0 {
 		t.Fatalf("rejected receipt left %d deliveries in the view", got)
 	}
 }

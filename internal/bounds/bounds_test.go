@@ -173,6 +173,54 @@ func TestExtendedRejectsUnrecognized(t *testing.T) {
 	}
 }
 
+// TestExtendedVertexSetStaysAsBuilt: a graph keeps the vertex set it was
+// built with when its view advances afterwards. Every node the view held
+// keeps its vertex; every node it gained is not in the graph, rather than
+// landing in another process's block or on an auxiliary vertex.
+func TestExtendedVertexSetStaysAsBuilt(t *testing.T) {
+	r, err := sim.Simulate(sim.Config{
+		Net: model.MustComplete(3, 1, 2), Horizon: 12, Policy: sim.Eager{}, Externals: sim.GoAt(1, 1, "go"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := run.ViewOf(r, run.BasicNode{Proc: 1, Index: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := NewExtendedFromView(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := make(map[run.BasicNode]int)
+	for _, n := range v.Nodes() {
+		if built[n], err = ext.VertexOfPast(n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := v.Advance(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gained := 0
+	for _, n := range v.Nodes() {
+		got, err := ext.VertexOfPast(n)
+		want, ok := built[n]
+		switch {
+		case ok && (err != nil || got != want):
+			t.Errorf("%s: vertex %d, %v after the view advanced; built as %d", n, got, err, want)
+		case !ok && !errors.Is(err, ErrNotInGraph):
+			t.Errorf("%s, gained after the build: vertex %d, %v; want ErrNotInGraph", n, got, err)
+		case !ok:
+			gained++
+		}
+	}
+	if gained == 0 {
+		t.Fatal("the view gained no node: nothing checked")
+	}
+}
+
 func TestExtendedRejectsInitialChain(t *testing.T) {
 	r := forkRun(t, sim.Eager{})
 	sigma := run.BasicNode{Proc: 3, Index: 1}

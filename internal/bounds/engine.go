@@ -25,7 +25,6 @@ import (
 //     re-adding one edge per channel);
 //   - the per-process adjacency capacity hints (outCap/inCap) that presize
 //     node vertices, and the restriction coordinates of the aux prefix;
-//   - the per-sender channel-bit tables behind delivery deduplication;
 //   - the query-scratch pool, so scratch buffers leased by one run's
 //     handles are reused by the next run's instead of dying with each
 //     Shared.
@@ -53,11 +52,6 @@ type NetworkEngine struct {
 	// vertices (successor + delivery edge pairs; E'/E'' never enter the
 	// standing tables).
 	outCap, inCap []int
-	// chanBit gives each channel its bit position within the sender's
-	// out-arc mask; wide records that some process exceeds one mask word,
-	// so runs fall back to a map for delivery dedup.
-	chanBit []uint8
-	wide    bool
 
 	// prefixes caches frozen standing prefixes of completed runs, keyed by
 	// run content fingerprint (NewRunAt / Shared.CommitPrefix).
@@ -71,9 +65,8 @@ type NetworkEngine struct {
 }
 
 // NewNetworkEngine derives the run-independent knowledge structure of one
-// network: the auxiliary psi band with its E”' adjacency, the presizing
-// hints and the dedup tables. Build it once per network and stamp out runs
-// with NewRun.
+// network: the auxiliary psi band with its E”' adjacency and the presizing
+// hints. Build it once per network and stamp out runs with NewRun.
 func NewNetworkEngine(net *model.Network) *NetworkEngine {
 	n := net.N()
 	e := &NetworkEngine{
@@ -85,7 +78,6 @@ func NewNetworkEngine(net *model.Network) *NetworkEngine {
 		auxRefresh: make([]int, n),
 		outCap:     make([]int, n),
 		inCap:      make([]int, n),
-		chanBit:    make([]uint8, len(net.Arcs())),
 	}
 	e.prefixes = newPrefixEngine(e)
 	auxOut := make([]int32, n)
@@ -105,15 +97,6 @@ func NewNetworkEngine(net *model.Network) *NetworkEngine {
 		// Aux band: one E''' edge aux(to) -> aux(from) per channel.
 		auxOut[i] = int32(inDeg)
 		auxIn[i] = int32(outDeg)
-	}
-	for _, p := range net.Procs() {
-		arcs := net.OutArcs(p)
-		if len(arcs) > 64 {
-			e.wide = true
-		}
-		for i := range arcs {
-			e.chanBit[arcs[i].ID] = uint8(i)
-		}
 	}
 	e.proto = graph.NewWithDegrees(auxOut, auxIn)
 	for _, a := range net.Arcs() {
@@ -161,9 +144,6 @@ func (e *NetworkEngine) NewRun() *Shared {
 	}
 	copy(s.band, e.auxBand)
 	copy(s.idx, e.auxIdx)
-	if e.wide {
-		s.wide = make(map[int64]struct{})
-	}
 	for i := range s.members {
 		s.members[i] = -1
 	}
@@ -186,7 +166,7 @@ func (e *NetworkEngine) NewRun() *Shared {
 // is looked up and nothing will be committed. Answers from a prefix-stamped
 // Shared are byte-identical to a fresh build's: the cache key pins the exact
 // event log, and any standing material an individual agent has not seen yet
-// stays hidden behind its handle's frontier mask.
+// stays hidden beyond its handle's frontier.
 func (e *NetworkEngine) NewRunAt(fp uint64) (s *Shared, hit bool) {
 	if fp == 0 {
 		return e.NewRun(), false
@@ -201,8 +181,8 @@ func (e *NetworkEngine) NewRunAt(fp uint64) (s *Shared, hit bool) {
 
 // stampPrefix stamps a Shared out of a frozen standing prefix. The standing
 // graph and the coordinate tables alias the snapshot (copy-on-grow per the
-// graph.Clone contract); frontier and dedup state, which absorption mutates
-// in place, are copied.
+// graph.Clone contract); the frontier, which absorption mutates in place, is
+// copied.
 func (e *NetworkEngine) stampPrefix(fz *frozenPrefix) *Shared {
 	s := &Shared{
 		eng:        e,
@@ -212,16 +192,9 @@ func (e *NetworkEngine) stampPrefix(fz *frozenPrefix) *Shared {
 		vertexOf:   make([][]int32, e.n),
 		band:       fz.band,
 		idx:        fz.idx,
-		delivered:  append([]uint64(nil), fz.delivered...),
 		fromPrefix: true,
 	}
 	copy(s.vertexOf, fz.vertexOf)
-	if fz.wide != nil {
-		s.wide = make(map[int64]struct{}, len(fz.wide))
-		for k := range fz.wide {
-			s.wide[k] = struct{}{}
-		}
-	}
 	e.Note(EngineStats{Runs: 1, CloneBytes: fz.g.CloneBytes()})
 	return s
 }

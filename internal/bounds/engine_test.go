@@ -121,51 +121,56 @@ func diffAgainstFresh(t *testing.T, tag string, h *bounds.Handle, v *run.View, m
 // a fresh NewExtendedFromView of that agent's own view. Two runs of each
 // scenario under different policies go through the SAME engine value, so a
 // run leaking state into the network tier (the cloned aux prototype, the
-// hint tables, the pooled scratches) cannot escape the comparison.
+// hint tables, the pooled scratches) cannot escape the comparison. Each
+// scenario owns its engine, so scenarios run as parallel subtests.
 func TestNetworkEngineMatchesFreshBuild(t *testing.T) {
 	reg := scenario.RegistrySized(0, 16)
 	for _, name := range scenario.Names(reg) {
-		sc := reg[name]
+		name, sc := name, reg[name]
 		if testing.Short() && sc.Net.N() > 8 {
 			continue
 		}
-		// Large networks keep full per-state coverage but a smaller query
-		// set, so the fresh rebuild per (state, pair) stays affordable.
-		maxQueries := 5
-		if sc.Net.N() > 8 {
-			maxQueries = 3
-		}
-		eng := bounds.NewNetworkEngine(sc.Net)
-		for runIdx, policy := range []sim.Policy{nil, sim.NewRandom(int64(7 * sc.Net.N()))} {
-			r, err := sc.Simulate(policy)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			// Large networks keep full per-state coverage but a smaller
+			// query set, so the fresh rebuild per (state, pair) stays
+			// affordable.
+			maxQueries := 5
+			if sc.Net.N() > 8 {
+				maxQueries = 3
 			}
-			procs := sc.Net.Procs()
-			observers := map[model.ProcID]bool{
-				procs[runIdx%len(procs)]:                true,
-				procs[(runIdx+len(procs)/2)%len(procs)]: true,
-			}
-			shared := eng.NewRun()
-			handles := make(map[model.ProcID]*bounds.Handle)
-			d := newStateWalker(t, r, observers)
-			for {
-				p, k, v, ok := d.step(t)
-				if !ok {
-					break
+			eng := bounds.NewNetworkEngine(sc.Net)
+			for runIdx, policy := range []sim.Policy{nil, sim.NewRandom(int64(7 * sc.Net.N()))} {
+				r, err := sc.Simulate(policy)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
 				}
-				h := handles[p]
-				if h == nil {
-					h = mustHandle(t, shared, v)
-					handles[p] = h
+				procs := sc.Net.Procs()
+				observers := map[model.ProcID]bool{
+					procs[runIdx%len(procs)]:                true,
+					procs[(runIdx+len(procs)/2)%len(procs)]: true,
 				}
-				tag := fmt.Sprintf("%s run %d p%d#%d", name, runIdx, p, k)
-				diffAgainstFresh(t, tag, h, v, maxQueries)
+				shared := eng.NewRun()
+				handles := make(map[model.ProcID]*bounds.Handle)
+				d := newStateWalker(t, r, observers)
+				for {
+					p, k, v, ok := d.step(t)
+					if !ok {
+						break
+					}
+					h := handles[p]
+					if h == nil {
+						h = mustHandle(t, shared, v)
+						handles[p] = h
+					}
+					tag := fmt.Sprintf("%s run %d p%d#%d", name, runIdx, p, k)
+					diffAgainstFresh(t, tag, h, v, maxQueries)
+				}
+				for _, h := range handles {
+					h.Release()
+				}
 			}
-			for _, h := range handles {
-				h.Release()
-			}
-		}
+		})
 	}
 }
 

@@ -30,7 +30,6 @@ import (
 // node / auxiliary / chain) rather than stored per edge.
 type Extended struct {
 	view *run.View
-	past *run.PastSet
 	g    *graph.Graph
 
 	offset    []int // offset[p-1]: first vertex id of p's past nodes
@@ -72,13 +71,14 @@ func NewExtended(r *run.Run, sigma run.BasicNode) (*Extended, error) {
 }
 
 // NewExtendedFromView constructs the extended bounds graph from a subjective
-// view — the entry point for online (clockless) agents.
+// view — the entry point for online (clockless) agents. The graph keeps
+// the view (Past returns it) and resolves query chains against it; its own
+// vertex set stays as built when the view advances.
 func NewExtendedFromView(view *run.View) (*Extended, error) {
 	net := view.Net()
 	n := net.N()
 	e := &Extended{
 		view:          view,
-		past:          view.PastSet(),
 		offset:        make([]int, n),
 		chainVertices: make(map[chainKey]int),
 	}
@@ -175,11 +175,8 @@ func NewExtendedFromView(view *run.View) (*Extended, error) {
 // Net returns the network.
 func (e *Extended) Net() *model.Network { return e.view.Net() }
 
-// View returns the subjective view the graph was built from.
-func (e *Extended) View() *run.View { return e.view }
-
-// Past returns past(r, sigma) as a set.
-func (e *Extended) Past() *run.PastSet { return e.past }
+// Past returns past(r, sigma): the view the graph was built from.
+func (e *Extended) Past() *run.View { return e.view }
 
 // Graph exposes the raw weighted graph.
 func (e *Extended) Graph() *graph.Graph { return e.g }
@@ -191,12 +188,20 @@ func (e *Extended) NumVertices() int { return e.g.N() }
 // NumEdges returns the current number of edges.
 func (e *Extended) NumEdges() int { return e.g.NumEdges() }
 
-// VertexOfPast returns the vertex id of a past basic node.
+// VertexOfPast returns the vertex id of a past basic node. Membership is
+// read off the graph's per-process vertex blocks, fixed at construction,
+// so a node the view gains after the graph was built is not in the graph.
 func (e *Extended) VertexOfPast(n run.BasicNode) (int, error) {
-	if !e.past.Contains(n) {
-		return 0, fmt.Errorf("%w: %s not in past(%s)", ErrNotInGraph, n, e.past.Origin())
+	if p := int(n.Proc); p >= 1 && p <= len(e.offset) && n.Index >= 0 {
+		end := e.auxBase
+		if p < len(e.offset) {
+			end = e.offset[p]
+		}
+		if v := e.offset[p-1] + n.Index; v < end {
+			return v, nil
+		}
 	}
-	return e.offset[n.Proc-1] + n.Index, nil
+	return 0, fmt.Errorf("%w: %s not in past(%s)", ErrNotInGraph, n, e.view.Origin())
 }
 
 // AuxVertex returns the vertex id of psi_p.

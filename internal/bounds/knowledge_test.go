@@ -118,7 +118,7 @@ func TestKnowledgeMonotoneAlongTimeline(t *testing.T) {
 		// Candidates: nodes recognized already at the process's FIRST
 		// non-initial state, so they are queryable at every later state.
 		first := run.BasicNode{Proc: proc, Index: 1}
-		firstPast, err := r.Past(first)
+		firstPast, err := run.ViewOf(r, first)
 		if err != nil {
 			t.Fatal(err)
 		}

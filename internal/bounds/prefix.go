@@ -15,26 +15,19 @@ const DefaultPrefixCapacity = 32
 
 // frozenPrefix is an immutable snapshot of a Shared engine's standing state:
 // the standing graph (aux band, node vertices, successor and delivery edges,
-// E”' channel edges), the union frontier, the vertex and restriction
-// coordinate tables, and the delivery-dedup state. Per the graph.Clone
-// freeze-and-extend contract the graph and the coordinate tables alias the
-// donor's backing arrays with zero spare capacity: freezing costs O(n)
-// regardless of how many deliveries the run absorbed, the donor may keep
-// growing (it only ever appends past the frozen lengths), and every Shared
-// later stamped from the snapshot copies on growth instead of writing into
-// shared memory.
+// E”' channel edges), the union frontier, and the vertex and restriction
+// coordinate tables. Per the graph.Clone freeze-and-extend contract the
+// graph and the coordinate tables alias the donor's backing arrays with zero
+// spare capacity: freezing costs O(n) regardless of how many deliveries the
+// run absorbed, the donor may keep growing (it only ever appends past the
+// frozen lengths), and every Shared later stamped from the snapshot copies
+// on growth instead of writing into shared memory.
 type frozenPrefix struct {
 	g        *graph.Graph
 	members  []int
 	vertexOf [][]int32
 	band     []int32
 	idx      []int32
-	// delivered and wide are deep copies: absorbDelivery mutates them in
-	// place, and a stamped run that absorbs material beyond the frozen
-	// prefix (distinct agent sets over an identical run) must not poison
-	// its siblings.
-	delivered []uint64
-	wide      map[int64]struct{}
 }
 
 // PrefixEngine is the content-addressed tier between NetworkEngine and

@@ -43,61 +43,65 @@ func driveRun(t *testing.T, tag string, shared *bounds.Shared, r *run.Run, obser
 // a second identical run then stamps the frozen prefix (cache hit) and is
 // driven by a DIFFERENT observer set, so standing material beyond each
 // agent's frontier — now present from the very first sync — must stay
-// hidden behind the visibility masks. Every knowledge answer of both runs
+// hidden beyond its handle's frontier. Every knowledge answer of both runs
 // must match a fresh NewExtendedFromView build of the agent's own view at
-// every state.
+// every state. Each scenario owns its engine, so scenarios run as parallel
+// subtests.
 func TestPrefixEngineMatchesFreshBuild(t *testing.T) {
 	reg := scenario.RegistrySized(0, 16)
 	for _, name := range scenario.Names(reg) {
-		sc := reg[name]
+		name, sc := name, reg[name]
 		if testing.Short() && sc.Net.N() > 8 {
 			continue
 		}
-		maxQueries := 5
-		if sc.Net.N() > 8 {
-			maxQueries = 3
-		}
-		r, err := sc.Simulate(nil) // deterministic (eager) schedule
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		fp := r.Fingerprint()
-		if fp == 0 {
-			t.Fatalf("%s: zero run fingerprint", name)
-		}
-		eng := bounds.NewNetworkEngine(sc.Net)
-		procs := sc.Net.Procs()
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			maxQueries := 5
+			if sc.Net.N() > 8 {
+				maxQueries = 3
+			}
+			r, err := sc.Simulate(nil) // deterministic (eager) schedule
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			fp := r.Fingerprint()
+			if fp == 0 {
+				t.Fatalf("%s: zero run fingerprint", name)
+			}
+			eng := bounds.NewNetworkEngine(sc.Net)
+			procs := sc.Net.Procs()
 
-		shared, hit := eng.NewRunAt(fp)
-		if hit || shared.FromPrefix() {
-			t.Fatalf("%s: first stamp reported a prefix hit", name)
-		}
-		missObservers := map[model.ProcID]bool{procs[0]: true, procs[len(procs)/2]: true}
-		driveRun(t, name+" miss-run", shared, r, missObservers, maxQueries)
-		if !shared.CommitPrefix() {
-			t.Fatalf("%s: CommitPrefix did not commit after a miss", name)
-		}
-		if shared.CommitPrefix() {
-			t.Fatalf("%s: second CommitPrefix committed again", name)
-		}
-		if !eng.Prefixes().Contains(fp) {
-			t.Fatalf("%s: committed prefix not cached", name)
-		}
+			shared, hit := eng.NewRunAt(fp)
+			if hit || shared.FromPrefix() {
+				t.Fatalf("%s: first stamp reported a prefix hit", name)
+			}
+			missObservers := map[model.ProcID]bool{procs[0]: true, procs[len(procs)/2]: true}
+			driveRun(t, name+" miss-run", shared, r, missObservers, maxQueries)
+			if !shared.CommitPrefix() {
+				t.Fatalf("%s: CommitPrefix did not commit after a miss", name)
+			}
+			if shared.CommitPrefix() {
+				t.Fatalf("%s: second CommitPrefix committed again", name)
+			}
+			if !eng.Prefixes().Contains(fp) {
+				t.Fatalf("%s: committed prefix not cached", name)
+			}
 
-		hitShared, hit := eng.NewRunAt(fp)
-		if !hit || !hitShared.FromPrefix() {
-			t.Fatalf("%s: second stamp missed the committed prefix", name)
-		}
-		hitObservers := map[model.ProcID]bool{procs[len(procs)-1]: true, procs[len(procs)/3]: true}
-		driveRun(t, name+" hit-run", hitShared, r, hitObservers, maxQueries)
-		if hitShared.CommitPrefix() {
-			t.Fatalf("%s: a cache-hit run committed a prefix", name)
-		}
+			hitShared, hit := eng.NewRunAt(fp)
+			if !hit || !hitShared.FromPrefix() {
+				t.Fatalf("%s: second stamp missed the committed prefix", name)
+			}
+			hitObservers := map[model.ProcID]bool{procs[len(procs)-1]: true, procs[len(procs)/3]: true}
+			driveRun(t, name+" hit-run", hitShared, r, hitObservers, maxQueries)
+			if hitShared.CommitPrefix() {
+				t.Fatalf("%s: a cache-hit run committed a prefix", name)
+			}
 
-		st := eng.Stats()
-		if st.PrefixHits != 1 || st.PrefixMisses != 1 || st.Runs != 2 {
-			t.Fatalf("%s: stats %+v, want 1 hit / 1 miss / 2 runs", name, st)
-		}
+			st := eng.Stats()
+			if st.PrefixHits != 1 || st.PrefixMisses != 1 || st.Runs != 2 {
+				t.Fatalf("%s: stats %+v, want 1 hit / 1 miss / 2 runs", name, st)
+			}
+		})
 	}
 }
 

@@ -31,7 +31,7 @@ func (e *Extended) VertexOfGeneral(theta run.GeneralNode) (int, error) {
 	if err := theta.Valid(e.view.Net()); err != nil {
 		return 0, err
 	}
-	if !e.past.Recognized(theta) {
+	if !e.view.Contains(theta.Base) {
 		return 0, fmt.Errorf("%w: %s", ErrNotRecognized, theta)
 	}
 	if theta.Path.Hops() == 0 {

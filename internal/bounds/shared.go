@@ -19,16 +19,17 @@ import (
 // tables are built once here and each agent keeps only what is genuinely
 // its own: a Handle with its view frontier, its private E” horizon edges
 // and a leased query scratch. Everything that depends only on the network —
-// the aux band prototype, presizing hints, dedup tables and the scratch
-// pool — lives one tier up in the NetworkEngine, so runs of one topology
-// share it instead of re-deriving it (NetworkEngine.NewRun).
+// the aux band prototype, presizing hints and the scratch pool — lives one
+// tier up in the NetworkEngine, so runs of one topology share it instead of
+// re-deriving it (NetworkEngine.NewRun).
 //
 // The standing graph holds exactly the frontier-independent material of
 // Definition 16:
 //
 //   - node vertices in arrival order (the auxiliary psi band first, at fixed
-//     ids 0..n-1, so a handle's frontier is a per-process-band prefix mask),
-//   - successor edges and delivery edge pairs (induced GB(r, sigma)),
+//     ids 0..n-1, so a handle's frontier is a per-process-band prefix),
+//   - successor edges and delivery edge pairs (induced GB(r, sigma)), each
+//     delivery wired once, by the sync that first absorbs its receiver,
 //   - the fixed E”' psi-to-psi channel edges.
 //
 // The two frontier-dependent families never enter the standing tables. E'
@@ -44,14 +45,14 @@ import (
 // (graph.LongestRestricted / RelaxRestrictedFrom), which by construction is
 // vertex-for-vertex the extended graph a fresh NewExtendedFromView would
 // build on the agent's view — plus dominated stale material outside the
-// frontier that the mask hides — so Knows/KnowledgeWeight answers coincide
-// exactly with fresh per-view builds at every state
+// frontier that the restriction hides — so Knows/KnowledgeWeight answers
+// coincide exactly with fresh per-view builds at every state
 // (TestSharedMatchesFreshBuild asserts this differentially).
 //
 // A single agent with no run to share — Protocol2's default — is served the
 // same way, by a one-handle run: NewNetworkEngine(net).NewRun().NewHandle(v).
-// The engine then holds exactly that agent's graph, and the frontier mask
-// hides nothing.
+// The engine then holds exactly that agent's graph, and the frontier hides
+// nothing.
 //
 // Shared is safe for concurrent use by multiple handles: engine growth and
 // speculative chain vertices are serialized by one mutex (the live
@@ -67,8 +68,11 @@ type Shared struct {
 	n   int
 	g   *graph.Graph
 
-	// members[p-1] is the highest node index of process p absorbed into the
-	// standing graph (-1 if none): the union frontier over all handles.
+	// members[p-1] is the highest node index of process p whose inbox is
+	// wired into the standing graph (-1 if none): the union frontier over
+	// all handles. A sync first appends the vertices its view newly
+	// reaches (vertexOf grows), then wires the inboxes of the nodes above
+	// members and raises members to match vertexOf.
 	members []int
 	// vertexOf[p-1][k] is the vertex id of node (p, k).
 	vertexOf [][]int32
@@ -76,14 +80,6 @@ type Shared struct {
 	// aux and chain vertices are always visible, node (p, k) carries
 	// (p-1, k).
 	band, idx []int32
-	// delivered dedupes delivery absorption across handles. Every handle
-	// re-reports each delivery out of its own log, so the check runs
-	// m times per delivery: it is a per-sender-vertex bitmask over the
-	// sender's out-arc positions (the engine's chanBit table), one load and
-	// a bit test, rather than a hash lookup. wide falls back to a map for
-	// networks with out-degree beyond one mask word.
-	delivered []uint64
-	wide      map[int64]struct{}
 
 	// pendingKey is the run fingerprint this Shared was stamped towards by
 	// NewRunAt on a cache miss: CommitPrefix freezes the standing state into
@@ -102,9 +98,9 @@ func (s *Shared) Net() *model.Network { return s.eng.net }
 func (s *Shared) FromPrefix() bool { return s.fromPrefix }
 
 // CommitPrefix freezes the standing state — graph, frontier, vertex and
-// coordinate tables, dedup state — into the network engine's prefix cache
-// under the fingerprint this Shared was stamped towards by NewRunAt, and
-// reports whether it committed. It is a no-op (false) on Shareds with
+// coordinate tables — into the network engine's prefix cache under the
+// fingerprint this Shared was stamped towards by NewRunAt, and reports
+// whether it committed. It is a no-op (false) on Shareds with
 // nothing pending: plain NewRun stamps, NewRunAt hits, and repeat calls.
 //
 // Callers commit once the run's material has been fully absorbed (every
@@ -122,21 +118,14 @@ func (s *Shared) CommitPrefix() bool {
 		return false
 	}
 	fz := &frozenPrefix{
-		g:         s.g.Clone(),
-		members:   append([]int(nil), s.members...),
-		vertexOf:  make([][]int32, s.n),
-		band:      s.band[:len(s.band):len(s.band)],
-		idx:       s.idx[:len(s.idx):len(s.idx)],
-		delivered: append([]uint64(nil), s.delivered...),
+		g:        s.g.Clone(),
+		members:  append([]int(nil), s.members...),
+		vertexOf: make([][]int32, s.n),
+		band:     s.band[:len(s.band):len(s.band)],
+		idx:      s.idx[:len(s.idx):len(s.idx)],
 	}
 	for i, vs := range s.vertexOf {
 		fz.vertexOf[i] = vs[:len(vs):len(vs)]
-	}
-	if s.wide != nil {
-		fz.wide = make(map[int64]struct{}, len(s.wide))
-		for k := range s.wide {
-			fz.wide[k] = struct{}{}
-		}
 	}
 	s.eng.Note(EngineStats{CloneBytes: s.g.CloneBytes()})
 	s.eng.prefixes.insert(s.pendingKey, fz)
@@ -159,45 +148,22 @@ func (s *Shared) NumEdges() int {
 }
 
 // absorbTimeline extends process p's standing vertices (and successor
-// edges) through node index cur. Callers hold s.mu.
+// edges) through node index cur; their inboxes are wired later in the same
+// sync. Callers hold s.mu.
 func (s *Shared) absorbTimeline(p model.ProcID, cur int) {
-	for k := s.members[p-1] + 1; k <= cur; k++ {
+	for k := len(s.vertexOf[p-1]); k <= cur; k++ {
 		vtx := s.g.AddVertexWithCaps(s.eng.outCap[p-1], s.eng.inCap[p-1])
 		s.vertexOf[p-1] = append(s.vertexOf[p-1], int32(vtx))
 		s.band = append(s.band, int32(p-1))
 		s.idx = append(s.idx, int32(k))
-		s.delivered = append(s.delivered, 0)
 		if k > 0 {
 			s.g.AddEdge(int(s.vertexOf[p-1][k-1]), vtx, 1)
 		}
 	}
-	s.members[p-1] = cur
-}
-
-// absorbDelivery adds the standing lower/upper edge pair of one delivery,
-// once across all handles. Callers hold s.mu and have absorbed both
-// endpoint timelines. delivered is indexed past the aux band, so the
-// sender vertex u is always >= n.
-func (s *Shared) absorbDelivery(u, v int, ch model.ChanID, bd model.Bounds) {
-	if s.wide != nil {
-		key := int64(u)<<20 | int64(ch)
-		if _, ok := s.wide[key]; ok {
-			return
-		}
-		s.wide[key] = struct{}{}
-	} else {
-		bit := uint64(1) << s.eng.chanBit[ch]
-		if s.delivered[u-s.n]&bit != 0 {
-			return
-		}
-		s.delivered[u-s.n] |= bit
-	}
-	s.g.AddEdge(u, v, bd.Lower)
-	s.g.AddEdge(v, u, -bd.Upper)
 }
 
 // Handle is one agent's subscription to a Shared engine: the agent's view
-// frontier (per-process boundary watermarks doubling as the restriction
+// frontier (per-process boundary indices, which are the restriction
 // limits), its private E” overlay, its accumulated re-relaxation seeds and
 // its leased scratch. A Handle is owned by one goroutine; concurrent
 // handles of the same engine are safe against each other.
@@ -205,19 +171,13 @@ type Handle struct {
 	shared *Shared
 	view   *run.View
 
-	// members[p-1] is the boundary index covered by the last sync (-1 if
-	// the process had not entered the view); prev is its scratch copy so
-	// the delivery pass can tell new senders from old ones; limit mirrors
-	// members as the graph.Restriction limits.
-	members []int
-	prev    []int
-	limit   []int32
-	// vis is the handle's per-vertex visibility mask over the standing
-	// graph (the graph.Restriction.Visible array): true for the aux band
-	// and for this agent's in-frontier node vertices, false for vertices
-	// other agents forced into the standing graph. Extended on every sync;
-	// chain vertices are appended true per query and truncated on rollback.
-	vis []bool
+	// limit[p-1] is the boundary index covered by the last sync (-1 if the
+	// process had not entered the view): the handle's frontier, passed as
+	// the graph.Restriction limits, so a standing vertex is visible to the
+	// handle iff it lies at or below its band's limit. prev is its scratch
+	// copy so the delivery pass can tell new senders from old ones.
+	limit []int32
+	prev  []int32
 	// delta is the sync's reused buffer of deliveries into newly covered
 	// nodes.
 	delta []run.Delivery
@@ -315,37 +275,26 @@ var ErrViewMismatch = errors.New("bounds: view of a different network")
 // than the engine (a wiring bug, like adding an edge to a foreign vertex);
 // a distinct but content-equal *model.Network value — sweeps rebuild equal
 // topologies per scenario variant — is accepted, since every table the
-// engine derives (channel ids, bounds, adjacency, dedup bits) is a function
+// engine derives (channel ids, bounds, adjacency) is a function
 // of the network's content fingerprint.
 func (s *Shared) NewHandle(view *run.View) (*Handle, error) {
 	if vn := view.Net(); vn != s.eng.net && vn.Fingerprint() != s.eng.net.Fingerprint() {
 		return nil, fmt.Errorf("%w: view fingerprint %x, engine fingerprint %x",
 			ErrViewMismatch, view.Net().Fingerprint(), s.eng.net.Fingerprint())
 	}
-	s.mu.Lock()
-	standing := s.g.N()
-	s.mu.Unlock()
-	visCap := 4 * s.n
-	if standing > visCap {
-		visCap = standing
-	}
 	h := &Handle{
 		shared:      s,
 		view:        view,
-		members:     make([]int, s.n),
-		prev:        make([]int, s.n),
 		limit:       make([]int32, s.n),
+		prev:        make([]int32, s.n),
 		overlay:     make([][]graph.Edge, s.n),
 		bfrom:       make([]int32, s.n),
-		vis:         make([]bool, s.n, visCap),
 		cacheSrc:    -1,
 		revCacheDst: -1,
 	}
-	for i := range h.members {
-		h.members[i] = -1
+	for i := range h.limit {
 		h.limit[i] = -1
 		h.bfrom[i] = -1
-		h.vis[i] = true // the aux band is visible to every handle
 	}
 	h.scratch = s.eng.leaseScratch()
 	return h, nil
@@ -378,7 +327,7 @@ func (h *Handle) vertex(b run.BasicNode) int {
 }
 
 // Sync absorbs the view's growth since the last call into the engine (new
-// timelines and deliveries become standing material, deduplicated across
+// timelines and deliveries become standing material, each once across
 // handles) and into the handle (frontier limits, E” overlay, re-relaxation
 // seeds). Queries sync implicitly.
 func (h *Handle) Sync() error {
@@ -392,34 +341,29 @@ func (h *Handle) Sync() error {
 func (h *Handle) sync() error {
 	s := h.shared
 	net := h.view.Net()
-	copy(h.prev, h.members)
+	copy(h.prev, h.limit)
 	grew := false
 
-	// Pass 1: frontiers. The engine's union frontier grows to cover this
-	// view; the handle records its own boundary watermarks, seeds the
-	// successor edges that just became visible to it and the moved virtual
-	// boundary edge, and adds E'' overlay entries for the new nodes' sends
-	// that its view has not seen delivered. The leaving check consults the
-	// fully-updated view, so a send whose delivery arrives within this same
-	// sync never enters the overlay.
+	// Pass 1: frontiers. The standing vertices grow to cover this view
+	// (pass 2 wires the inboxes of the new ones); the handle records its
+	// own boundary indices as its limits, seeds the successor edges that
+	// just became visible to it and the moved virtual boundary edge, and
+	// adds E'' overlay entries for the new nodes' sends that its view has
+	// not seen delivered. The leaving check consults the fully-updated
+	// view, so a send whose delivery arrives within this same sync never
+	// enters the overlay.
 	for p := model.ProcID(1); int(p) <= s.n; p++ {
 		cur := -1
 		if bnd, ok := h.view.Boundary(p); ok {
 			cur = bnd.Index
 		}
-		old := h.members[p-1]
+		old := int(h.limit[p-1])
 		if cur == old {
 			continue
 		}
 		grew = true
-		if cur > s.members[p-1] {
-			s.absorbTimeline(p, cur)
-		}
-		for len(h.vis) < s.g.N() {
-			h.vis = append(h.vis, false)
-		}
+		s.absorbTimeline(p, cur)
 		for k := old + 1; k <= cur; k++ {
-			h.vis[s.vertexOf[p-1][k]] = true
 			h.admitted = append(h.admitted, int(s.vertexOf[p-1][k]))
 			if k > 0 {
 				h.seeds = append(h.seeds, int(s.vertexOf[p-1][k-1]))
@@ -458,30 +402,28 @@ func (h *Handle) sync() error {
 				}
 			}
 		}
-		h.members[p-1] = cur
 		h.limit[p-1] = int32(cur)
 	}
-	// Cover vertices other handles appended since this handle's last sync:
-	// they stay invisible here, but the mask must span the standing graph.
-	for len(h.vis) < s.g.N() {
-		h.vis = append(h.vis, false)
-	}
 
-	// Pass 2: wire the new deliveries, which are the inboxes of the nodes
-	// pass 1 newly covered (a view is downward-closed, so nothing else
-	// changed). The standing edge pair is added once across all handles;
-	// a delivery whose sender predates this sync retires the overlay entry
-	// recorded for it earlier. Retirement does not
-	// invalidate the cached forward distances: per-state fresh distances of
-	// this agent are pointwise non-decreasing — on node vertices they are,
-	// by Theorem 4, the knowledge weights against the fixed cached source,
-	// and knowledge is persistent; on the aux band every input is a boundary
-	// edge whose support only strengthens — so the cache stays a valid
+	// Pass 2: the new deliveries, which are the inboxes of the nodes pass 1
+	// newly covered (a view is downward-closed, so nothing else changed,
+	// and every sender is standing). A delivery into a node above the
+	// union frontier is seen for the first time by any handle, so its
+	// standing edge pair is wired here, in (process, index, sender) order;
+	// every other delivery is standing already. A delivery whose sender
+	// predates this sync retires the overlay entry recorded for it
+	// earlier. Retirement does not invalidate the cached forward
+	// distances: per-state fresh distances of this agent are pointwise
+	// non-decreasing — on node vertices they are, by Theorem 4, the
+	// knowledge weights against the fixed cached source, and knowledge is
+	// persistent; on the aux band every input is a boundary edge whose
+	// support only strengthens — so the cache stays a valid
 	// under-approximating warm start and re-relaxing from the added edges'
-	// sources converges to the exact new fixpoint.
+	// sources converges to the exact new fixpoint. Once the delta is
+	// walked, the union frontier rises to the vertices pass 1 appended.
 	h.delta = h.delta[:0]
-	for i, cur := range h.members {
-		for k := h.prev[i] + 1; k <= cur; k++ {
+	for i, cur := range h.limit {
+		for k := int(h.prev[i]) + 1; k <= int(cur); k++ {
 			h.delta = h.view.AppendInbox(h.delta, run.BasicNode{Proc: model.ProcID(i + 1), Index: k})
 		}
 	}
@@ -491,12 +433,15 @@ func (h *Handle) sync() error {
 		bd := net.BoundsOf(d.Chan)
 		u := h.vertex(d.From)
 		v := h.vertex(d.To)
-		s.absorbDelivery(u, v, d.Chan, bd)
+		if d.To.Index > s.members[d.To.Proc-1] {
+			s.g.AddEdge(u, v, bd.Lower)
+			s.g.AddEdge(v, u, -bd.Upper)
+		}
 		h.seeds = append(h.seeds, u, v)
 		if h.revCacheValid {
 			h.revSeeds = append(h.revSeeds, u, v)
 		}
-		if d.From.Index <= h.prev[d.From.Proc-1] {
+		if d.From.Index <= int(h.prev[d.From.Proc-1]) {
 			if !removeOverlayEdge(&h.overlay[d.To.Proc-1], u, -bd.Upper) {
 				return fmt.Errorf("bounds: shared handle lost the E'' edge of %s->%d", d.From, d.To.Proc)
 			}
@@ -510,6 +455,9 @@ func (h *Handle) sync() error {
 			// cache.
 			h.revRetired = h.revRetired || h.revCacheValid
 		}
+	}
+	for i, vs := range s.vertexOf {
+		s.members[i] = len(vs) - 1
 	}
 	if grew && !h.cacheValid {
 		h.seeds = h.seeds[:0]
@@ -619,7 +567,6 @@ func (h *Handle) vertexOfGeneral(theta run.GeneralNode) (int, error) {
 			next = s.g.AddVertex()
 			s.band = append(s.band, 0)
 			s.idx = append(s.idx, graph.AlwaysVisible)
-			h.vis = append(h.vis, true)
 			h.chainKeys = append(h.chainKeys, key)
 			h.chainIDs = append(h.chainIDs, next)
 			s.g.AddEdge(curVertex, next, bd.Lower)
@@ -650,7 +597,6 @@ func (h *Handle) rollback(base int) {
 	}
 	s.band = s.band[:base]
 	s.idx = s.idx[:base]
-	h.vis = h.vis[:base]
 	h.undo = h.undo[:0]
 	h.chainKeys = h.chainKeys[:0]
 	h.chainIDs = h.chainIDs[:0]
@@ -696,8 +642,7 @@ func (h *Handle) weight(theta1, theta2 run.GeneralNode, d *EngineStats) (kw int,
 	}
 
 	r := graph.Restriction{
-		Visible: h.vis,
-		Band:    s.band, Idx: s.idx, Limit: h.limit,
+		Band: s.band, Idx: s.idx, Limit: h.limit,
 		Overlay: h.overlay, ROverlay: h.roverlay,
 		BoundaryTo: s.eng.boundaryTo, BoundaryWeight: 1,
 		BoundaryFrom: h.bfrom,

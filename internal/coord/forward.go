@@ -8,7 +8,7 @@ import (
 const negInf = graph.NegInf
 
 // graphForward builds the forward-only (asynchronous) constraint graph over
-// a past set: successor edges of weight 1 and message edges at their lower
+// a causal past: successor edges of weight 1 and message edges at their lower
 // bounds. No upper-bound edges — this is precisely the information content
 // of the happened-before relation plus per-hop minimum latencies.
 func graphForward(r *run.Run, nodes []run.BasicNode, index map[run.BasicNode]int) *graph.Graph {

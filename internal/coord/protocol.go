@@ -141,7 +141,7 @@ func (t Task) RunBaseline(r *run.Run) (*Outcome, error) {
 	for k := 1; k <= r.LastIndex(t.B); k++ {
 		sigma := run.BasicNode{Proc: t.B, Index: k}
 		out.NodesExamined++
-		ps, err := r.Past(sigma)
+		ps, err := run.ViewOf(r, sigma)
 		if err != nil {
 			return nil, err
 		}
@@ -193,7 +193,7 @@ func (t Task) checkSpec(out *Outcome) error {
 // dst using only forward edges (successor steps of weight 1 and message
 // deliveries at their lower bound), restricted to past(r, dst). This is all
 // the timing an asynchronous reasoner can certify.
-func causalLowerBound(r *run.Run, ps *run.PastSet, src, dst run.BasicNode) (int, error) {
+func causalLowerBound(r *run.Run, ps *run.View, src, dst run.BasicNode) (int, error) {
 	// Map past nodes to dense vertices.
 	nodes := ps.Nodes()
 	index := make(map[run.BasicNode]int, len(nodes))

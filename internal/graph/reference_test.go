@@ -9,7 +9,7 @@ import (
 // triples: the standing edges between visible vertices, the overlay edges
 // and the virtual boundary edges. A nil r means the whole graph.
 func refEdges(g *Graph, r *Restriction) [][3]int {
-	visible := func(v int) bool { return r == nil || r.Visible[v] }
+	visible := func(v int) bool { return r == nil || shown(r, v) }
 	var out [][3]int
 	for u := 0; u < g.N(); u++ {
 		if !visible(u) {
@@ -56,7 +56,7 @@ func refLongest(g *Graph, src int, r *Restriction, into bool) ([]int64, error) {
 	dist := make([]int64, n)
 	for v := range dist {
 		dist[v] = NegInf
-		if r != nil && !r.Visible[v] {
+		if r != nil && !shown(r, v) {
 			dist[v] = posInf
 		}
 	}
@@ -81,11 +81,9 @@ func refLongest(g *Graph, src int, r *Restriction, into bool) ([]int64, error) {
 func open(n int) *Restriction {
 	r := &Restriction{
 		Band: make([]int32, n), Idx: make([]int32, n), Limit: []int32{-1},
-		Visible: make([]bool, n),
 	}
 	for v := 0; v < n; v++ {
 		r.Idx[v] = AlwaysVisible
-		r.Visible[v] = true
 	}
 	return r
 }
@@ -161,7 +159,7 @@ func randomRestricted(rng *rand.Rand) (*Graph, *Restriction) {
 }
 
 // setLimits picks a random limit per band (-1: the band has not entered
-// the frontier) and derives the mask and boundary vertices from it.
+// the frontier) and derives the boundary vertices from it.
 func setLimits(r *Restriction, rng *rand.Rand, nb int) {
 	r.Limit = make([]int32, nb)
 	for b := range r.Limit {
@@ -187,10 +185,9 @@ func growLimits(r *Restriction, rng *rand.Rand) {
 	}
 }
 
-// setBoundaryFrom recomputes the visibility mask and, per band, the
-// boundary vertex the reverse queries consult from the current limits.
+// setBoundaryFrom recomputes, per band, the boundary vertex the reverse
+// queries consult from the current limits.
 func setBoundaryFrom(r *Restriction) {
-	refreshVisible(r)
 	for b := range r.BoundaryFrom {
 		r.BoundaryFrom[b] = -1
 	}
@@ -214,7 +211,7 @@ func TestRestrictedMatchesReference(t *testing.T) {
 		n := g.N()
 		var fwd, rev Scratch
 		for v := 0; v < n; v++ {
-			if !r.Visible[v] {
+			if !shown(r, v) {
 				continue
 			}
 			got, err := g.LongestRestricted(&fwd, v, r)
@@ -227,7 +224,7 @@ func TestRestrictedMatchesReference(t *testing.T) {
 
 		// Warm restarts after growth: the last source/destination stays.
 		src := n - 1
-		for !r.Visible[src] {
+		for !shown(r, src) {
 			src--
 		}
 		if _, err := g.LongestRestricted(&fwd, src, r); err != nil {
@@ -236,7 +233,10 @@ func TestRestrictedMatchesReference(t *testing.T) {
 		if _, err := g.LongestIntoRestricted(&rev, src, r); err != nil {
 			continue
 		}
-		wasVisible := append([]bool(nil), r.Visible...)
+		wasVisible := make([]bool, n)
+		for v := range wasVisible {
+			wasVisible[v] = shown(r, v)
+		}
 		before := make(map[[3]int]int)
 		for _, e := range refEdges(g, r) {
 			before[e]++
@@ -259,8 +259,8 @@ func TestRestrictedMatchesReference(t *testing.T) {
 			fseeds = append(fseeds, e[0])
 			rseeds = append(rseeds, e[1])
 		}
-		for v := range r.Visible {
-			if r.Visible[v] && !wasVisible[v] {
+		for v := range wasVisible {
+			if shown(r, v) && !wasVisible[v] {
 				admitted = append(admitted, v)
 			}
 		}

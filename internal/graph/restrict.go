@@ -21,20 +21,23 @@ const posInf = int64(1) << 60
 // subscribers whose vertex sets are per-band prefixes of it (bounds.Shared
 // amortizes the extended bounds graph across every live agent of a run this
 // way: vertex ids are arrival-ordered, so an agent's view is exactly a
-// prefix mask per process band).
+// prefix of each process band).
 //
-// Visible is the authoritative mask, one bool per vertex: relaxation never
-// leaves the visible set — invisible seeds are dropped and edges into
-// invisible targets are rejected. The rejection costs NOTHING per edge:
-// invisible vertices carry the posInf distance sentinel, so the ordinary
-// "does this edge improve the target" test fails for them and masked and
-// unrestricted queries share one relaxation loop, spfaRestricted (the mask
-// is consulted only when initializing distances, filtering seeds and
-// placing the per-dequeue virtual edges). Since subscriber frontiers only
-// ever grow, the distances a Scratch accumulates for one subscriber remain
-// valid warm starts under that subscriber's later (larger) visible sets —
-// the subscriber passes the vertices that just became visible as
-// `admitted` so their sentinels are dropped.
+// The (Band, Idx, Limit) coordinates are the whole mask: vertex v is
+// visible iff Idx[v] <= Limit[Band[v]], so a subscriber's frontier — one
+// limit per band — names its visible set, and AlwaysVisible vertices sit
+// below every limit. Relaxation never leaves the visible set — invisible
+// seeds are dropped and edges into invisible targets are rejected. The
+// rejection costs NOTHING per edge: invisible vertices carry the posInf
+// distance sentinel, so the ordinary "does this edge improve the target"
+// test fails for them and masked and unrestricted queries share one
+// relaxation loop, spfaRestricted (the coordinates are consulted only when
+// initializing distances and placing the per-dequeue virtual edges; seeds
+// are filtered by the sentinel too). Since subscriber frontiers only ever
+// grow, the distances a Scratch accumulates for one subscriber remain valid
+// warm starts under that subscriber's later (larger) visible sets — the
+// subscriber passes the vertices that just became visible as `admitted` so
+// their sentinels are dropped.
 //
 // Two virtual edge families complete the masked subgraph without touching
 // the standing edge tables:
@@ -50,8 +53,6 @@ const posInf = int64(1) << 60
 //     than being rewritten per agent.) This check runs once per dequeued
 //     vertex, so the indirect (band, idx, limit) form is fine here.
 type Restriction struct {
-	Visible []bool
-
 	Band  []int32
 	Idx   []int32
 	Limit []int32
@@ -79,6 +80,20 @@ type Restriction struct {
 	BoundaryFrom []int32
 }
 
+// visible reports whether v lies inside the restriction; a nil restriction
+// hides nothing.
+func (r *Restriction) visible(v int) bool {
+	return r == nil || r.Idx[v] <= r.Limit[r.Band[v]]
+}
+
+// covers checks that the restriction's coordinates span n vertices.
+func (r *Restriction) covers(n int) error {
+	if len(r.Band) < n || len(r.Idx) < n {
+		return fmt.Errorf("graph: restriction covers %d of %d vertices", min(len(r.Band), len(r.Idx)), n)
+	}
+	return nil
+}
+
 // LongestRestricted is LongestWith confined to the restriction's visible
 // subgraph (plus its overlay and virtual boundary edges). Entries for
 // invisible vertices hold the masking sentinel and must not be read as
@@ -89,13 +104,13 @@ func (g *Graph) LongestRestricted(s *Scratch, src int, r *Restriction) ([]int64,
 	if src < 0 || src >= n {
 		return nil, fmt.Errorf("graph: source %d outside 0..%d", src, n-1)
 	}
-	if len(r.Visible) < n || len(r.Band) < n || len(r.Idx) < n {
-		return nil, fmt.Errorf("graph: restriction covers %d of %d vertices", len(r.Visible), n)
+	if err := r.covers(n); err != nil {
+		return nil, err
 	}
-	if !r.Visible[src] {
+	if !r.visible(src) {
 		return nil, fmt.Errorf("graph: source %d outside the restriction", src)
 	}
-	dist := s.start(n, src, r.Visible)
+	dist := s.start(n, src, r)
 	return dist, spfaRestricted(g.adj, s, 1, r)
 }
 
@@ -135,13 +150,13 @@ func (g *Graph) LongestIntoRestricted(s *Scratch, dst int, r *Restriction) ([]in
 	if dst < 0 || dst >= n {
 		return nil, fmt.Errorf("graph: destination %d outside 0..%d", dst, n-1)
 	}
-	if len(r.Visible) < n || len(r.Band) < n || len(r.Idx) < n {
-		return nil, fmt.Errorf("graph: restriction covers %d of %d vertices", len(r.Visible), n)
+	if err := r.covers(n); err != nil {
+		return nil, err
 	}
-	if !r.Visible[dst] {
+	if !r.visible(dst) {
 		return nil, fmt.Errorf("graph: destination %d outside the restriction", dst)
 	}
-	dist := s.start(n, dst, r.Visible)
+	dist := s.start(n, dst, r)
 	return dist, spfaReverseRestricted(g.radj, s, 1, r)
 }
 
@@ -184,19 +199,18 @@ func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh 
 	// A head's path length restarts at zero like any seed's: the path that
 	// last improved it may have run through the refresh vertices, so its
 	// old count no longer describes a path of the current graph.
-	vis := r.Visible
 	for _, v := range refresh {
 		for _, e := range g.adj[v] {
-			count = s.seed(count, e.To, vis)
+			count = s.seed(count, e.To)
 		}
 		if v < len(r.Overlay) {
 			for _, e := range r.Overlay[v] {
-				count = s.seed(count, e.To, vis)
+				count = s.seed(count, e.To)
 			}
 		}
 		if r.BoundaryTo != nil && r.Idx[v] == r.Limit[r.Band[v]] {
 			if h := int(r.BoundaryTo[r.Band[v]]); h >= 0 {
-				count = s.seed(count, h, vis)
+				count = s.seed(count, h)
 			}
 		}
 	}
@@ -204,21 +218,21 @@ func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh 
 }
 
 // start initializes a full run over n vertices from the single seed src:
-// every distance is reset off the mask (vis nil: all visible), and src is
-// queued at distance zero. It relies on the Scratch invariant instead of
-// clearing the queue flags and path lengths.
-func (s *Scratch) start(n, src int, vis []bool) []int64 {
+// every distance is reset off the restriction's mask (r nil: all visible),
+// and src is queued at distance zero. It relies on the Scratch invariant
+// instead of clearing the queue flags and path lengths.
+func (s *Scratch) start(n, src int, r *Restriction) []int64 {
 	s.ensure(n)
 	dist := s.dist
 	for i := range dist {
-		if vis == nil || vis[i] {
+		if r.visible(i) {
 			dist[i] = NegInf
 		} else {
 			dist[i] = posInf
 		}
 	}
 	dist[src] = 0
-	s.seed(0, src, nil)
+	s.seed(0, src)
 	s.n = n
 	return dist
 }
@@ -235,17 +249,16 @@ func (s *Scratch) resume(op string, n int, seeds, admitted, refresh []int, r *Re
 	if s.n > n {
 		return 0, fmt.Errorf("graph: %s after shrink: %d vertices, scratch covers %d", op, n, s.n)
 	}
-	if len(r.Visible) < n || len(r.Band) < n || len(r.Idx) < n {
-		return 0, fmt.Errorf("graph: restriction covers %d of %d vertices", len(r.Visible), n)
+	if err := r.covers(n); err != nil {
+		return 0, err
 	}
-	vis := r.Visible
 	for _, v := range admitted {
-		if v < 0 || v >= n || !vis[v] {
+		if v < 0 || v >= n || !r.visible(v) {
 			return 0, fmt.Errorf("graph: admitted vertex %d invalid", v)
 		}
 	}
 	for _, v := range refresh {
-		if v < 0 || v >= n || !vis[v] {
+		if v < 0 || v >= n || !r.visible(v) {
 			return 0, fmt.Errorf("graph: refresh vertex %d invalid", v)
 		}
 	}
@@ -258,7 +271,7 @@ func (s *Scratch) resume(op string, n int, seeds, admitted, refresh []int, r *Re
 	s.ensure(n)
 	dist := s.dist
 	for i := old; i < n; i++ {
-		if vis[i] {
+		if r.visible(i) {
 			dist[i] = NegInf
 		} else {
 			dist[i] = posInf
@@ -274,18 +287,19 @@ func (s *Scratch) resume(op string, n int, seeds, admitted, refresh []int, r *Re
 	}
 	count := 0
 	for _, v := range seeds {
-		count = s.seed(count, v, vis)
+		count = s.seed(count, v)
 	}
 	s.n = n
 	return count, nil
 }
 
 // seed queues v as the count-th seed of a run unless it is already queued,
-// unreachable or masked (vis nil: all visible), and returns the new count.
-// A seed is the one kind of dequeued vertex no relaxation of this run has
-// written a path length for, so its count restarts at zero here.
-func (s *Scratch) seed(count, v int, vis []bool) int {
-	if s.inQueue[v] || s.dist[v] == NegInf || (vis != nil && !vis[v]) {
+// unreachable or masked, and returns the new count. A masked vertex holds
+// the posInf sentinel, so its distance alone tells. A seed is the one kind
+// of dequeued vertex no relaxation of this run has written a path length
+// for, so its count restarts at zero here.
+func (s *Scratch) seed(count, v int) int {
+	if d := s.dist[v]; s.inQueue[v] || d == NegInf || d == posInf {
 		return count
 	}
 	s.queue[count] = v

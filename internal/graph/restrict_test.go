@@ -5,15 +5,10 @@ import (
 	"testing"
 )
 
-// refreshVisible recomputes the bool mask from the (band, idx, limit)
-// coordinates — the invariant bounds.Shared handles maintain incrementally.
-func refreshVisible(r *Restriction) {
-	if r.Visible == nil {
-		r.Visible = make([]bool, len(r.Band))
-	}
-	for v := range r.Band {
-		r.Visible[v] = r.Idx[v] == AlwaysVisible || r.Idx[v] <= r.Limit[r.Band[v]]
-	}
+// shown spells out the visibility rule for the references: v is inside r
+// iff it is an always-visible vertex or lies at or below its band's limit.
+func shown(r *Restriction, v int) bool {
+	return r.Idx[v] == AlwaysVisible || r.Idx[v] <= r.Limit[r.Band[v]]
 }
 
 // line builds the shared fixture: two bands of a "timeline" each (band 0:
@@ -32,7 +27,6 @@ func line() (*Graph, *Restriction) {
 		Idx:   []int32{AlwaysVisible, AlwaysVisible, 0, 1, 2, 0, 1, 2},
 		Limit: []int32{2, 2},
 	}
-	refreshVisible(r)
 	return g, r
 }
 
@@ -61,7 +55,6 @@ func TestRestrictedMatchesUnrestricted(t *testing.T) {
 func TestRestrictedMasksPrefix(t *testing.T) {
 	g, r := line()
 	r.Limit = []int32{1, 0} // band 0 up to vertex 3, band 1 up to vertex 5
-	refreshVisible(r)
 	var s Scratch
 	dist, err := g.LongestRestricted(&s, 2, r)
 	if err != nil {
@@ -83,7 +76,6 @@ func TestRestrictedMasksPrefix(t *testing.T) {
 func TestRestrictedOverlayAndBoundary(t *testing.T) {
 	g, r := line()
 	r.Limit = []int32{1, 1}
-	refreshVisible(r)
 	r.Overlay = make([][]Edge, 2)
 	r.Overlay[0] = []Edge{{To: 5, Weight: 7}} // anchor 0 --7--> 5 (visible)
 	r.BoundaryTo = []int32{0, 1}              // band boundaries point at their anchors
@@ -108,7 +100,6 @@ func TestRestrictedOverlayAndBoundary(t *testing.T) {
 	// move. Seeds: the newly visible edges' sources (3->4, 6->7) and the new
 	// boundary vertices themselves.
 	r.Limit = []int32{2, 2}
-	refreshVisible(r)
 	warm, err := g.RelaxRestrictedFrom(&s, []int{3, 6, 4, 7}, []int{4, 7}, r)
 	if err != nil {
 		t.Fatal(err)
@@ -140,13 +131,11 @@ func TestRestrictedPositiveCycle(t *testing.T) {
 		Idx:   []int32{AlwaysVisible, 0, 1, 2},
 		Limit: []int32{2},
 	}
-	refreshVisible(r)
 	var s Scratch
 	if _, err := g.LongestRestricted(&s, 0, r); !errors.Is(err, ErrPositiveCycle) {
 		t.Fatalf("got %v, want ErrPositiveCycle", err)
 	}
 	r.Limit[0] = 0 // hide the cycle
-	refreshVisible(r)
 	if _, err := g.LongestRestricted(&s, 0, r); err != nil {
 		t.Fatalf("masked cycle still reported: %v", err)
 	}

@@ -47,7 +47,6 @@ func TestLongestIntoRestrictedMatchesForward(t *testing.T) {
 func TestRelaxReverseRestrictedWarmMatchesFresh(t *testing.T) {
 	g, r := line()
 	r.Limit = []int32{1, 1}
-	refreshVisible(r)
 	r.Overlay = make([][]Edge, 2)
 	r.Overlay[0] = []Edge{{To: 5, Weight: 7}}
 	r.ROverlay = make([][]Edge, 8)
@@ -64,7 +63,6 @@ func TestRelaxReverseRestrictedWarmMatchesFresh(t *testing.T) {
 	// (4, 7) and the anchors whose moved boundary edge now starts there
 	// (0, 1).
 	r.Limit = []int32{2, 2}
-	refreshVisible(r)
 	r.BoundaryFrom = []int32{4, 7}
 	warm, err := g.RelaxReverseRestrictedFrom(&s, []int{4, 7, 0, 1}, []int{4, 7}, nil, r)
 	if err != nil {
@@ -219,7 +217,7 @@ func TestRelaxReverseFromValidation(t *testing.T) {
 	if _, err := g.RelaxReverseRestrictedFrom(&s, nil, nil, []int{-1}, r); err == nil {
 		t.Fatal("out-of-range refresh: want error")
 	}
-	r.Visible[2] = false
+	r.Idx[2] = 0 // above band 0's limit of -1: vertex 2 is masked
 	if _, err := g.RelaxReverseRestrictedFrom(&s, nil, nil, []int{2}, r); err == nil {
 		t.Fatal("invisible refresh vertex: want error")
 	}
@@ -247,13 +245,11 @@ func TestReverseRestrictedPositiveCycle(t *testing.T) {
 		Idx:   []int32{AlwaysVisible, 0, 1, 2},
 		Limit: []int32{2},
 	}
-	refreshVisible(r)
 	var s Scratch
 	if _, err := g.LongestIntoRestricted(&s, 3, r); !errors.Is(err, ErrPositiveCycle) {
 		t.Fatalf("got %v, want ErrPositiveCycle", err)
 	}
 	r.Limit[0] = 0 // hide the cycle (and the destination's band suffix)
-	refreshVisible(r)
 	if _, err := g.LongestIntoRestricted(&s, 0, r); err != nil {
 		t.Fatalf("masked cycle still reported: %v", err)
 	}

@@ -180,7 +180,7 @@ func TestRelaxFromRequiresPriorRun(t *testing.T) {
 	if _, err := g.RelaxRestrictedFrom(s, nil, []int{-1}, r); err == nil {
 		t.Error("out-of-range admitted vertex accepted")
 	}
-	r.Visible[2] = false
+	r.Idx[2] = 0 // above band 0's limit of -1: vertex 2 is masked
 	if _, err := g.RelaxRestrictedFrom(s, nil, []int{2}, r); err == nil {
 		t.Error("invisible admitted vertex accepted")
 	}

@@ -1,7 +1,9 @@
 package live
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/model"
@@ -183,6 +185,37 @@ func TestLiveCustomAgentActions(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("external-triggered action missing: %v", res.Actions)
+	}
+}
+
+// TestReplayRejectsForeignAgentKeys: an agent keyed by a process outside
+// the network would never be called, so Replay refuses the configuration
+// before stepping, naming the lowest such key, and calls no agent at all.
+func TestReplayRejectsForeignAgentKeys(t *testing.T) {
+	net := model.MustComplete(3, 1, 2)
+	calls := 0
+	a := AgentFunc(func(*run.View, []string) []string {
+		calls++
+		return nil
+	})
+	for _, c := range []struct {
+		agents map[model.ProcID]Agent
+		lowest model.ProcID
+	}{
+		{map[model.ProcID]Agent{0: a, 4: a}, 0},
+		{map[model.ProcID]Agent{1: a, 4: a}, 4},
+		{map[model.ProcID]Agent{1: a, 7: a, -2: a}, -2},
+	} {
+		res, err := Replay(Config{Net: net, Horizon: 10, Policy: sim.Eager{}, Agents: c.agents})
+		if !errors.Is(err, sim.ErrBadConfig) || res != nil {
+			t.Fatalf("agents %v: got %v, %v; want ErrBadConfig", c.agents, res, err)
+		}
+		if want := fmt.Sprintf("process %d outside", c.lowest); !strings.Contains(err.Error(), want) {
+			t.Errorf("agents %v: error %q does not name %q", c.agents, err, want)
+		}
+	}
+	if calls != 0 {
+		t.Errorf("agents were called %d times on a rejected configuration", calls)
 	}
 }
 

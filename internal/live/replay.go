@@ -5,6 +5,7 @@ import (
 
 	"github.com/clockless/zigzag/internal/bounds"
 	"github.com/clockless/zigzag/internal/faults"
+	"github.com/clockless/zigzag/internal/model"
 	"github.com/clockless/zigzag/internal/run"
 	"github.com/clockless/zigzag/internal/sim"
 )
@@ -87,6 +88,18 @@ func Replay(cfg Config) (*Result, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	// An agent keyed by a process outside the network would never be
+	// called; name the lowest such key.
+	bad, found := model.ProcID(0), false
+	for p := range cfg.Agents {
+		if !cfg.Net.ValidProc(p) && (!found || p < bad) {
+			bad, found = p, true
+		}
+	}
+	if found {
+		return nil, fmt.Errorf("%w: live: agent keyed by process %d outside the %d-process network",
+			sim.ErrBadConfig, bad, cfg.Net.N())
 	}
 	// Stamp the per-run knowledge engine and hand it to every SharedUser.
 	var shared *bounds.Shared

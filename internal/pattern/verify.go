@@ -136,7 +136,7 @@ func (v *Visible) VerifyVisible(r *run.Run) error {
 	if err := v.Verify(r); err != nil {
 		return err
 	}
-	ps, err := r.Past(v.Sigma)
+	ps, err := run.ViewOf(r, v.Sigma)
 	if err != nil {
 		return err
 	}

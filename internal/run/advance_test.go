@@ -45,12 +45,15 @@ func TestAdvanceMatchesViewOf(t *testing.T) {
 						t.Fatalf("%s/%s at %s: %s", sc.Name, pol.Name, sigma, err)
 					}
 				}
-				before := walked.PastSet()
+				before, err := run.ViewOf(r, walked.Origin())
+				if err != nil {
+					t.Fatal(err)
+				}
 				count := len(walked.Deliveries())
 				if _, err := walked.Advance(r); !errors.Is(err, run.ErrNoNode) {
 					t.Fatalf("%s/%s: advance past p%d's last node: %v, want ErrNoNode", sc.Name, pol.Name, p, err)
 				}
-				if !walked.PastSet().Equal(before) || len(walked.Deliveries()) != count ||
+				if !walked.Equal(before) || len(walked.Deliveries()) != count ||
 					walked.Origin() != (run.BasicNode{Proc: p, Index: r.LastIndex(p)}) {
 					t.Fatalf("%s/%s: failed advance changed p%d's view", sc.Name, pol.Name, p)
 				}

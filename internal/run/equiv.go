@@ -18,11 +18,11 @@ func SameView(r1, r2 *Run, sigma BasicNode) error {
 	if !r2.Appears(sigma) {
 		return fmt.Errorf("run: %s does not appear in second run", sigma)
 	}
-	p1, err := r1.Past(sigma)
+	p1, err := ViewOf(r1, sigma)
 	if err != nil {
 		return err
 	}
-	p2, err := r2.Past(sigma)
+	p2, err := ViewOf(r2, sigma)
 	if err != nil {
 		return err
 	}

@@ -71,11 +71,11 @@ func sameRun(got, want *run.Run) string {
 		}
 		for k := 0; k <= want.LastIndex(p); k++ {
 			b := run.BasicNode{Proc: p, Index: k}
-			gp, err := got.Past(b)
+			gp, err := run.ViewOf(got, b)
 			if err != nil {
 				return err.Error()
 			}
-			wp, _ := want.Past(b)
+			wp, _ := run.ViewOf(want, b)
 			if !gp.Equal(wp) {
 				return fmt.Sprintf("past(%s) differs", b)
 			}

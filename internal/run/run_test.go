@@ -195,7 +195,7 @@ func TestNodeAt(t *testing.T) {
 func TestPast(t *testing.T) {
 	r := chainRun(t)
 	sigma := BasicNode{Proc: 3, Index: 1}
-	ps, err := r.Past(sigma)
+	ps, err := ViewOf(r, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestPast(t *testing.T) {
 		}
 	}
 	// The middle node's past excludes process 3.
-	ps2, err := r.Past(BasicNode{Proc: 2, Index: 1})
+	ps2, err := ViewOf(r, BasicNode{Proc: 2, Index: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,12 +244,12 @@ func TestHappensBefore(t *testing.T) {
 func TestChainPrefix(t *testing.T) {
 	r := chainRun(t)
 	sigma2 := BasicNode{Proc: 2, Index: 1}
-	ps, err := r.Past(sigma2)
+	ps, err := ViewOf(r, sigma2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	theta := Via(BasicNode{Proc: 1, Index: 1}, model.Path{1, 2, 3})
-	prefix, hops := r.ChainPrefix(ps, theta)
+	prefix, hops := ps.ResolvePrefix(theta)
 	if hops != 1 {
 		t.Errorf("hops = %d, want 1 (the 2->3 hop leaves the past)", hops)
 	}
@@ -260,16 +260,20 @@ func TestChainPrefix(t *testing.T) {
 
 func TestMessagesLeavingPast(t *testing.T) {
 	r := chainRun(t)
-	ps, err := r.Past(BasicNode{Proc: 2, Index: 1})
+	ps, err := ViewOf(r, BasicNode{Proc: 2, Index: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	leaving := r.MessagesLeavingPast(ps)
+	leaving := ps.Leaving()
 	// 2#1's message to 3 is received outside the past.
 	if len(leaving) != 1 || leaving[0].From.Proc != 2 || leaving[0].To != 3 {
-		t.Errorf("leaving = %v", leaving)
+		t.Fatalf("leaving = %v", leaving)
 	}
-	if dl := leaving[0].Deadline(r.Net()); dl != 3+4 {
+	// A view carries no times; the deadline is the run's send time plus
+	// the channel's upper bound.
+	out := leaving[0]
+	out.SendTime = r.MustTime(out.From)
+	if dl := out.Deadline(r.Net()); dl != 3+4 {
 		t.Errorf("deadline = %d, want 7", dl)
 	}
 }

@@ -10,24 +10,26 @@ import (
 // ErrForeignView reports a view moved over a run it was not taken from.
 var ErrForeignView = errors.New("run: view used with a run it does not belong to")
 
-// View is the subjective information content of a node's local state under
-// an FFIP: the structure of its causal past — which nodes exist, which
-// deliveries wired them together, which external inputs arrived — and
-// nothing else. Crucially, a View carries no real-time information: every
-// analysis built on it (in particular the extended bounds graph and hence
-// all knowledge computation) is a function of structure alone, which is the
-// paper's clockless point made executable.
+// View is past(r, sigma) — the set of basic nodes sigma' with sigma'
+// happens-before sigma (Definition 2), sigma included — read as the
+// subjective information content of sigma's local state under an FFIP: the
+// structure of its causal past — which nodes exist, which deliveries wired
+// them together, which external inputs arrived — and nothing else.
+// Crucially, a View carries no real-time information: every analysis built
+// on it (in particular the extended bounds graph and hence all knowledge
+// computation) is a function of structure alone, which is the paper's
+// clockless point made executable.
 //
 // A causal past is downward-closed, so it is fully described by its
-// frontier: one boundary index per process, a vector clock. A View is
-// therefore (run, origin, frontier) over the one recording of its
-// execution — a finished run for ViewOf, or the run sim.Stepper is still
-// recording for the views internal/live moves state by state. Every
-// accessor reads the run and keeps what lies at or below the frontier, and
-// none returns a time. That is exact because a process's nodes in a view
-// form a prefix of its timeline: a delivery is in the view iff its receiver
-// is, and the earliest node of a process with a given label is in the view
-// iff any such node is.
+// frontier: one boundary index per process (the boundary nodes of
+// Definition 15), a vector clock. A View is therefore (run, origin,
+// frontier) over the one recording of its execution — a finished run for
+// ViewOf, or the run sim.Stepper is still recording for the views
+// internal/live moves state by state. Every accessor reads the run and
+// keeps what lies at or below the frontier, and none returns a time. That
+// is exact because a process's nodes in a view form a prefix of its
+// timeline: a delivery is in the view iff its receiver is, and the earliest
+// node of a process with a given label is in the view iff any such node is.
 type View struct {
 	r      *Run
 	origin BasicNode
@@ -38,18 +40,75 @@ type View struct {
 	stack   []model.ProcID
 }
 
-// ViewOf extracts the view of sigma from a recorded run.
+// ViewOf extracts the view of sigma from a recorded run: past(r, sigma),
+// computed by a reverse search over locality and delivery edges. It
+// returns ErrNoNode when sigma does not appear in r.
 func ViewOf(r *Run, sigma BasicNode) (*View, error) {
-	ps, err := r.Past(sigma)
-	if err != nil {
-		return nil, err
+	if !r.Appears(sigma) {
+		return nil, ErrNoNode
 	}
-	return &View{r: r, origin: sigma, members: ps.members}, nil
+	n := r.net.N()
+	members := make([]int, n)
+	for i := range members {
+		members[i] = -1
+	}
+	covered := append([]int(nil), members...)
+	r.raise(members, covered, sigma, make([]model.ProcID, 0, n))
+	return &View{r: r, origin: sigma, members: members}, nil
+}
+
+// raise grows the downward-closed frontier members to cover past(r, sigma).
+// On entry and exit covered equals members. During the walk members[q] is
+// the index process q must be covered to and covered[q] the index its
+// timeline has been scanned to, so q is on the stack iff members[q] >
+// covered[q]: each process is on it at most once, and a stack with room
+// for n entries never grows. Scanning a process covers the whole prefix
+// up to its target and raises the target of the sender of every delivery
+// into the newly covered nodes, so nodes already covered are never
+// revisited. It returns the stack for reuse.
+func (r *Run) raise(members, covered []int, sigma BasicNode, stack []model.ProcID) []model.ProcID {
+	if sigma.Index <= members[sigma.Proc-1] {
+		return stack
+	}
+	members[sigma.Proc-1] = sigma.Index
+	stack = append(stack[:0], sigma.Proc)
+	for len(stack) > 0 {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		lo, hi := covered[q-1]+1, members[q-1]
+		covered[q-1] = hi
+		for k := lo; k <= hi; k++ {
+			for _, d := range r.inboxOf(BasicNode{Proc: q, Index: k}) {
+				f := d.From
+				if f.Index <= members[f.Proc-1] {
+					continue
+				}
+				if members[f.Proc-1] == covered[f.Proc-1] {
+					stack = append(stack, f.Proc)
+				}
+				members[f.Proc-1] = f.Index
+			}
+		}
+	}
+	return stack
+}
+
+// HappensBefore reports whether a happens-before b in r (a ≼ b), i.e.
+// a ∈ past(r, b). Both nodes must appear in the run.
+func (r *Run) HappensBefore(a, b BasicNode) (bool, error) {
+	if !r.Appears(a) {
+		return false, ErrNoNode
+	}
+	v, err := ViewOf(r, b)
+	if err != nil {
+		return false, err
+	}
+	return v.Contains(a), nil
 }
 
 // Advance moves a view taken from r (by ViewOf or earlier Advance calls) to
 // its origin's successor and returns the new origin. It raises the frontier
-// to past(r, next) by the same reverse walk as Past, started from the
+// to past(r, next) by the same reverse walk as ViewOf, started from the
 // view's current frontier: a past is downward-closed and a successor's past
 // contains its predecessor's, so the walked view equals ViewOf(r, next).
 // Walking a whole timeline costs O(|past(r, last)|) instead of one ViewOf
@@ -81,7 +140,9 @@ func (v *View) Net() *model.Network { return v.r.net }
 // Origin returns the node whose local state the view represents.
 func (v *View) Origin() BasicNode { return v.origin }
 
-// Contains reports membership of a basic node in the view.
+// Contains reports membership of a basic node in the view. A general node
+// <sigma', p'> is sigma-recognized — sigma knows it appears in the run
+// (Section 2.2) — iff the view contains its base sigma'.
 func (v *View) Contains(b BasicNode) bool {
 	if b.Proc < 1 || int(b.Proc) > len(v.members) || b.Index < 0 {
 		return false
@@ -89,7 +150,8 @@ func (v *View) Contains(b BasicNode) bool {
 	return b.Index <= v.members[b.Proc-1]
 }
 
-// Boundary returns the last node of process p inside the view.
+// Boundary returns the boundary node of process p (Definition 15): the
+// last p-node inside the view. ok is false if p contributes no node.
 func (v *View) Boundary(p model.ProcID) (BasicNode, bool) {
 	if p < 1 || int(p) > len(v.members) || v.members[p-1] < 0 {
 		return BasicNode{}, false
@@ -97,10 +159,29 @@ func (v *View) Boundary(p model.ProcID) (BasicNode, bool) {
 	return BasicNode{Proc: p, Index: v.members[p-1]}, true
 }
 
-// PastSet converts the view's membership to a PastSet (for callers that
-// verify witnesses against recorded runs).
-func (v *View) PastSet() *PastSet {
-	return &PastSet{origin: v.origin, members: append([]int(nil), v.members...)}
+// Equal reports whether two views have the same frontier, i.e. contain
+// exactly the same nodes, whatever runs they were taken from.
+func (v *View) Equal(w *View) bool {
+	if len(v.members) != len(w.members) {
+		return false
+	}
+	for i := range v.members {
+		if v.members[i] != w.members[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// Nodes returns the view's nodes sorted by (process, index).
+func (v *View) Nodes() []BasicNode {
+	out := make([]BasicNode, 0, v.Size())
+	for i, k := range v.members {
+		for idx := 0; idx <= k; idx++ {
+			out = append(out, BasicNode{Proc: model.ProcID(i + 1), Index: idx})
+		}
+	}
+	return out
 }
 
 // Size returns the number of nodes in the view.
@@ -190,9 +271,13 @@ func (v *View) Leaving() []Pending {
 	return out
 }
 
-// ResolvePrefix resolves theta's chain while it stays inside the view,
-// mirroring (*Run).ChainPrefix: it returns the resolved prefix nodes and
-// hop count.
+// ResolvePrefix resolves theta's chain while it stays inside the view: it
+// returns the basic nodes of the resolved prefix (starting with
+// theta.Base) and the number of hops resolved. If hops <
+// theta.Path.Hops(), the (hops+1)-th chain node lies beyond the view's
+// horizon — its delivery left the view or is unrecorded. Once a chain
+// leaves the view it never re-enters: a receipt inside the view would drag
+// the sender in.
 func (v *View) ResolvePrefix(theta GeneralNode) (prefix []BasicNode, hops int) {
 	cur := theta.Base
 	if !v.Contains(cur) {

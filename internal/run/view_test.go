@@ -9,6 +9,8 @@ import (
 	"github.com/clockless/zigzag/internal/model"
 )
 
+// TestViewOfMatchesPast checks ViewOf against past(r, sigma) computed the
+// slow way: the closure of {sigma} under locality and delivery edges.
 func TestViewOfMatchesPast(t *testing.T) {
 	r := chainRun(t)
 	sigma := BasicNode{Proc: 3, Index: 1}
@@ -16,20 +18,50 @@ func TestViewOfMatchesPast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps, err := r.Past(sigma)
-	if err != nil {
-		t.Fatal(err)
+	past := map[BasicNode]bool{sigma: true}
+	for grew := true; grew; {
+		grew = false
+		for n := range past {
+			preds := []BasicNode{}
+			if n.Index > 0 {
+				preds = append(preds, BasicNode{Proc: n.Proc, Index: n.Index - 1})
+			}
+			for _, d := range r.Inbox(n) {
+				preds = append(preds, d.From)
+			}
+			for _, m := range preds {
+				if !past[m] {
+					past[m], grew = true, true
+				}
+			}
+		}
 	}
-	if v.Size() != ps.Size() {
-		t.Errorf("view size %d, past size %d", v.Size(), ps.Size())
+	if v.Size() != len(past) {
+		t.Errorf("view size %d, past size %d", v.Size(), len(past))
 	}
-	for _, n := range ps.Nodes() {
+	nodes := v.Nodes()
+	if len(nodes) != len(past) {
+		t.Errorf("Nodes lists %d nodes, past has %d", len(nodes), len(past))
+	}
+	for _, n := range nodes {
+		if !past[n] {
+			t.Errorf("view holds %s outside the past", n)
+		}
+	}
+	for n := range past {
 		if !v.Contains(n) {
 			t.Errorf("view missing %s", n)
 		}
 	}
-	if !v.PastSet().Equal(ps) {
-		t.Error("PastSet round trip differs")
+	again, err := ViewOf(r, sigma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !v.Equal(again) {
+		t.Error("two views of one node have different frontiers")
+	}
+	if other, _ := ViewOf(r, BasicNode{Proc: 2, Index: 1}); v.Equal(other) {
+		t.Error("views of different pasts compare equal")
 	}
 	if v.Origin() != sigma {
 		t.Errorf("origin = %s", v.Origin())
@@ -195,7 +227,7 @@ func TestViewAbsorbMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v2.PastSet().Equal(want.PastSet()) {
+	if !v2.Equal(want) {
 		t.Error("view over the growing run disagrees with the extracted view")
 	}
 	v3 := g.view(3)
@@ -204,7 +236,7 @@ func TestViewAbsorbMatchesOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !v3.PastSet().Equal(want3.PastSet()) {
+	if !v3.Equal(want3) {
 		t.Error("two-hop view disagrees")
 	}
 	if got, want := v3.Deliveries(), want3.Deliveries(); !reflect.DeepEqual(got, want) {
@@ -321,7 +353,7 @@ func TestPastIsPClosedProperty(t *testing.T) {
 			if k == 0 {
 				continue
 			}
-			ps, err := r.Past(BasicNode{Proc: p, Index: k})
+			ps, err := ViewOf(r, BasicNode{Proc: p, Index: k})
 			if err != nil {
 				return false
 			}

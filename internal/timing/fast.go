@@ -77,7 +77,7 @@ func BuildFast(r *run.Run, sigma run.BasicNode, theta1 run.GeneralNode, gamma in
 		return nil, err
 	}
 	ps := ext.Past()
-	if !ps.Recognized(theta1) {
+	if !ps.Contains(theta1.Base) {
 		return nil, fmt.Errorf("%w: %s", bounds.ErrNotRecognized, theta1)
 	}
 	if theta1.Base.IsInitial() {
@@ -217,7 +217,7 @@ func BuildFast(r *run.Run, sigma run.BasicNode, theta1 run.GeneralNode, gamma in
 		prescribed[sim.Send{From: del.From.Proc, To: del.To.Proc, SendTime: tFrom}] = tTo - tFrom
 	}
 	// Theta1's chain beyond the past travels at upper bounds.
-	prefix, hops := r.ChainPrefix(ps, theta1)
+	prefix, hops := ps.ResolvePrefix(theta1)
 	cur := prefix[len(prefix)-1]
 	if cur.IsInitial() && hops < theta1.Path.Hops() {
 		return nil, fmt.Errorf("%w: chain of %s stalls at %s", bounds.ErrInitialChain, theta1, cur)

@@ -17,7 +17,7 @@ import (
 func pickSigma(t *testing.T, r *run.Run, window []run.BasicNode) run.BasicNode {
 	t.Helper()
 	for i := len(window) - 1; i >= 0; i-- {
-		ps, err := r.Past(window[i])
+		ps, err := run.ViewOf(r, window[i])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestFastRunTightness(t *testing.T) {
 			continue
 		}
 		sigma := pickSigma(t, r, window)
-		ps, err := r.Past(sigma)
+		ps, err := run.ViewOf(r, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestFastRunGeneralNodes(t *testing.T) {
 			continue
 		}
 		sigma := pickSigma(t, r, window)
-		ps, err := r.Past(sigma)
+		ps, err := run.ViewOf(r, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -210,7 +210,7 @@ func TestFastRunSeparation(t *testing.T) {
 	}
 	window := in.WindowNodes(r)
 	sigma := pickSigma(t, r, window)
-	ps, err := r.Past(sigma)
+	ps, err := run.ViewOf(r, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestFastRunGammaPreservesKnownGaps(t *testing.T) {
 	}
 	window := in.WindowNodes(r)
 	sigma := pickSigma(t, r, window)
-	ps, err := r.Past(sigma)
+	ps, err := run.ViewOf(r, sigma)
 	if err != nil {
 		t.Fatal(err)
 	}

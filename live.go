@@ -24,9 +24,6 @@ type (
 	// OnlineProtocol2 is the knowledge-optimal coordination agent for B,
 	// deciding online; it agrees exactly with (Task).RunOptimal.
 	OnlineProtocol2 = live.Protocol2
-	// View is the structural content of a process's local state — all an
-	// agent ever sees.
-	View = run.View
 )
 
 // RunLive executes the configuration: the environment schedules one tick at

@@ -45,8 +45,9 @@ type (
 	External = run.External
 	// ExternalEvent schedules an external input for the simulator.
 	ExternalEvent = run.ExternalEvent
-	// PastSet is past(r, sigma), the causal past of a node.
-	PastSet = run.PastSet
+	// View is past(r, sigma), the causal past of a node: the structural
+	// content of its local state — all an agent ever sees.
+	View = run.View
 )
 
 // Simulation types.
