@@ -281,3 +281,54 @@ func TestEarlyHandleForwardDeltaBounded(t *testing.T) {
 		t.Errorf("forward delta capacity grows with the horizon: %d at h=50, %d at h=400", shortCap, longCap)
 	}
 }
+
+// TestEarlyHandleReverseMirrorBounded is the reverse twin of
+// TestEarlyHandleForwardDeltaBounded: an Early-kind handle's transposed E”
+// mirror holds storage for the E” entries in flight, not for every sender
+// the run ever had. A sender's slot is recycled once its last entry
+// retires, so the entry storage at horizon 400 is no larger than at
+// horizon 50.
+func TestEarlyHandleReverseMirrorBounded(t *testing.T) {
+	entryCap := func(horizon model.Time) (int, int) {
+		net := model.MustComplete(4, 1, 5)
+		r := sim.MustSimulate(sim.Config{
+			Net: net, Horizon: horizon, Policy: sim.Lazy{}, Externals: sim.GoAt(1, 1, "go"),
+		})
+		eng := NewNetworkEngine(net).NewRun()
+		var h *Handle
+		var target run.GeneralNode
+		fixed, reverse := false, 0
+		replayAll(t, r, map[model.ProcID]bool{2: true}, func(p model.ProcID, k int, v *run.View) {
+			if h == nil {
+				h = mustHandle(t, eng, v)
+			}
+			if !fixed {
+				bnd, ok := v.Boundary(1)
+				if !ok || bnd.IsInitial() {
+					return
+				}
+				target, fixed = run.At(bnd), true
+			}
+			before := h.Stats()
+			if _, _, err := h.KnowledgeWeight(run.At(v.Origin()), target); err != nil {
+				t.Fatal(err)
+			}
+			if after := h.Stats(); after.RevHits > before.RevHits || after.RevRebuilds > before.RevRebuilds {
+				reverse++
+			}
+		})
+		if h == nil || h.rmirror == nil {
+			t.Fatalf("horizon %d: the reverse mirror was never enabled", horizon)
+		}
+		return reverse, h.rmirror.EntryCap()
+	}
+	shortQueries, shortCap := entryCap(50)
+	longQueries, longCap := entryCap(400)
+	if shortQueries < 5 || longQueries < 5*shortQueries {
+		t.Fatalf("reverse cache served %d (h=50) and %d (h=400) queries: fixture too thin", shortQueries, longQueries)
+	}
+	t.Logf("reverse-served queries %d / %d, mirror entry storage %d / %d", shortQueries, longQueries, shortCap, longCap)
+	if longCap > shortCap {
+		t.Errorf("reverse mirror storage grows with the horizon: %d entries at h=50, %d at h=400", shortCap, longCap)
+	}
+}

@@ -52,6 +52,9 @@ type NetworkEngine struct {
 	// vertices (successor + delivery edge pairs; E'/E'' never enter the
 	// standing tables).
 	outCap, inCap []int
+	// maxOutDeg is the network's largest out-degree: the most E'' entries
+	// one node can carry, so the stride of a handle's reverse mirror.
+	maxOutDeg int
 
 	// prefixes caches frozen standing prefixes of completed runs, keyed by
 	// run content fingerprint (NewRunAt / Shared.CommitPrefix).
@@ -94,6 +97,7 @@ func NewNetworkEngine(net *model.Network) *NetworkEngine {
 		// send (out-channel) and per receive (in-channel).
 		e.outCap[i] = 1 + outDeg + inDeg
 		e.inCap[i] = 1 + inDeg + outDeg
+		e.maxOutDeg = max(e.maxOutDeg, outDeg)
 		// Aux band: one E''' edge aux(to) -> aux(from) per channel.
 		auxOut[i] = int32(inDeg)
 		auxIn[i] = int32(outDeg)

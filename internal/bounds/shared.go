@@ -221,18 +221,18 @@ type Handle struct {
 	revQuerySeeds []int
 	revAdmitted   []int
 	revRetired    bool
-	// roverlay mirrors overlay transposed — the agent's E'' edges keyed by
+	// rmirror mirrors overlay transposed — the agent's E'' edges keyed by
 	// their head (sender) vertex — feeding graph.Restriction.ROverlay; bfrom
 	// holds the handle's per-band boundary vertex for
 	// graph.Restriction.BoundaryFrom. Like the reverse scratch, the mirror is
-	// lazy: revEnabled is set by the first reverse query, which transposes the
-	// overlay accumulated so far; until then sync skips all reverse
+	// lazy: the first reverse query creates it and transposes the overlay
+	// accumulated so far; until then (rmirror nil) sync skips all reverse
 	// bookkeeping, so handles that never see the Early shape pay nothing.
-	// roverlay's per-sender lists are carved out of rslab (see addROverlay).
-	revEnabled bool
-	roverlay   [][]graph.Edge
-	rslab      []graph.Edge
-	bfrom      []int32
+	// Its slots hold the network's maximum out-degree, and a sender's slot
+	// is recycled once its last entry retires, so the mirror's storage
+	// tracks the E'' entries in flight, not the horizon.
+	rmirror *graph.Mirror
+	bfrom   []int32
 
 	// stats sums the handle's per-query counters (the StatFields entries
 	// marked Handle); every query also notes its own to the engine.
@@ -395,8 +395,8 @@ func (h *Handle) sync() error {
 					h.overlay[a.To-1] = append(h.overlay[a.To-1], graph.Edge{
 						To: sender, Weight: -a.Bounds.Upper,
 					})
-					if h.revEnabled {
-						h.addROverlay(sender, int(a.To)-1, -a.Bounds.Upper)
+					if h.rmirror != nil {
+						h.rmirror.Add(sender, int(a.To)-1, -a.Bounds.Upper)
 					}
 					h.seeds = append(h.seeds, int(a.To)-1)
 				}
@@ -445,8 +445,8 @@ func (h *Handle) sync() error {
 			if !removeOverlayEdge(&h.overlay[d.To.Proc-1], u, -bd.Upper) {
 				return fmt.Errorf("bounds: shared handle lost the E'' edge of %s->%d", d.From, d.To.Proc)
 			}
-			if h.revEnabled {
-				if u >= len(h.roverlay) || !removeOverlayEdge(&h.roverlay[u], int(d.To.Proc)-1, -bd.Upper) {
+			if h.rmirror != nil {
+				if !h.rmirror.Remove(u, int(d.To.Proc)-1, -bd.Upper) {
 					return fmt.Errorf("bounds: shared handle lost the reverse E'' edge of %s->%d", d.From, d.To.Proc)
 				}
 			}
@@ -466,41 +466,14 @@ func (h *Handle) sync() error {
 	return nil
 }
 
-// rslabChunk is the number of reverse E” entries one slab allocation of a
-// handle covers.
-const rslabChunk = 256
-
-// addROverlay appends one transposed E” entry (head sender -> psi band
-// vertex q) to the reverse overlay, growing the outer table on demand. A
-// sender's first entry carves its list out of the handle's slab, capped at
-// the sender's out-degree: a node carries at most one E” entry per
-// out-channel, and entries only ever retire, so the list never outgrows
-// its carve and a whole slab of senders costs one allocation.
-func (h *Handle) addROverlay(sender, q, w int) {
-	for len(h.roverlay) <= sender {
-		h.roverlay = append(h.roverlay, nil)
-	}
-	es := h.roverlay[sender]
-	if cap(es) == 0 {
-		p := model.ProcID(h.shared.band[sender] + 1)
-		deg := len(h.view.Net().OutArcs(p))
-		if len(h.rslab) < deg {
-			h.rslab = make([]graph.Edge, max(deg, rslabChunk))
-		}
-		es = h.rslab[:0:deg]
-		h.rslab = h.rslab[deg:]
-	}
-	h.roverlay[sender] = append(es, graph.Edge{To: q, Weight: w})
-}
-
 // enableReverse begins reverse bookkeeping on first use: the forward overlay
-// accumulated so far is transposed into roverlay, and from now on sync keeps
-// the mirror in step.
+// accumulated so far is transposed into the mirror, and from now on sync
+// keeps the mirror in step.
 func (h *Handle) enableReverse() {
-	h.revEnabled = true
+	h.rmirror = graph.NewMirror(h.shared.eng.maxOutDeg)
 	for q := range h.overlay {
 		for _, e := range h.overlay[q] {
-			h.addROverlay(e.To, q, e.Weight)
+			h.rmirror.Add(e.To, q, e.Weight)
 		}
 	}
 }
@@ -643,7 +616,7 @@ func (h *Handle) weight(theta1, theta2 run.GeneralNode, d *EngineStats) (kw int,
 
 	r := graph.Restriction{
 		Band: s.band, Idx: s.idx, Limit: h.limit,
-		Overlay: h.overlay, ROverlay: h.roverlay,
+		Overlay: h.overlay, ROverlay: h.rmirror,
 		BoundaryTo: s.eng.boundaryTo, BoundaryWeight: 1,
 		BoundaryFrom: h.bfrom,
 	}
@@ -677,9 +650,9 @@ func (h *Handle) weight(theta1, theta2 run.GeneralNode, d *EngineStats) (kw int,
 		if h.revScratch == nil {
 			h.revScratch = s.eng.leaseScratch()
 		}
-		if !h.revEnabled {
+		if h.rmirror == nil {
 			h.enableReverse()
-			r.ROverlay = h.roverlay
+			r.ROverlay = h.rmirror
 		}
 		if h.revCacheValid && v == h.revCacheDst {
 			h.revQuerySeeds = append(h.revQuerySeeds[:0], h.revSeeds...)

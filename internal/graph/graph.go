@@ -172,10 +172,11 @@ func (g *Graph) In(u int) []Edge { return g.radj[u] }
 
 // Scratch holds the reusable working buffers of the longest-path queries:
 // distances, queue membership, relaxation counters, the SPFA ring queue and
-// the tight-path reconstruction state. A zero Scratch is ready to use; the
-// buffers grow to the largest graph queried and are then reused, so repeated
-// queries on a (growing) graph stop allocating O(V) per call. A Scratch is
-// owned by one querier at a time — it is not safe for concurrent use.
+// the tight-path reconstruction state, which only PathFrom grows. A zero
+// Scratch is ready to use; the buffers grow to the largest graph queried and
+// are then reused, so repeated queries on a (growing) graph stop allocating
+// O(V) per call. A Scratch is owned by one querier at a time — it is not
+// safe for concurrent use.
 //
 // Between runs every inQueue flag is false: a completed run drains its
 // queue, and a run that stops on ErrPositiveCycle clears the flags of what
@@ -224,15 +225,11 @@ func (s *Scratch) ensure(n int) {
 		s.inQueue = make([]bool, c)
 		s.pathLen = make([]int32, c)
 		s.queue = make([]int, c)
-		s.visited = make([]bool, c)
-		s.from = make([]int, c)
 	}
 	s.dist = s.dist[:n]
 	s.inQueue = s.inQueue[:n]
 	s.pathLen = s.pathLen[:n]
 	s.queue = s.queue[:n]
-	s.visited = s.visited[:n]
-	s.from = s.from[:n]
 }
 
 // Truncate forgets distances of vertices >= n, so that a subsequent
@@ -307,9 +304,14 @@ func (g *Graph) PathFrom(s *Scratch, dist []int64, src, dst int) (path []int, ok
 	if dst < 0 || dst >= len(dist) || dist[dst] == NegInf {
 		return nil, false, nil
 	}
-	s.ensure(len(dist))
-	visited := s.visited
-	from := s.from // tight-walk successor towards dst
+	n := len(dist)
+	if cap(s.visited) < n {
+		c := max(n, 2*cap(s.visited))
+		s.visited = make([]bool, c)
+		s.from = make([]int, c)
+	}
+	visited := s.visited[:n]
+	from := s.from[:n] // tight-walk successor towards dst
 	for i := range visited {
 		visited[i] = false
 		from[i] = -1

@@ -145,13 +145,13 @@ func randomRestricted(rng *rand.Rand) (*Graph, *Restriction) {
 		g.AddEdge(u, v, w)
 	}
 	r.Overlay = make([][]Edge, nb)
-	r.ROverlay = make([][]Edge, n)
+	r.ROverlay = NewMirror(nb)
 	for q := 0; q < nb; q++ {
 		if rng.Intn(2) == 0 {
 			to := nb + rng.Intn(n-nb)
 			w := -rng.Intn(6)
 			r.Overlay[q] = append(r.Overlay[q], Edge{To: to, Weight: w})
-			r.ROverlay[to] = append(r.ROverlay[to], Edge{To: q, Weight: w})
+			r.ROverlay.Add(to, q, w)
 		}
 	}
 	setLimits(r, rng, nb)

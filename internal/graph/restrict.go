@@ -52,6 +52,10 @@ const posInf = int64(1) << 60
 //     graph is a function of the frontier alone, so it lives here rather
 //     than being rewritten per agent.) This check runs once per dequeued
 //     vertex, so the indirect (band, idx, limit) form is fine here.
+//
+// The reverse queries read both families backwards: ROverlay mirrors
+// Overlay keyed by edge head, and BoundaryFrom names each band's boundary
+// vertex.
 type Restriction struct {
 	Band  []int32
 	Idx   []int32
@@ -60,11 +64,11 @@ type Restriction struct {
 	Overlay [][]Edge
 
 	// ROverlay is Overlay transposed, for the reverse (into-destination)
-	// queries: ROverlay[v] lists {To: u, Weight: w} for every overlay edge
-	// u --w--> v, keyed by the edge HEAD. Callers using the reverse queries
-	// must keep it in mirror-sync with Overlay (append together, swap-delete
-	// together); forward-only callers leave it nil.
-	ROverlay [][]Edge
+	// queries: it holds {To: u, Weight: w} under head v for every overlay
+	// edge u --w--> v. Callers using the reverse queries must keep it in
+	// step with Overlay (add together, remove together); forward-only
+	// callers leave it nil.
+	ROverlay *Mirror
 
 	BoundaryTo     []int32
 	BoundaryWeight int
@@ -79,6 +83,86 @@ type Restriction struct {
 	// it nil.
 	BoundaryFrom []int32
 }
+
+// Mirror is an overlay transposed and keyed by edge head, sized to the
+// entries it holds rather than to the graph. Each head with live entries
+// owns one slot of a pool; every slot has room for stride entries, the
+// most one head may carry at once (bounds.Handle uses the network's
+// maximum out-degree: a node heads at most one E” entry per out-channel).
+// The per-vertex table holds a 4-byte slot number, 0 for "no entries", so
+// reverse relaxation reads one word per dequeued vertex. A head's slot goes
+// back to the pool when its last entry is removed and is handed to the next
+// head that gains one, so the pool's storage is set by the most heads that
+// held entries at once, not by how many ever did. A zero Mirror is not
+// ready; use NewMirror.
+type Mirror struct {
+	slot    []int32 // slot[v]: v's slot number, 0 when v heads no entry
+	stride  int
+	entries []Edge  // slot s holds entries[s*stride : s*stride+size[s]]
+	size    []int32 // live entries per slot; slot 0 is the empty "none"
+	free    []int32 // released slot numbers
+}
+
+// NewMirror returns an empty mirror whose slots hold stride entries each.
+func NewMirror(stride int) *Mirror {
+	return &Mirror{stride: stride, entries: make([]Edge, stride), size: make([]int32, 1)}
+}
+
+// Add records the transposed entry {To: tail, Weight: w} under head. A head
+// without entries takes a released slot if there is one, a new slot
+// otherwise. It panics when head's slot is full: the stride bounds the
+// entries of one head, a structural invariant of the caller.
+func (m *Mirror) Add(head, tail, w int) {
+	if head >= len(m.slot) {
+		m.slot = append(m.slot, make([]int32, head+1-len(m.slot))...)
+	}
+	s := m.slot[head]
+	if s == 0 {
+		if k := len(m.free); k > 0 {
+			s = m.free[k-1]
+			m.free = m.free[:k-1]
+		} else {
+			s = int32(len(m.size))
+			m.entries = append(m.entries, make([]Edge, m.stride)...)
+			m.size = append(m.size, 0)
+		}
+		m.slot[head] = s
+	}
+	k := int(m.size[s])
+	if k == m.stride {
+		panic(fmt.Sprintf("graph: mirror slot of head %d full at %d entries", head, k))
+	}
+	m.entries[int(s)*m.stride+k] = Edge{To: tail, Weight: w}
+	m.size[s]++
+}
+
+// Remove swap-deletes one entry {To: tail, Weight: w} under head, releasing
+// the head's slot when it was the last, and reports whether it was found.
+func (m *Mirror) Remove(head, tail, w int) bool {
+	if head < 0 || head >= len(m.slot) || m.slot[head] == 0 {
+		return false
+	}
+	s := m.slot[head]
+	base := int(s) * m.stride
+	es := m.entries[base : base+int(m.size[s])]
+	for i := range es {
+		if es[i].To == tail && es[i].Weight == w {
+			last := len(es) - 1
+			es[i] = es[last]
+			m.size[s]--
+			if last == 0 {
+				m.slot[head] = 0
+				m.free = append(m.free, s)
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// EntryCap returns the number of entries the slot pool has storage for:
+// its memory, which tracks the most heads that held entries at once.
+func (m *Mirror) EntryCap() int { return cap(m.entries) }
 
 // visible reports whether v lies inside the restriction; a nil restriction
 // hides nothing.
@@ -172,15 +256,19 @@ func (g *Graph) LongestIntoRestricted(s *Scratch, dst int, r *Restriction) ([]in
 //
 // Edge removal can LOWER a reverse distance, which a max-only warm restart
 // would never discover: refresh must list every vertex whose distance
-// toward the destination may have decreased since the prior run. Refresh
-// vertices have their distances reset to unreachable and are re-derived
-// from the heads of their surviving out-edges (standing, overlay and
-// boundary); a refresh vertex whose derivation routes through other refresh
-// vertices re-enters the queue as they improve, so a closed family (the
-// bounds engines refresh the whole auxiliary band — node-vertex reverse
-// distances are knowledge weights, which persist) re-derives to its exact
-// fixpoint. refresh must not contain the destination, and refresh vertices
-// must be visible.
+// toward the destination may have decreased since the prior run. Each
+// refresh vertex is re-derived in place, before the queue drains: its
+// distance becomes the best w + dist[head] over its surviving out-edges
+// (standing, overlay and boundary) whose head has a finite distance, or
+// unreachable when none has, and every refresh vertex left reachable is
+// queued as a seed. No value so set exceeds the vertex's new distance, so
+// the queue raises the family to its exact fixpoint: a refresh vertex whose
+// derivation routes through other refresh vertices improves when they are
+// dequeued (the bounds engines refresh the whole auxiliary band, which
+// re-derives through its E”' edges this way; node-vertex reverse distances
+// are knowledge weights, which persist). Each finite re-derivation counts
+// as one relaxation. refresh must not contain the destination, and refresh
+// vertices must be visible.
 //
 // Like the forward restart it costs O(seeds + admitted + refresh and its
 // out-edges + vertices added + work done), never O(V), and
@@ -190,31 +278,41 @@ func (g *Graph) RelaxReverseRestrictedFrom(s *Scratch, seeds, admitted, refresh 
 	if err != nil {
 		return nil, err
 	}
-	// Re-deriving a refresh vertex means re-popping the heads of its
-	// surviving out-edges: each head, when dequeued, re-relaxes its in-edges
-	// — among them the refresh vertex's. Heads that are themselves
-	// refresh-reset are skipped here (unreachable seeds are useless) and
-	// re-enter the queue once a neighbor with a valid distance improves
-	// them, so a whole band re-derives to its fixpoint through the queue.
-	// A head's path length restarts at zero like any seed's: the path that
-	// last improved it may have run through the refresh vertices, so its
-	// old count no longer describes a path of the current graph.
+	// resume reset every refresh vertex to unreachable, so a refresh head
+	// read here holds either that or a value re-derived earlier in this
+	// loop; both are under-approximations, as is every other distance.
+	dist := s.dist
 	for _, v := range refresh {
+		best := NegInf
 		for _, e := range g.adj[v] {
-			count = s.seed(count, e.To)
+			best = throughHead(best, dist[e.To], e.Weight)
 		}
 		if v < len(r.Overlay) {
 			for _, e := range r.Overlay[v] {
-				count = s.seed(count, e.To)
+				best = throughHead(best, dist[e.To], e.Weight)
 			}
 		}
 		if r.BoundaryTo != nil && r.Idx[v] == r.Limit[r.Band[v]] {
 			if h := int(r.BoundaryTo[r.Band[v]]); h >= 0 {
-				count = s.seed(count, h)
+				best = throughHead(best, dist[h], r.BoundaryWeight)
 			}
 		}
+		if best != NegInf {
+			dist[v] = best
+			s.Relaxations++
+		}
+		count = s.seed(count, v)
 	}
-	return s.dist, spfaReverseRestricted(g.radj, s, count, r)
+	return dist, spfaReverseRestricted(g.radj, s, count, r)
+}
+
+// throughHead is max(best, d + w) when d is a finite distance, best when d
+// is unreachable or masked.
+func throughHead(best, d int64, w int) int64 {
+	if d == NegInf || d == posInf {
+		return best
+	}
+	return max(best, d+int64(w))
 }
 
 // start initializes a full run over n vertices from the single seed src:
@@ -446,14 +544,21 @@ func spfaRestricted(adj [][]Edge, s *Scratch, count int, r *Restriction) error {
 // spfaReverseRestricted is spfaRestricted over the transposed graph:
 // dequeuing a vertex relaxes its IN-edges (improving the distances of edge
 // tails toward the fixed destination), the reverse overlay contributes the
-// caller-private in-edges, and dequeuing a band anchor relaxes the band's
-// virtual boundary edge backwards onto the vertex BoundaryFrom names. The
-// masking works unchanged: invisible tails hold the posInf sentinel, so the
-// improvement test rejects them for free. The relaxation body is spelled
-// out three times for the same reason as in spfaRestricted.
+// caller-private in-edges (one slot-table read per dequeue), and dequeuing
+// a band anchor relaxes the band's virtual boundary edge backwards onto the
+// vertex BoundaryFrom names. The masking works unchanged: invisible tails
+// hold the posInf sentinel, so the improvement test rejects them for free.
+// The relaxation body is spelled out three times for the same reason as in
+// spfaRestricted.
 func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction) error {
 	n := len(radj)
 	dist, inQueue, pathLen, queue := s.dist, s.inQueue, s.pathLen, s.queue
+	var slot, size []int32
+	var entries []Edge
+	var stride int
+	if m := r.ROverlay; m != nil {
+		slot, size, entries, stride = m.slot, m.size, m.entries, m.stride
+	}
 	head := 0
 	var relaxed int64
 	for count > 0 {
@@ -484,8 +589,9 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 				}
 			}
 		}
-		if u < len(r.ROverlay) {
-			for _, e := range r.ROverlay[u] {
+		if sl := mirrorSlot(slot, u); sl != 0 {
+			base := sl * stride
+			for _, e := range entries[base : base+int(size[sl])] {
 				if nd := du + int64(e.Weight); nd > dist[e.To] {
 					dist[e.To] = nd
 					relaxed++
@@ -531,4 +637,12 @@ func spfaReverseRestricted(radj [][]Edge, s *Scratch, count int, r *Restriction)
 	}
 	s.Relaxations += relaxed
 	return nil
+}
+
+// mirrorSlot is slot[u], or 0 when the slot table does not reach u.
+func mirrorSlot(slot []int32, u int) int {
+	if u < len(slot) {
+		return int(slot[u])
+	}
+	return 0
 }

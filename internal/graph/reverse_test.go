@@ -14,8 +14,8 @@ func TestLongestIntoRestrictedMatchesForward(t *testing.T) {
 	g, r := line()
 	r.Overlay = make([][]Edge, 2)
 	r.Overlay[0] = []Edge{{To: 5, Weight: 7}}
-	r.ROverlay = make([][]Edge, 8)
-	r.ROverlay[5] = []Edge{{To: 0, Weight: 7}}
+	r.ROverlay = NewMirror(1)
+	r.ROverlay.Add(5, 0, 7)
 	r.BoundaryTo = []int32{0, 1}
 	r.BoundaryWeight = 1
 	r.BoundaryFrom = []int32{4, 7} // vertices at the current limits
@@ -49,8 +49,8 @@ func TestRelaxReverseRestrictedWarmMatchesFresh(t *testing.T) {
 	r.Limit = []int32{1, 1}
 	r.Overlay = make([][]Edge, 2)
 	r.Overlay[0] = []Edge{{To: 5, Weight: 7}}
-	r.ROverlay = make([][]Edge, 8)
-	r.ROverlay[5] = []Edge{{To: 0, Weight: 7}}
+	r.ROverlay = NewMirror(1)
+	r.ROverlay.Add(5, 0, 7)
 	r.BoundaryTo = []int32{0, 1}
 	r.BoundaryWeight = 1
 	r.BoundaryFrom = []int32{3, 6}
@@ -89,8 +89,8 @@ func TestRelaxReverseRefreshAfterRemoval(t *testing.T) {
 	g, r := line()
 	r.Overlay = make([][]Edge, 2)
 	r.Overlay[0] = []Edge{{To: 5, Weight: 7}}
-	r.ROverlay = make([][]Edge, 8)
-	r.ROverlay[5] = []Edge{{To: 0, Weight: 7}}
+	r.ROverlay = NewMirror(1)
+	r.ROverlay.Add(5, 0, 7)
 	r.BoundaryTo = []int32{0, 1}
 	r.BoundaryWeight = 1
 	r.BoundaryFrom = []int32{4, 7}
@@ -109,7 +109,9 @@ func TestRelaxReverseRefreshAfterRemoval(t *testing.T) {
 	// except where the cross edge 3 --5--> 6 survives: the refresh list is
 	// the whole affected family.
 	r.Overlay[0] = nil
-	r.ROverlay[5] = nil
+	if !r.ROverlay.Remove(5, 0, 7) {
+		t.Fatal("mirror lost the overlay entry")
+	}
 	warm, err := g.RelaxReverseRestrictedFrom(&s, nil, nil, []int{0, 2, 3, 4}, r)
 	if err != nil {
 		t.Fatal(err)
@@ -253,4 +255,152 @@ func TestReverseRestrictedPositiveCycle(t *testing.T) {
 	if _, err := g.LongestIntoRestricted(&s, 0, r); err != nil {
 		t.Fatalf("masked cycle still reported: %v", err)
 	}
+}
+
+// TestRelaxReverseRefreshMatchesReference pins the in-place band refresh
+// to a fresh run and to the Bellman–Ford reference on random restricted
+// graphs. Each instance gets extra overlay entries out of its anchors, a
+// full reverse run into a random visible destination, then retires a random
+// subset of the overlay entries (through the mirror as well as Overlay),
+// grows the limits and warm-restarts the way the bounds engines do: seeds
+// are the heads of the edges that became visible, and refresh is the anchor
+// band. Unlike in a bounds graph, where node-vertex reverse distances are
+// knowledge weights and persist, a node vertex of a random graph can lose
+// its path through a retired entry, so refresh also lists every vertex with
+// a path into a retiring anchor, as the refresh contract demands.
+// Positive-cycle outcomes are compared too, and the fixture must include
+// instances whose distances a retirement actually lowered, which a warm
+// restart without the refresh gets wrong.
+func TestRelaxReverseRefreshMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var finite, lowered, cycles int
+	for trial := 0; trial < 4000; trial++ {
+		g, r := randomRestricted(rng)
+		n, nb := g.N(), len(r.Limit)
+		for q := 0; q < nb; q++ {
+			for to := nb; to < n; to++ {
+				if rng.Intn(2) == 0 && !hasOverlay(r, q, to) {
+					w := -n - rng.Intn(n)
+					r.Overlay[q] = append(r.Overlay[q], Edge{To: to, Weight: w})
+					r.ROverlay.Add(to, q, w)
+				}
+			}
+		}
+		var visible []int
+		for v := 0; v < n; v++ {
+			if shown(r, v) {
+				visible = append(visible, v)
+			}
+		}
+		dst := visible[rng.Intn(len(visible))]
+		var s Scratch
+		dist, err := g.LongestIntoRestricted(&s, dst, r)
+		want, wantErr := refLongest(g, dst, r, true)
+		sameDist(t, fmt.Sprintf("trial %d full", trial), dist, err, want, wantErr)
+		if err != nil {
+			continue // no fixpoint to resume from
+		}
+		old := append([]int64(nil), dist...)
+		before := make(map[[3]int]int)
+		for _, e := range refEdges(g, r) {
+			before[e]++
+		}
+
+		// Retire a random subset of the overlay entries; their anchors and
+		// every visible vertex with a path into one of them may regress.
+		retired := make([]bool, nb)
+		for q := 0; q < nb; q++ {
+			es := r.Overlay[q]
+			for i := 0; i < len(es); {
+				if rng.Intn(2) == 0 {
+					i++
+					continue
+				}
+				if !r.ROverlay.Remove(es[i].To, q, es[i].Weight) {
+					t.Fatalf("trial %d: mirror lost the entry %d -> %d", trial, q, es[i].To)
+				}
+				es[i] = es[len(es)-1]
+				es = es[:len(es)-1]
+				retired[q] = true
+			}
+			r.Overlay[q] = es
+		}
+		regress := ancestors(g, r, retired)
+		var refresh []int
+		for v := 0; v < n; v++ {
+			if v != dst && (v < nb || regress[v]) {
+				refresh = append(refresh, v)
+			}
+		}
+
+		wasVisible := make([]bool, n)
+		for v := range wasVisible {
+			wasVisible[v] = shown(r, v)
+		}
+		growLimits(r, rng)
+		setBoundaryFrom(r)
+		var seeds, admitted []int
+		for _, e := range refEdges(g, r) {
+			if before[e] > 0 {
+				before[e]--
+				continue
+			}
+			seeds = append(seeds, e[1])
+		}
+		for v := range wasVisible {
+			if shown(r, v) && !wasVisible[v] {
+				admitted = append(admitted, v)
+			}
+		}
+
+		want, wantErr = refLongest(g, dst, r, true)
+		var fresh Scratch
+		fd, fdErr := g.LongestIntoRestricted(&fresh, dst, r)
+		sameDist(t, fmt.Sprintf("trial %d fresh", trial), fd, fdErr, want, wantErr)
+		got, err := g.RelaxReverseRestrictedFrom(&s, seeds, admitted, refresh, r)
+		sameDist(t, fmt.Sprintf("trial %d warm", trial), got, err, want, wantErr)
+		if wantErr != nil {
+			cycles++
+			continue
+		}
+		finite++
+		for v := range old {
+			if wasVisible[v] && want[v] < old[v] {
+				lowered++
+				break
+			}
+		}
+	}
+	t.Logf("warm restarts: %d finite (%d lowered by a retirement), %d positive cycles", finite, lowered, cycles)
+	if finite < 1000 || lowered < 200 || cycles < 50 {
+		t.Fatalf("fixture too thin: %d finite (%d lowered), %d cycles", finite, lowered, cycles)
+	}
+}
+
+// hasOverlay reports whether anchor q already has an overlay entry into to.
+func hasOverlay(r *Restriction, q, to int) bool {
+	for _, e := range r.Overlay[q] {
+		if e.To == to {
+			return true
+		}
+	}
+	return false
+}
+
+// ancestors marks every visible vertex with a path, over the edges a query
+// under r relaxes, into a marked anchor (the anchors themselves included).
+func ancestors(g *Graph, r *Restriction, marked []bool) []bool {
+	reach := make([]bool, g.N())
+	copy(reach, marked)
+	edges := refEdges(g, r)
+	for changed := true; changed; {
+		changed = false
+		for _, e := range edges {
+			if reach[e[1]] && !reach[e[0]] {
+				reach[e[0]] = true
+				changed = true
+			}
+		}
+	}
+	return reach
 }

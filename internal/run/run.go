@@ -59,11 +59,6 @@ type Pending struct {
 	Chan     model.ChanID
 }
 
-// Deadline returns the latest time the environment may deliver the message.
-func (p Pending) Deadline(net *model.Network) model.Time {
-	return p.SendTime + net.Upper(p.From.Proc, p.To)
-}
-
 // span is a half-open range [lo, hi) of indices into one of a Run's event
 // slices; the zero value is the empty span.
 type span struct{ lo, hi int32 }

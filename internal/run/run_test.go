@@ -269,13 +269,6 @@ func TestMessagesLeavingPast(t *testing.T) {
 	if len(leaving) != 1 || leaving[0].From.Proc != 2 || leaving[0].To != 3 {
 		t.Fatalf("leaving = %v", leaving)
 	}
-	// A view carries no times; the deadline is the run's send time plus
-	// the channel's upper bound.
-	out := leaving[0]
-	out.SendTime = r.MustTime(out.From)
-	if dl := out.Deadline(r.Net()); dl != 3+4 {
-		t.Errorf("deadline = %d, want 7", dl)
-	}
 }
 
 func TestGeneralNodeHelpers(t *testing.T) {
