@@ -296,10 +296,10 @@ func sweepNetwork(m int, name string, shared bool) Case {
 // (bounds.PrefixEngine) collapses. Each cell stamps a per-run Shared,
 // subscribes one handle per agent to that agent's fully-grown view, answers
 // a knowledge query per task, and releases. With prefix=true the cells route
-// through NewRunAt with the pre-simulated run fingerprint, as sweep.Grid
-// arranges for deterministic live cells: the first seed misses and freezes
-// the fully-absorbed standing graph, every later seed stamps the frozen
-// prefix instead of re-absorbing the run. With prefix=false every cell
+// through NewRunAt with the run fingerprint: the first seed misses and
+// freezes the fully-absorbed standing graph, every later seed stamps the
+// frozen prefix instead of re-absorbing the run (sweep.Grid copies repeat
+// seeds' rows and stamps only across scenarios). With prefix=false every cell
 // absorbs from scratch through NewRun — the shared-network baseline the
 // acceptance criterion compares against. The engine is rebuilt every
 // iteration so one op prices a complete block: network-tier build plus one

@@ -88,6 +88,7 @@ type Shared struct {
 	// standing state started from a frozen prefix rather than empty.
 	pendingKey uint64
 	fromPrefix bool
+	handles    []*Handle // every subscribed handle, for Release
 }
 
 // Net returns the network the engine serves.
@@ -297,7 +298,22 @@ func (s *Shared) NewHandle(view *run.View) (*Handle, error) {
 		h.bfrom[i] = -1
 	}
 	h.scratch = s.eng.leaseScratch()
+	s.mu.Lock()
+	s.handles = append(s.handles, h)
+	s.mu.Unlock()
 	return h, nil
+}
+
+// Release releases every handle of the run (Handle.Release) once none will
+// query again, so the run returns all its scratches to the engine pool,
+// also those of agents that never made a last query.
+func (s *Shared) Release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, h := range s.handles {
+		h.Release()
+	}
+	s.handles = nil
 }
 
 // View returns the subscribed view.

@@ -10,11 +10,13 @@ import "unsafe"
 // there.
 type EngineStats struct {
 	// Runs counts the Shared engines stamped out (NewRun and NewRunAt both
-	// count; prefix hits and misses are disjoint subsets of it).
+	// count).
 	Runs int64
-	// PrefixHits / PrefixMisses count NewRunAt calls that found / did not
-	// find a frozen standing prefix under the requested fingerprint.
-	// NewRunAt(0) counts as neither (no fingerprint, nothing to look up).
+	// PrefixHits / PrefixMisses count cells served by an earlier identical
+	// run / that built their standing graph: NewRunAt calls that found /
+	// did not find a frozen prefix under the requested fingerprint (0
+	// counts as neither), plus a hit per sweep row copied from its
+	// deterministic first seed (which stamps no run).
 	PrefixHits   int64
 	PrefixMisses int64
 	// PrefixEvictions counts frozen prefixes dropped by the LRU cache.

@@ -109,6 +109,7 @@ func Replay(cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("%w: live: Config.Engine was built for a different network", sim.ErrBadConfig)
 		}
 		shared, res.PrefixHit = cfg.Engine.NewRunAt(cfg.Fingerprint)
+		defer shared.Release() // also the handles of agents that never acted
 		for _, agent := range cfg.Agents {
 			if su, ok := agent.(SharedUser); ok {
 				su.UseShared(shared)

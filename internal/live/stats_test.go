@@ -63,3 +63,39 @@ func TestCounterConservation(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayReleasesScratches pins the scratch gauge: once Replay returns,
+// every handle of the run has given its scratch back to the engine pool,
+// including an agent whose threshold is never met (it never makes a last
+// query) and a batched agent whose grid is never fully decided.
+func TestReplayReleasesScratches(t *testing.T) {
+	sc := scenario.MultiAgentEarly(4)
+	eng := bounds.NewNetworkEngine(sc.Net)
+	tasks := sc.TaskList()
+	tasks[0].X = 1 << 20
+	agents, agentMap := NewTaskAgents(tasks)
+	agents[1].XGrid = []int{tasks[1].X, 1 << 20}
+	res, err := Replay(Config{
+		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewRandom(3),
+		Externals: sc.Externals, Agents: agentMap, Engine: eng,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range res.Actions {
+		if a.Label == TaskLabel(0) {
+			t.Fatalf("agent %s met an unreachable threshold", a.Label)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if agents[i].Stats() == (bounds.EngineStats{}) {
+			t.Fatalf("agent %s never queried: the test would not lease its scratch", TaskLabel(i))
+		}
+	}
+	if d := agents[1].XDecisions(); d == nil || d[1].Decided {
+		t.Fatalf("batched agent decided its unreachable threshold: %+v", d)
+	}
+	if n := eng.Stats().ScratchLeased; n != 0 {
+		t.Fatalf("%d scratches still leased after the run", n)
+	}
+}

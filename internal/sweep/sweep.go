@@ -39,11 +39,10 @@ const (
 // so the grid carries factories rather than policy values.
 //
 // Deterministic declares that the family's schedule ignores the seed: every
-// seed of a deterministic policy produces the identical run, so its live
-// cells share one run content fingerprint and route through the network
-// engine's standing-prefix cache (the first cell of each distinct run builds
-// the standing graph, every other cell stamps it). Leave it false for
-// seed-sensitive families.
+// seed of a deterministic policy produces the identical run, so the grid
+// executes only the first seed of each fault-free cell and copies its
+// Result to the other seeds (RunWithEngines). A wrong mark therefore copies
+// wrong rows without any error; leave it false for seed-sensitive families.
 type PolicySpec struct {
 	Name          string
 	New           func(seed int64) sim.Policy
@@ -71,13 +70,9 @@ type Grid struct {
 	// Live lists scenarios additionally executed as live cells: live.Replay
 	// drives one live.Protocol2 agent per task, all subscribing (through
 	// per-run bounds.Shared handles) to ONE bounds.NetworkEngine per
-	// distinct network content — built once by Run,
-	// keyed by the network's fingerprint, and reused across every policy and
-	// seed of that topology, which is the cross-run amortization the engine
-	// tier exists for. Cells of Deterministic policies additionally share
-	// their standing run material through the engine's prefix cache (see
-	// RunWithEngines). Live cells enumerate after the sim cells,
-	// scenario-major, then policy, then seed, and report as ModeReplay.
+	// distinct network content (see RunWithEngines). Live cells enumerate
+	// after the sim cells, scenario-major, then policy, then seed, and
+	// report as ModeReplay.
 	Live []*scenario.Scenario
 	// LiveMode must be empty or ModeReplay, the one live execution mode;
 	// any other value fails the run.
@@ -169,11 +164,12 @@ type Result struct {
 	Agents      int
 	AgentsActed int
 
-	// Prefix reports how a deterministic live cell met the network engine's
-	// standing-prefix cache: PrefixHit when the cell stamped its knowledge
-	// engine from a frozen identical run, PrefixMiss when it built (and
-	// froze) the standing graph itself. Empty for sim cells and
-	// seed-sensitive policies, which bypass the cache.
+	// Prefix reports how a deterministic live cell was served: PrefixHit
+	// when an earlier identical run answered it (its knowledge engine was
+	// stamped from that run's frozen standing graph, or its row was copied
+	// from the first seed's), PrefixMiss when it built (and froze) the
+	// standing graph itself. Empty for sim cells, fanned-out x rows and
+	// seed-sensitive or faulted cells, which bypass the cache.
 	Prefix string
 
 	// Stats carries a live cell's execution counters (zero for sim cells):
@@ -227,20 +223,23 @@ func (g Grid) Run() ([]Result, error) {
 // RunWithEngines is Run, additionally reporting the knowledge-engine work
 // behind the grid's live cells.
 //
+// A fault-free cell of a Deterministic policy records the same run under
+// every seed and its agents decide from their views alone, so only the
+// first seed of such a unit (a sim cell, a live cell or an x-batched group)
+// executes; once the pool drains, each other seed's row is copied from it
+// with Seed rewritten. A copy carrying a prefix verdict reports a hit, noted
+// on its engine with a copied primary's x-fanout, so prefix_hits,
+// prefix_misses and x_fanout keep their per-cell meaning while the work
+// counters count only what ran.
+//
 // ONE knowledge engine per distinct network CONTENT serves every live cell
-// of that topology: engines are keyed by the network's content fingerprint,
-// so scenario families that rebuild structurally equal *model.Network values
-// (axis sweeps re-deriving the registry per variant) still share one engine.
-// Each engine's standing-prefix cache then shares run material across cells:
-// cells of seed-independent (Deterministic) policies pre-simulate once per
-// (scenario, policy) to learn their run fingerprint and stamp their per-run
-// engines through bounds.NetworkEngine.NewRunAt — the first cell of each
-// distinct run freezes the standing graph it built, every later identical
-// cell (other seeds, or another deterministic policy that happens to produce
-// the same schedule) reuses it. To keep the hit/miss accounting
-// deterministic under any worker count, all deterministic live cells of one
-// network run as a single sequential job in enumeration order; every other
-// cell is its own job.
+// of that topology (keyed by content fingerprint, so axis variants that
+// rebuild equal networks share it). Executing deterministic cells
+// pre-simulate their run fingerprint and stamp through NewRunAt, so another
+// scenario recording the same run stamps the standing graph the first one
+// froze; to keep those verdicts independent of the worker count, the
+// executing deterministic live units of one network run as one sequential
+// job in enumeration order, every other unit as its own job.
 func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 	if g.Size() == 0 {
 		return nil, EngineReport{}, ErrEmptyGrid
@@ -265,11 +264,12 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 		}
 	}
 
-	// Group the cells into units first: an x-batched group (every per-x
-	// variant of one base scenario under one policy and seed — their
+	// Group the executing cells into units first: an x-batched group (every
+	// per-x variant of one base scenario under one policy and seed — their
 	// recordings are identical, so ONE execution answers all of them) or a
 	// single cell. Variants enumerate scenario-major, so the group's cells
 	// accumulate in x-axis order with the first variant as the primary.
+	// Later seeds of deterministic cells are copies, not units.
 	nSeeds, nPols := len(g.Seeds), len(g.Policies)
 	type unit struct{ cells []int }
 	type xkey struct {
@@ -277,9 +277,14 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 		pol, seed int
 	}
 	var units []unit
+	var copies []int
 	groupOf := make(map[xkey]int)
 	for i := 0; i < g.Size(); i++ {
-		sc, _, _, isLive := g.decode(i)
+		sc, spec, _, isLive := g.decode(i)
+		if i%nSeeds > 0 && deterministic(sc, spec) {
+			copies = append(copies, i)
+			continue
+		}
 		if isLive && g.xBatchable(sc) {
 			k := xkey{base: sc.XBase, pol: (i / nSeeds) % nPols, seed: i % nSeeds}
 			if ui, ok := groupOf[k]; ok {
@@ -301,9 +306,7 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 	var blockOrder []uint64
 	var jobList [][]unit
 	for _, u := range units {
-		// Faulted cells never join a deterministic block: their recordings
-		// are not legal runs and must bypass the standing-prefix cache.
-		if sc, spec, _, isLive := g.decode(u.cells[0]); isLive && spec.Deterministic && sc.FaultFamily == "" {
+		if sc, spec, _, isLive := g.decode(u.cells[0]); isLive && deterministic(sc, spec) {
 			fp := sc.Net.Fingerprint()
 			if blocks[fp] == nil {
 				blockOrder = append(blockOrder, fp)
@@ -325,7 +328,6 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 		workers = len(jobList)
 	}
 
-	memo := &fpMemo{m: make(map[fpMemoKey]uint64)}
 	results := make([]Result, g.Size())
 	jobs := make(chan []unit)
 	var wg sync.WaitGroup
@@ -335,11 +337,7 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 			defer wg.Done()
 			for job := range jobs {
 				for _, u := range job {
-					if len(u.cells) == 1 {
-						results[u.cells[0]] = g.cell(u.cells[0], engines, memo)
-					} else {
-						g.xBatch(u.cells, engines, memo, results)
-					}
+					g.execute(u.cells, engines, results)
 				}
 			}
 		}()
@@ -349,6 +347,17 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 	}
 	close(jobs)
 	wg.Wait()
+
+	for _, i := range copies {
+		res := results[i-i%nSeeds]
+		res.Seed = g.Seeds[i%nSeeds]
+		if res.Prefix != "" {
+			res.Prefix, res.Stats.PrefixHits, res.Stats.PrefixMisses = PrefixHit, 1, 0
+			sc, _, _, _ := g.decode(i)
+			engines[sc.Net.Fingerprint()].Note(bounds.EngineStats{PrefixHits: 1, XFanout: int64(max(res.XFanout-1, 0))})
+		}
+		results[i] = res
+	}
 
 	rep := EngineReport{Networks: len(engines)}
 	for _, eng := range engines {
@@ -370,61 +379,69 @@ func (g Grid) decode(i int) (sc *scenario.Scenario, spec PolicySpec, seed int64,
 	return g.Scenarios[scIdx], spec, seed, false
 }
 
-// fpMemoKey identifies the one run every seed of a deterministic policy
-// produces on a scenario.
-type fpMemoKey struct{ sc, pol string }
-
-// fpMemo caches pre-simulated run fingerprints per (scenario, policy), so
-// only the first cell of a deterministic block pays the extra simulation.
-type fpMemo struct {
-	mu sync.Mutex
-	m  map[fpMemoKey]uint64
+// deterministic reports whether the cell records the same run under every
+// seed: a Deterministic policy on a fault-free scenario (a fault plan
+// depends on the seed).
+func deterministic(sc *scenario.Scenario, spec PolicySpec) bool {
+	return spec.Deterministic && sc.FaultFamily == ""
 }
 
-// fingerprint returns the run content fingerprint of the scenario under the
-// (deterministic) policy family, pre-simulating on first use. Concurrent
-// first calls may both simulate; deterministic policies make the results
-// identical, so last-write-wins is harmless.
-func (fm *fpMemo) fingerprint(sc *scenario.Scenario, spec PolicySpec, seed int64) (uint64, error) {
-	k := fpMemoKey{sc: sc.Name, pol: spec.Name}
-	fm.mu.Lock()
-	fp, ok := fm.m[k]
-	fm.mu.Unlock()
-	if ok {
-		return fp, nil
+// predict returns the run fingerprint a live cell stamps its engine at:
+// the pre-simulated run of a deterministic cell, zero (no prefix lookup)
+// for every other cell.
+func predict(sc *scenario.Scenario, spec PolicySpec, seed int64) (uint64, error) {
+	if !deterministic(sc, spec) {
+		return 0, nil
 	}
 	r, err := sc.Simulate(spec.New(seed))
 	if err != nil {
 		return 0, err
 	}
-	fp = r.Fingerprint()
-	fm.mu.Lock()
-	fm.m[k] = fp
-	fm.mu.Unlock()
-	return fp, nil
+	return r.Fingerprint(), nil
 }
 
-// cell runs the i-th cell of the enumeration. A panic escaping the cell —
-// a malformed scenario, a bug surfaced by an adversarial fault plan — is
-// recovered into the cell's Err, so one bad cell degrades one row of the
-// grid instead of killing the whole sweep.
-func (g Grid) cell(i int, engines map[uint64]*bounds.NetworkEngine, memo *fpMemo) (res Result) {
-	sc, spec, seed, isLive := g.decode(i)
+// execute runs one unit of the enumeration — a single cell, or an
+// x-batched group of live cells (xBatchCells) — and scatters its rows into
+// results. A panic escaping the unit — a malformed scenario, a bug surfaced
+// by an adversarial fault plan — is recovered into every cell's Err, so one
+// bad unit degrades its rows of the grid instead of killing the whole sweep.
+func (g Grid) execute(cells []int, engines map[uint64]*bounds.NetworkEngine, results []Result) {
+	scs := make([]*scenario.Scenario, len(cells))
+	var spec PolicySpec
+	var seed int64
+	var isLive bool
+	for j, i := range cells {
+		scs[j], spec, seed, isLive = g.decode(i)
+	}
 	defer func() {
 		if r := recover(); r != nil {
 			mode := ModeSim
 			if isLive {
 				mode = ModeReplay
 			}
-			res = Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed,
-				Mode: mode, Err: fmt.Errorf("sweep: cell panicked: %v", r)}
+			for j, i := range cells {
+				results[i] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed,
+					Mode: mode, Err: fmt.Errorf("sweep: cell panicked: %v", r)}
+			}
 		}
 	}()
-	if isLive {
-		return liveCell(sc, spec, seed, engines[sc.Net.Fingerprint()], memo)
+	eng := engines[scs[0].Net.Fingerprint()]
+	switch {
+	case len(cells) > 1:
+		for j, res := range xBatchCells(scs, spec, seed, eng) {
+			results[cells[j]] = res
+		}
+	case isLive:
+		results[cells[0]] = liveCell(scs[0], spec, seed, eng)
+	default:
+		results[cells[0]] = simCell(scs[0], spec, seed)
 	}
+}
 
-	res = Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeSim}
+// simCell runs one sim cell: the scenario's run under the policy, plus the
+// offline optimum of its task.
+func simCell(sc *scenario.Scenario, spec PolicySpec, seed int64) Result {
+	res := Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeSim}
 	r, err := sc.Simulate(spec.New(seed))
 	if err != nil {
 		res.Err = err
@@ -456,10 +473,10 @@ func (g Grid) cell(i int, engines map[uint64]*bounds.NetworkEngine, memo *fpMemo
 // run subscribes to the network's shared engine, and the cell reports the
 // recorded run's shape plus how many agents acted. Scenarios without tasks
 // still execute (pure FFIP relay runs) and report shape only. Cells of
-// deterministic policies learn their run fingerprint up front (memoized
-// pre-simulation) and route their per-run engine through the network
-// engine's standing-prefix cache.
-func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine, memo *fpMemo) Result {
+// deterministic policies learn their run fingerprint up front (predict) and
+// route their per-run engine through the network engine's standing-prefix
+// cache.
+func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine) Result {
 	res := Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeReplay}
 	var plan *faults.Plan
 	if sc.FaultFamily != "" {
@@ -470,14 +487,10 @@ func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.Ne
 		}
 		plan = p
 	}
-	var runFP uint64
-	if spec.Deterministic && plan == nil {
-		fp, err := memo.fingerprint(sc, spec, seed)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		runFP = fp
+	runFP, err := predict(sc, spec, seed)
+	if err != nil {
+		res.Err = err
+		return res
 	}
 	tasks := sc.TaskList()
 	agents, agentMap := live.NewTaskAgents(tasks)
@@ -512,31 +525,6 @@ func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.Ne
 	return res
 }
 
-// xBatch executes one x-batched group of live cells — every per-x variant of
-// one base scenario under one (policy, seed) — through a single execution,
-// scattering one Result per cell into results. Panics are recovered into
-// every cell of the group, mirroring Grid.cell.
-func (g Grid) xBatch(cells []int, engines map[uint64]*bounds.NetworkEngine, memo *fpMemo, results []Result) {
-	scs := make([]*scenario.Scenario, len(cells))
-	var spec PolicySpec
-	var seed int64
-	for j, i := range cells {
-		scs[j], spec, seed, _ = g.decode(i)
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			for j, i := range cells {
-				results[i] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed,
-					Mode: ModeReplay, Err: fmt.Errorf("sweep: cell panicked: %v", r)}
-			}
-		}
-	}()
-	rs := xBatchCells(scs, spec, seed, engines[scs[0].Net.Fingerprint()], memo)
-	for j, i := range cells {
-		results[i] = rs[j]
-	}
-}
-
 // xBatchCells is the batched counterpart of liveCell. The group's variants
 // differ only in task thresholds, and acts are terminal in x-batchable
 // scenarios (no feedback into the delivery schedule), so every variant
@@ -548,7 +536,7 @@ func (g Grid) xBatch(cells []int, engines map[uint64]*bounds.NetworkEngine, memo
 // threshold acts. Execution-level attribution (run shape is shared; prefix,
 // replay batches and agent counters are real once) lands on the primary
 // (first) variant row, which also carries XFanout = group size.
-func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine, memo *fpMemo) []Result {
+func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine) []Result {
 	rs := make([]Result, len(scs))
 	for j := range rs {
 		rs[j] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed, Mode: ModeReplay}
@@ -560,13 +548,9 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bou
 		return rs
 	}
 	sc0 := scs[0]
-	var runFP uint64
-	if spec.Deterministic {
-		fp, err := memo.fingerprint(sc0, spec, seed)
-		if err != nil {
-			return fail(err)
-		}
-		runFP = fp
+	runFP, err := predict(sc0, spec, seed)
+	if err != nil {
+		return fail(err)
 	}
 	tasks := sc0.TaskList()
 	agents, agentMap := live.NewTaskAgents(tasks)
@@ -596,23 +580,19 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bou
 		res.Deliveries = len(out.Run.Deliveries())
 		res.Pending = len(out.Run.PendingMessages())
 		res.Agents = len(tasks)
-		actTime := -1
 		for j := range agents {
 			d := agents[j].XDecisions()
 			if d == nil || !d[v].Decided {
 				continue
 			}
-			res.AgentsActed++
 			t, terr := out.Run.Time(d[v].Node)
 			if terr != nil {
 				return fail(terr)
 			}
-			if actTime < 0 || int(t) < actTime {
-				actTime = int(t)
+			if res.AgentsActed == 0 || int(t) < res.ActTime {
+				res.ActTime = int(t)
 			}
-		}
-		if actTime >= 0 {
-			res.ActTime = actTime
+			res.AgentsActed++
 		}
 	}
 	attribute(&rs[0], out, runFP, agents)
