@@ -424,8 +424,10 @@ func BenchmarkProtocol2Rebuild(b *testing.B) {
 }
 
 // BenchmarkProtocol2EarlyOnline (B1): the Early-kind online decision loop —
-// the query source moves with B's state while the target stays fixed, so
-// the engine's reverse (fixed-target) cache carries the per-state cost.
+// the query source moves with B's state while the target stays fixed. The
+// agent queries until A's node enters B's past, where its decision settles
+// (coord.Task.Settled); BenchmarkScalingEarlyWarm times the engine's
+// reverse (fixed-target) cache, which serves warm Early queries.
 func BenchmarkProtocol2EarlyOnline(b *testing.B) {
 	for _, n := range []int{8, 16, 32, 64} {
 		c := bench.Protocol2EarlyOnline(n)

@@ -125,8 +125,12 @@ func finalViews(r *run.Run, observed map[model.ProcID]bool) map[model.ProcID]*ru
 // (Rebuild). Only the engines differ between the variants; the view walk
 // is identical. With kind Early
 // the query source is B's moving state while the target stays fixed on
-// A's node, so the forward (fixed-source) cache misses at every state and
-// the handle's reverse (fixed-target) cache carries the load.
+// A's node, so the forward (fixed-source) cache misses at every state. At
+// this threshold an Early agent queries only until A's node enters B's
+// past, where its decision settles (coord.Task.Settled) and it stops; A's
+// node is still a speculative chain vertex until then, so the reverse
+// (fixed-target) cache never warms — BenchmarkScalingEarlyWarm times that
+// cache directly.
 func protocol2(n int, name string, rebuild bool, kind coord.Kind) Case {
 	return Case{
 		Name: fmt.Sprintf("%s/n=%d", name, n),
@@ -171,8 +175,10 @@ func protocol2(n int, name string, rebuild bool, kind coord.Kind) Case {
 // protocol2Multi measures m concurrent Protocol2 agents deciding over ONE
 // recorded multi-agent run — the workload the shared per-run engine
 // amortizes. Every agent's required separation is raised beyond
-// knowability, so each re-queries its growing view at every one of its
-// states; only the engine configuration differs between the variants:
+// knowability, so each Late agent re-queries its growing view at every one
+// of its states and each Early agent until its decision settles
+// (coord.Task.Settled); only the engine configuration differs between the
+// variants:
 // shared=true subscribes every agent to one bounds.Shared engine (one
 // standing graph, per-agent frontier handles), shared=false gives each
 // agent its default private one-handle run (one standing graph per agent).
@@ -430,8 +436,8 @@ func Protocol2Online(n int) Case { return protocol2(n, "Protocol2Online", false,
 func Protocol2Rebuild(n int) Case { return protocol2(n, "Protocol2Rebuild", true, coord.Late) }
 
 // Protocol2EarlyOnline is the Early-kind online decision loop with the
-// agent's default private one-handle run: the moving-source query shape
-// served by the handle's reverse (fixed-target) cache.
+// agent's default private one-handle run: the moving-source query shape,
+// up to the state where the decision settles.
 func Protocol2EarlyOnline(n int) Case {
 	return protocol2(n, "Protocol2EarlyOnline", false, coord.Early)
 }

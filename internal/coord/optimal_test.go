@@ -109,3 +109,74 @@ func BenchmarkRunOptimal(b *testing.B) {
 		})
 	}
 }
+
+// TestSettledIsSound checks the settle rule by brute force: for every Early
+// task of the registry, every default policy and seeds 1-3, B's states are
+// walked from the first one where Task.Settled holds, and at each of them a
+// fresh GE(r, sigma) gives a knowledge weight for sigma --> aNode below X
+// (indeed at most 0, since aNode happens before sigma). The rule is also
+// monotone along B's timeline, and RunOptimal never acts once it holds.
+func TestSettledIsSound(t *testing.T) {
+	settledTasks := 0
+	for _, sc := range scenario.All(scenario.Registry(0)) {
+		for _, pol := range sweep.DefaultPolicies() {
+			for seed := int64(1); seed <= 3; seed++ {
+				r, err := sc.Simulate(pol.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, task := range sc.TaskList() {
+					if task.Kind != coord.Early {
+						continue
+					}
+					cell := fmt.Sprintf("%s/%s/%d task %d", sc.Name, pol.Name, seed, i)
+					w, err := task.Wire(r)
+					if err != nil {
+						t.Fatalf("%s: %v", cell, err)
+					}
+					view, err := run.ViewOf(r, run.BasicNode{Proc: task.B})
+					if err != nil {
+						t.Fatal(err)
+					}
+					settled := false
+					for k := 1; k <= r.LastIndex(task.B); k++ {
+						sigma, err := view.Advance(r)
+						if err != nil {
+							t.Fatal(err)
+						}
+						holds := task.Settled(view, w.ANode)
+						if settled && !holds {
+							t.Fatalf("%s: settled before %s but not at it", cell, sigma)
+						}
+						if !holds {
+							continue
+						}
+						settled = true
+						ext, err := bounds.NewExtended(r, sigma)
+						if err != nil {
+							t.Fatalf("%s: %v", cell, err)
+						}
+						kw, _, known, err := ext.KnowledgeWeight(run.At(sigma), w.ANode)
+						if err != nil {
+							t.Fatalf("%s at %s: %v", cell, sigma, err)
+						}
+						if known && (kw >= task.X || kw > 0) {
+							t.Fatalf("%s: settled at or before %s, yet kw = %d (x = %d)", cell, sigma, kw, task.X)
+						}
+					}
+					if !settled {
+						continue
+					}
+					settledTasks++
+					if out, err := task.RunOptimal(r); err != nil || out.Acted {
+						t.Fatalf("%s: settled task acted=%v (err %v)", cell, out != nil && out.Acted, err)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d settled task cells", settledTasks)
+	if settledTasks == 0 {
+		t.Fatal("no registry Early task settled: the test checked nothing")
+	}
+}

@@ -44,7 +44,10 @@ type Outcome struct {
 // inside past(r, sigma). It walks B's timeline once: one view, advanced a
 // state at a time (run.View.Advance), feeds one bounds.Handle on a private
 // one-handle run — the engine live.Protocol2 uses by default — so each
-// state costs only its delta over the previous one. The witness is
+// state costs only its delta over the previous one. The scan stops at the
+// first state where the decision is settled (Task.Settled: an Early task
+// whose target a is already in B's past), since no later state can act.
+// The witness is
 // extracted once, at the acting state, from a fresh GE(r, sigma) whose
 // knowledge weight must equal the handle's. An inconsistent GE(r, sigma)
 // surfaces as an error wrapping graph.ErrPositiveCycle.
@@ -77,6 +80,11 @@ func (t Task) runOptimal(r *run.Run, eng *bounds.NetworkEngine) (*Outcome, error
 		out.NodesExamined++
 		if !view.Contains(w.SigmaC) {
 			continue // B has not heard (transitively) from sigma_C yet
+		}
+		if t.Settled(view, w.ANode) {
+			// No later state can know the precedence: B never acts.
+			out.NodesExamined = r.LastIndex(t.B)
+			return out, nil
 		}
 		var theta1, theta2 run.GeneralNode
 		if t.Kind == Late {

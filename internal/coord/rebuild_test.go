@@ -91,13 +91,21 @@ func refutingRun(t *testing.T) *run.Run {
 
 // TestRunOptimalKeepsErrors pins RunOptimal's error behaviour on a view
 // that refutes a channel bound: like the rebuild oracle, it fails with an
-// error wrapping graph.ErrPositiveCycle, for both task kinds. On that path,
-// and on acting and non-acting runs, the handle's scratch goes back to
-// the engine.
+// error wrapping graph.ErrPositiveCycle, for both task kinds. The Early
+// case asks x = 0, below the settle rule's reach: at (3,1) the knowledge
+// weight is L_12 - U_13 = -4 < 0, so the scan reaches the refuting state.
+// An Early task with x >= 1 on the same run settles at (3,2), where a's
+// node (2,1) is already in B's past, and never acts without querying the
+// refuting view; the rebuild oracle, which keeps scanning, still fails
+// there. On every path, and on acting and non-acting runs, the handle's
+// scratch goes back to the engine.
 func TestRunOptimalKeepsErrors(t *testing.T) {
 	r := refutingRun(t)
-	for _, kind := range []Kind{Late, Early} {
-		task := Task{Kind: kind, X: 100, A: 2, B: 3, C: 1, GoTime: 1}
+	for _, task := range []Task{
+		{Kind: Late, X: 100, A: 2, B: 3, C: 1, GoTime: 1},
+		{Kind: Early, X: 0, A: 2, B: 3, C: 1, GoTime: 1},
+	} {
+		kind := task.Kind
 		if _, err := task.rebuildOptimal(r); !errors.Is(err, graph.ErrPositiveCycle) {
 			t.Fatalf("%v: rebuild oracle returned %v, want ErrPositiveCycle", kind, err)
 		}
@@ -108,6 +116,22 @@ func TestRunOptimalKeepsErrors(t *testing.T) {
 		if n := eng.Stats().ScratchLeased; n != 0 {
 			t.Errorf("%v: %d scratches still leased after the error", kind, n)
 		}
+	}
+	settled := Task{Kind: Early, X: 1, A: 2, B: 3, C: 1, GoTime: 1}
+	if _, err := settled.rebuildOptimal(r); !errors.Is(err, graph.ErrPositiveCycle) {
+		t.Fatalf("settled Early: rebuild oracle returned %v, want ErrPositiveCycle", err)
+	}
+	eng := bounds.NewNetworkEngine(r.Net())
+	out, err := settled.runOptimal(r, eng)
+	if err != nil {
+		t.Fatalf("settled Early: RunOptimal returned %v, want a never-acting outcome", err)
+	}
+	if out.Acted || out.NodesExamined != r.LastIndex(settled.B) {
+		t.Errorf("settled Early: acted=%v after %d states, want never acting after %d",
+			out.Acted, out.NodesExamined, r.LastIndex(settled.B))
+	}
+	if n := eng.Stats().ScratchLeased; n != 0 {
+		t.Errorf("settled Early: %d scratches still leased", n)
 	}
 
 	// Acting and never-acting runs release the handle too.

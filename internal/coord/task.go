@@ -118,6 +118,34 @@ func (t Task) Wire(r *run.Run) (*Wiring, error) {
 	return &Wiring{SigmaC: sigmaC, ANode: aNode, ABasic: aBasic, ATime: aTime}, nil
 }
 
+// Settled reports whether B's decision is settled at a state sigma whose
+// view is v: the task is Early with X >= 1 and a's chain node aNode (C's go
+// node followed by its hop to A) already resolves inside v. Then aNode
+// happens before sigma, so t(aNode) <= t(sigma) <= t(sigma') at this and
+// every later state sigma' of B, and the precedence sigma' --X--> aNode
+// fails in the actual run; by the soundness of knowledge (Theorem 4) no
+// such state knows it, and Protocol 2 never acts. The conclusion holds for
+// the knowledge engines even on a run that breaks its bounds: GE(r,
+// sigma') contains the causal chain aNode -> sigma' at weight >= 0, so a
+// knowledge weight kw >= 1 for sigma' -> aNode would close a positive
+// cycle. Both deciders, RunOptimal and live.Protocol2, stop querying at
+// the first state where Settled holds. It resolves aNode hop by hop
+// through the view's deliveries and does not allocate.
+func (t Task) Settled(v *run.View, aNode run.GeneralNode) bool {
+	if t.Kind != Early || t.X < 1 || !v.Contains(aNode.Base) {
+		return false
+	}
+	cur := aNode.Base
+	for _, p := range aNode.Path[1:] {
+		next, ok := v.DeliveryTo(cur, p)
+		if !ok {
+			return false
+		}
+		cur = next
+	}
+	return true
+}
+
 // AuditAct checks, after the fact, that performing b at actTime satisfied
 // the task specification on the (possibly fault-injected) run that actually
 // happened. It is the safety oracle of the chaos sweeps: an agent whose

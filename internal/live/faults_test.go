@@ -2,6 +2,7 @@ package live_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"github.com/clockless/zigzag/internal/faults"
 	"github.com/clockless/zigzag/internal/live"
 	"github.com/clockless/zigzag/internal/model"
+	"github.com/clockless/zigzag/internal/run"
 	"github.com/clockless/zigzag/internal/scenario"
 	"github.com/clockless/zigzag/internal/sim"
 	"github.com/clockless/zigzag/internal/sweep"
@@ -214,5 +216,109 @@ func TestFaultedEnginesAgree(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// watchedAgent wraps a Protocol2 agent and records what the driver does to
+// it once it is Finished: the state and counters it finished with, and any
+// OnState or Degrade call after that.
+type watchedAgent struct {
+	*live.Protocol2
+	finished     bool
+	acted        bool
+	settled      bool
+	view         *run.View
+	origin       run.BasicNode
+	stats        bounds.EngineStats
+	statesAfter  int
+	degradeAfter int
+}
+
+func (w *watchedAgent) OnState(v *run.View, ext []string) []string {
+	if w.finished {
+		w.statesAfter++
+	}
+	acts := w.Protocol2.OnState(v, ext)
+	if !w.finished && w.Protocol2.Finished() {
+		w.finished, w.acted = true, len(acts) > 0
+		w.settled = !w.acted && !w.Degraded() && w.Err() == nil
+		w.view, w.origin, w.stats = v, v.Origin(), w.Protocol2.Stats()
+	}
+	return acts
+}
+
+func (w *watchedAgent) Degrade(reason error) {
+	if w.finished {
+		w.degradeAfter++
+	}
+	w.Protocol2.Degrade(reason)
+}
+
+// TestFinishedAgentsLeaveTheDriver pins what Replay does with a Finished
+// agent on the faulted coord-m4 family (Late and Early agents, shared
+// engine): from the state where the agent acts or settles on, its view no
+// longer advances, OnState is no longer called and its query counters
+// freeze, yet Degrade still reaches it on later degraded batches, so every
+// agent the environment reports degraded is Degraded.
+func TestFinishedAgentsLeaveTheDriver(t *testing.T) {
+	var acted, settled, degradedAfter, skipped int
+	for _, fam := range faults.Families() {
+		sc := scenario.MultiAgentFaulty(4, fam)
+		eng := bounds.NewNetworkEngine(sc.Net)
+		for seed := int64(1); seed <= 4; seed++ {
+			tasks := sc.TaskList()
+			agents, _ := live.NewTaskAgents(tasks)
+			watched := make([]*watchedAgent, len(agents))
+			agentMap := make(map[model.ProcID]live.Agent, len(agents))
+			for i, a := range agents {
+				watched[i] = &watchedAgent{Protocol2: a}
+				agentMap[tasks[i].B] = watched[i]
+			}
+			cfg, _ := faultedConfig(t, sc, sim.NewRandom(seed), seed, agentMap)
+			cfg.Engine = eng
+			out, err := live.Replay(cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", sc.Name, seed, err)
+			}
+			degraded := make(map[model.ProcID]bool, len(out.Degraded))
+			for _, p := range out.Degraded {
+				degraded[p] = true
+			}
+			for i, w := range watched {
+				tag := fmt.Sprintf("%s seed %d agent %s", sc.Name, seed, live.TaskLabel(i))
+				if degraded[tasks[i].B] && !w.Degraded() {
+					t.Fatalf("%s: the environment degraded the agent, yet it is not Degraded", tag)
+				}
+				if !w.finished {
+					continue
+				}
+				if w.statesAfter != 0 {
+					t.Fatalf("%s: OnState called %d times after the agent finished", tag, w.statesAfter)
+				}
+				if got := w.view.Origin(); got != w.origin {
+					t.Fatalf("%s: view moved from %v to %v after the agent finished", tag, w.origin, got)
+				}
+				if got := w.Stats(); got != w.stats {
+					t.Fatalf("%s: counters moved after the agent finished:\n%+v\n%+v", tag, w.stats, got)
+				}
+				if w.origin.Index < out.Run.LastIndex(tasks[i].B) {
+					skipped++
+				}
+				if w.acted {
+					acted++
+				}
+				if w.settled {
+					settled++
+				}
+				if (w.acted || w.settled) && w.degradeAfter > 0 {
+					degradedAfter++
+				}
+			}
+		}
+	}
+	t.Logf("%d acted, %d settled, %d degraded after finishing, %d with states left", acted, settled, degradedAfter, skipped)
+	if acted == 0 || settled == 0 || degradedAfter == 0 || skipped == 0 {
+		t.Fatalf("coverage: %d acted, %d settled, %d degraded after finishing, %d with states left; want each > 0",
+			acted, settled, degradedAfter, skipped)
 	}
 }

@@ -30,7 +30,10 @@ import (
 // current view (structure only — no times) and the external labels absorbed
 // in the creating batch. The externals slice is reused between batches;
 // agents must not retain it. The returned labels are recorded as actions
-// performed at that state.
+// performed at that state. An agent may also implement the optional
+// SharedUser (take the per-run knowledge engine), Degradable (be told of
+// violated bounds) and Finisher (stop being driven once it will never act
+// again) interfaces.
 type Agent interface {
 	OnState(v *run.View, externals []string) (actions []string)
 }
@@ -62,9 +65,22 @@ type SharedUser interface {
 // dropped, late or discarded message, or a promised delivery verifiably
 // past its deadline — it calls Degrade (before OnState) with the typed
 // reason, a faults.ErrBoundViolation wrap. A degraded agent is expected to withhold further actions; Protocol2 does.
-// Degrade may be called repeatedly as the condition persists.
+// Degrade may be called repeatedly as the condition persists, also once
+// the agent is Finished.
 type Degradable interface {
 	Degrade(reason error)
+}
+
+// Finisher is implemented by agents that can tell when they are done: once
+// Finished reports true it must stay true, and the agent promises never to
+// act again. Replay then stops driving the process: its view no longer
+// advances and OnState is no longer called, so a finished agent costs
+// nothing per state. Degrade still reaches a finished Degradable agent on
+// every degraded batch, so fault reports do not depend on when it
+// finished. Protocol2 is finished once it has acted, settled, decided its
+// whole XGrid, degraded or failed.
+type Finisher interface {
+	Finished() bool
 }
 
 // Config parametrizes a live execution.

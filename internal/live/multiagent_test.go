@@ -106,10 +106,15 @@ func TestProtocol2SharedMultiAgentMatchesOffline(t *testing.T) {
 // identically, agree with the offline optimum for every task, and the
 // shared engine's handles must actually have answered from the reverse
 // cache (otherwise this differential would silently pin the forward
-// path twice).
+// path twice). The thresholds are x = 0: with x >= 1 an agent settles
+// once a's node enters its past and stops querying (coord.Task.Settled),
+// which on these runs leaves the reverse cache idle.
 func TestProtocol2EarlyMultiAgentMatchesOffline(t *testing.T) {
 	for _, m := range []int{2, 4, 16} {
 		sc := scenario.MultiAgentEarly(m)
+		for i := range sc.Tasks {
+			sc.Tasks[i].X = 0
+		}
 		seed := int64(29 + m)
 		sharedRes, sharedAgents := runMultiAgent(t, sc, bounds.NewNetworkEngine(sc.Net), seed)
 		onlineRes, _ := runMultiAgent(t, sc, nil, seed)

@@ -3,6 +3,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/clockless/zigzag/internal/bounds"
 	"github.com/clockless/zigzag/internal/coord"
@@ -20,7 +21,9 @@ var errDifferentView = errors.New("live: Protocol2 observed a different view tha
 // online at B's process. At every new local state it looks for C's go node
 // in its view, consults the extended bounds graph of the view (structure
 // only — the agent cannot read any clock), and performs b the first time
-// the required precedence is known. It is the live counterpart of
+// the required precedence is known. At the first state where its decision
+// is settled (coord.Task.Settled: an Early task whose target is already in
+// its past) it stops querying for good. It is the live counterpart of
 // (coord.Task).RunOptimal, and the two must agree exactly.
 //
 // The agent always queries through a bounds.Handle, which maintains the
@@ -58,6 +61,7 @@ type Protocol2 struct {
 	XGrid []int
 
 	acted    bool
+	settled  bool
 	err      error
 	degraded bool
 	reason   error
@@ -117,6 +121,22 @@ func (p *Protocol2) UseShared(s *bounds.Shared) {
 	}
 }
 
+// Finished implements Finisher: the agent will never query or act again
+// once it has acted, settled (coord.Task.Settled: its task can never become
+// known), decided its whole XGrid, degraded or failed.
+func (p *Protocol2) Finished() bool {
+	return p.acted || p.settled || p.degraded || p.err != nil ||
+		(p.xDecided != nil && p.xLeft == 0)
+}
+
+// release returns the handle's leased scratch to the engine pool for later
+// subscribers once the agent will never query again.
+func (p *Protocol2) release() {
+	if p.handle != nil {
+		p.handle.Release()
+	}
+}
+
 // Err reports the first internal error the agent encountered (knowledge
 // queries are total on well-formed views, so this is nil in practice).
 func (p *Protocol2) Err() error { return p.err }
@@ -134,9 +154,7 @@ func (p *Protocol2) Degrade(reason error) {
 		p.degraded = true
 		p.reason = reason
 	}
-	if p.handle != nil {
-		p.handle.Release()
-	}
+	p.release()
 }
 
 // Degraded reports whether the agent has withheld its action after a
@@ -214,11 +232,7 @@ func (p *Protocol2) noteQueryErr(err error) {
 
 // OnState implements Agent.
 func (p *Protocol2) OnState(v *run.View, _ []string) []string {
-	done := p.acted
-	if len(p.XGrid) > 0 {
-		done = p.xDecided != nil && p.xLeft == 0
-	}
-	if done || p.err != nil || p.degraded {
+	if p.Finished() {
 		return nil
 	}
 	if !p.goFound {
@@ -245,6 +259,11 @@ func (p *Protocol2) OnState(v *run.View, _ []string) []string {
 	if len(p.XGrid) > 0 {
 		return p.onStateGrid(v, theta1, theta2)
 	}
+	if p.Task.Settled(v, p.aNode) {
+		p.settled = true
+		p.release()
+		return nil
+	}
 	eng, err := p.engineFor(v)
 	var knows bool
 	if err == nil {
@@ -258,11 +277,7 @@ func (p *Protocol2) OnState(v *run.View, _ []string) []string {
 		return nil
 	}
 	p.acted = true
-	if p.handle != nil {
-		// The agent never queries again: return the leased scratch to the
-		// engine pool for later subscribers.
-		p.handle.Release()
-	}
+	p.release()
 	if p.ActLabel == "" {
 		return []string{"b"}
 	}
@@ -273,12 +288,18 @@ func (p *Protocol2) OnState(v *run.View, _ []string) []string {
 // every grid threshold compared against it, newly satisfied thresholds
 // stamped with this state. The agent acts for no threshold — the decision
 // trajectory IS the deliverable — and keeps querying until the whole grid is
-// decided (or the run ends with part of it open).
+// decided or every open threshold is settled, or until the run ends with
+// part of it open.
 func (p *Protocol2) onStateGrid(v *run.View, theta1, theta2 run.GeneralNode) []string {
 	if p.xDecided == nil {
 		p.xDecided = make([]XDecision, len(p.XGrid))
 		p.holds = make([]bool, len(p.XGrid))
 		p.xLeft = len(p.XGrid)
+	}
+	if p.gridSettled(v) {
+		p.settled = true
+		p.release()
+		return nil
 	}
 	eng, err := p.engineFor(v)
 	if err == nil {
@@ -295,8 +316,22 @@ func (p *Protocol2) onStateGrid(v *run.View, theta1, theta2 run.GeneralNode) []s
 			p.xLeft--
 		}
 	}
-	if p.xLeft == 0 && p.handle != nil {
-		p.handle.Release()
+	if p.xLeft == 0 {
+		p.release()
 	}
 	return nil
+}
+
+// gridSettled reports whether every undecided threshold of the grid is
+// settled at this state: Task.Settled holds for the lowest of them, and so
+// for every higher one.
+func (p *Protocol2) gridSettled(v *run.View) bool {
+	task := p.Task
+	task.X = math.MaxInt
+	for i, x := range p.XGrid {
+		if !p.xDecided[i].Decided && x < task.X {
+			task.X = x
+		}
+	}
+	return task.Settled(v, p.aNode)
 }

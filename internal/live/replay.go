@@ -14,18 +14,21 @@ import (
 // stepper records, one state per batch, and calls the agent at each. A
 // view reads the recorded run, so a message's full-information payload is
 // just its sender node: every latency is at least 1 and batches are driven
-// in tick order, so the run already holds the sender's causal past.
+// in tick order, so the run already holds the sender's causal past. A
+// Finished agent is no longer driven (see Finisher).
 type driver struct {
 	r      *run.Run
 	inj    *faults.Injector
 	views  []*run.View // nil for processes without an agent
 	agents []Agent
+	fins   []Finisher // nil for agents that do not implement Finisher
 	res    *Result
 }
 
 func newDriver(cfg Config, r *run.Run, inj *faults.Injector, res *Result) (*driver, error) {
 	n := cfg.Net.N()
-	d := &driver{r: r, inj: inj, views: make([]*run.View, n), agents: make([]Agent, n), res: res}
+	d := &driver{r: r, inj: inj, views: make([]*run.View, n), agents: make([]Agent, n),
+		fins: make([]Finisher, n), res: res}
 	for _, p := range cfg.Net.Procs() {
 		agent := cfg.Agents[p]
 		if agent == nil {
@@ -36,6 +39,7 @@ func newDriver(cfg Config, r *run.Run, inj *faults.Injector, res *Result) (*driv
 			return nil, err
 		}
 		d.views[p-1], d.agents[p-1] = v, agent
+		d.fins[p-1], _ = agent.(Finisher)
 	}
 	return d, nil
 }
@@ -49,6 +53,10 @@ func (d *driver) drive(batches []sim.Batch) error {
 		if agent == nil {
 			continue
 		}
+		if fin := d.fins[b.Proc-1]; fin != nil && fin.Finished() {
+			d.degrade(agent, b)
+			continue
+		}
 		view := d.views[b.Proc-1]
 		node, err := view.Advance(d.r)
 		if err != nil {
@@ -58,16 +66,23 @@ func (d *driver) drive(batches []sim.Batch) error {
 			return fmt.Errorf("live: stepper recorded state %v for process %d, view moved to %v",
 				b.Node, b.Proc, node)
 		}
-		if b.Degraded {
-			if dg, ok := agent.(Degradable); ok {
-				dg.Degrade(d.inj.DegradeReason(b.Proc, b.Time))
-			}
-		}
+		d.degrade(agent, b)
 		for _, label := range agent.OnState(view, b.Externals) {
 			d.res.Actions = append(d.res.Actions, Action{Proc: b.Proc, Node: node, Time: b.Time, Label: label})
 		}
 	}
 	return nil
+}
+
+// degrade passes the injector's reason to a Degradable agent whose batch
+// lies at or past its taint frontier.
+func (d *driver) degrade(agent Agent, b *sim.Batch) {
+	if !b.Degraded {
+		return
+	}
+	if dg, ok := agent.(Degradable); ok {
+		dg.Degrade(d.inj.DegradeReason(b.Proc, b.Time))
+	}
 }
 
 // Replay executes the configuration in a single goroutine: sim.Stepper

@@ -14,12 +14,18 @@ import (
 // execution of coord-early-m4 under the random policy on a fresh engine,
 // with one agent on a KnowsAt threshold grid: for every handle-level
 // counter the agents' Stats sum to the engine total, and the engine's
-// replay batches are the execution's.
+// replay batches are the execution's. The thresholds are x = 0: an Early
+// agent with x >= 1 settles once a's node enters its past and stops
+// querying (coord.Task.Settled), which on this run leaves the reverse
+// cache idle.
 func TestCounterConservation(t *testing.T) {
 	sc := scenario.MultiAgentEarly(4)
 	eng := bounds.NewNetworkEngine(sc.Net)
+	for i := range sc.Tasks {
+		sc.Tasks[i].X = 0
+	}
 	agents, agentMap := NewTaskAgents(sc.Tasks)
-	agents[0].XGrid = []int{sc.Tasks[0].X, sc.Tasks[0].X + 1}
+	agents[0].XGrid = []int{0, 1}
 	res, err := Replay(Config{
 		Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewRandom(3),
 		Externals: sc.Externals, Agents: agentMap, Engine: eng,

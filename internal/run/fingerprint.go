@@ -78,8 +78,23 @@ func fpFinish(h uint64) uint64 {
 
 // Fingerprint returns the run's content hash: the network fingerprint, the
 // horizon, every delivery and then every external input in tick order (the
-// orders Deliveries and Externals return). It is computed once, by
-// Recorder.Finish; byte-identical recordings — a live execution and
-// sim.Simulate of the same configuration, or a Builder fed the same events
-// in any order — agree on it. It is never zero.
-func (r *Run) Fingerprint() uint64 { return r.fingerprint }
+// orders Deliveries and Externals return). It is computed on the first
+// call, which must come after Recorder.Finish, and is safe for concurrent
+// callers; byte-identical recordings — a live execution and sim.Simulate of
+// the same configuration, or a Builder fed the same events in any order —
+// agree on it. The hash reads the tick-ordered tables, which depend on the
+// batches alone, not on how a producer ordered its events. It is never
+// zero.
+func (r *Run) Fingerprint() uint64 {
+	r.fpOnce.Do(func() {
+		h := fpMix(fpSeed(r.net), uint64(r.horizon))
+		for _, d := range r.deliveries {
+			h = fpDelivery(h, d)
+		}
+		for _, e := range r.externals {
+			h = fpExternal(h, e)
+		}
+		r.fingerprint = fpFinish(h)
+	})
+	return r.fingerprint
+}

@@ -67,7 +67,7 @@ func NewRecorder(net *model.Network, horizon model.Time) (*Recorder, error) {
 func (rc *Recorder) Tolerate() { rc.tolerant = true }
 
 // Run returns the run being recorded. It holds every batch appended so
-// far; its pending messages and fingerprint are set by Finish.
+// far; its pending messages are set by Finish.
 func (rc *Recorder) Run() *Run { return rc.r }
 
 // Append records the receive batch that moves process p to its next state
@@ -205,9 +205,9 @@ func (rc *Recorder) claim(a Arrival, p model.ProcID, t model.Time) error {
 	return nil
 }
 
-// Finish derives the messages still in transit at the horizon, computes
-// the fingerprint and returns the finished run. The recorder accepts no
-// batch afterwards (ErrOutOfOrder).
+// Finish derives the messages still in transit at the horizon and returns
+// the finished run; its fingerprint is computed on first use. The recorder
+// accepts no batch afterwards (ErrOutOfOrder).
 func (rc *Recorder) Finish() *Run {
 	r := rc.r
 	rc.t, rc.p = r.horizon+1, 0
@@ -236,15 +236,5 @@ func (rc *Recorder) Finish() *Run {
 		}
 		return a.To < b.To
 	})
-	// The fingerprint hashes the tick-ordered tables, which depend on the
-	// batches alone, not on how a producer ordered its events.
-	h := fpMix(fpSeed(r.net), uint64(r.horizon))
-	for _, d := range r.deliveries {
-		h = fpDelivery(h, d)
-	}
-	for _, e := range r.externals {
-		h = fpExternal(h, e)
-	}
-	r.fingerprint = fpFinish(h)
 	return r
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"github.com/clockless/zigzag/internal/model"
 )
@@ -100,7 +101,9 @@ type Run struct {
 
 	pending []Pending
 
-	// fingerprint is the content hash of the recording (see Fingerprint).
+	// fingerprint is the content hash of the recording, computed once by
+	// the first Fingerprint call.
+	fpOnce      sync.Once
 	fingerprint uint64
 }
 

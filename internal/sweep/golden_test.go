@@ -18,10 +18,12 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // exports: coord-m2 and coord-early-m2 (Late and Early agents, so both the
 // forward and the reverse caches serve) across a 2-point x axis (batched
 // executions with x-fanout) under eager (standing-prefix traffic) and random
-// (seeded schedules), one seed.
+// (seeded schedules), one seed. The axis includes x = -2, where the Early
+// agents query and act: with x >= 1 they settle as soon as a's node enters
+// their past (coord.Task.Settled) and the reverse cache stays idle.
 func goldenGrid(t *testing.T) Grid {
 	t.Helper()
-	scs, err := Axes{Xs: []int{1, 3}, MaxCoordM: 2}.Scenarios()
+	scs, err := Axes{Xs: []int{-2, 3}, MaxCoordM: 2}.Scenarios()
 	if err != nil {
 		t.Fatal(err)
 	}
