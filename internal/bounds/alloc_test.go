@@ -89,7 +89,7 @@ func unmodeledReceipt(t *testing.T, net *model.Network) *run.View {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rec.Append(2, 2, []run.Arrival{{From: from, Send: 1}}, nil); !errors.Is(err, run.ErrChannelMissing) {
+	if _, err := rec.Append(2, 2, []run.Arrival{{From: from, Send: 1, Chan: net.ChanIDOf(3, 2)}}, nil); !errors.Is(err, run.ErrChannelMissing) {
 		t.Fatalf("receipt over 3->2: %v, want run.ErrChannelMissing", err)
 	}
 	if _, err := receiver.Advance(rec.Run()); !errors.Is(err, run.ErrNoNode) {

@@ -119,6 +119,43 @@ func TestFaultedModesAgree(t *testing.T) {
 	}
 }
 
+// TestDegradedListsEveryDegradedAgent pins Result.Degraded to the agents'
+// own reports on the chaos family under all four sweep policies: a process
+// is listed exactly when its agent is Degraded, whether the injector's
+// taint frontier degraded it or it degraded itself by refuting a bound.
+func TestDegradedListsEveryDegradedAgent(t *testing.T) {
+	listed := 0
+	for _, sc := range scenario.FaultyFamily() {
+		for _, spec := range sweep.DefaultPolicies() {
+			for seed := int64(1); seed <= 4; seed++ {
+				tasks := sc.TaskList()
+				agents, agentMap := live.NewTaskAgents(tasks)
+				cfg, _ := faultedConfig(t, sc, spec.New(seed), seed, agentMap)
+				out, err := live.Replay(cfg)
+				if err != nil {
+					t.Fatalf("%s/%s seed %d: %v", sc.Name, spec.Name, seed, err)
+				}
+				var want []model.ProcID
+				for _, p := range sc.Net.Procs() {
+					for i, a := range agents {
+						if tasks[i].B == p && a.Degraded() {
+							want = append(want, p)
+						}
+					}
+				}
+				if !reflect.DeepEqual(out.Degraded, want) {
+					t.Fatalf("%s/%s seed %d: Result.Degraded %v, degraded agents at %v",
+						sc.Name, spec.Name, seed, out.Degraded, want)
+				}
+				listed += len(want)
+			}
+		}
+	}
+	if listed == 0 {
+		t.Fatal("no agent degraded anywhere in the chaos family")
+	}
+}
+
 // TestFaultedNoEarlyActs is the chaos safety invariant: across every
 // coord-faulty scenario, plan family, policy and seed, every action any
 // agent performed satisfies its task specification on the faulted run that

@@ -66,9 +66,14 @@ type SharedUser interface {
 // past its deadline — it calls Degrade (before OnState) with the typed
 // reason, a faults.ErrBoundViolation wrap. A degraded agent is expected to withhold further actions; Protocol2 does.
 // Degrade may be called repeatedly as the condition persists, also once
-// the agent is Finished.
+// the agent is Finished, and once more after the last tick for an agent
+// whose process ended the run behind the frontier untold. Degraded reports whether the agent has degraded,
+// told by Degrade or on its own (Protocol2 degrades itself when its
+// knowledge graph refutes a channel bound); Replay lists such agents in
+// Result.Degraded.
 type Degradable interface {
 	Degrade(reason error)
+	Degraded() bool
 }
 
 // Finisher is implemented by agents that can tell when they are done: once
@@ -140,7 +145,8 @@ type Result struct {
 	Violations []*faults.Violation
 	// Degraded lists the agent-bearing processes that ended the run
 	// degraded — withholding actions because their knowledge may rest on a
-	// violated bound — in id order (Config.Faults only).
+	// violated bound — in id order: those behind the fault injector's taint
+	// frontier and those whose Degradable agent reports Degraded.
 	Degraded []model.ProcID
 	// Crashed lists the processes the plan halted within the horizon, in id
 	// order (Config.Faults only).

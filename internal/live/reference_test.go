@@ -111,18 +111,29 @@ func refExecute(cfg Config) (*Result, error) {
 				if inFlight[at] == nil {
 					inFlight[at] = make(map[model.ProcID][]run.Arrival)
 				}
-				inFlight[at][a.To] = append(inFlight[at][a.To], run.Arrival{From: node, Send: t})
+				inFlight[at][a.To] = append(inFlight[at][a.To], run.Arrival{From: node, Send: t, Chan: a.ID})
 			}
 		}
 	}
 	res.Run = rec.Finish()
+	tainted := map[model.ProcID]bool{}
 	if inj != nil {
 		rep := inj.Report()
 		res.Violations, res.Crashed = rep.Violations, rep.Crashed
 		for _, p := range rep.Degraded {
-			if cfg.Agents[p] != nil {
-				res.Degraded = append(res.Degraded, p)
+			tainted[p] = true
+			if dg, ok := cfg.Agents[p].(Degradable); ok && !dg.Degraded() {
+				dg.Degrade(inj.DegradeReason(p, cfg.Horizon))
 			}
+		}
+	}
+	for _, p := range net.Procs() {
+		agent := cfg.Agents[p]
+		if agent == nil {
+			continue
+		}
+		if dg, ok := agent.(Degradable); tainted[p] || ok && dg.Degraded() {
+			res.Degraded = append(res.Degraded, p)
 		}
 	}
 	return res, nil

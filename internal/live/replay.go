@@ -162,16 +162,29 @@ func Replay(cfg Config) (*Result, error) {
 		shared.CommitPrefix()
 		cfg.Engine.Note(bounds.EngineStats{ReplayBatches: int64(res.ReplayBatches)})
 	}
+	tainted := make([]bool, cfg.Net.N()+1)
 	if inj := stp.Injector(); inj != nil {
 		rep := inj.Report()
 		res.Violations, res.Crashed = rep.Violations, rep.Crashed
-		// Result.Degraded is about withheld actions, so restrict the
-		// injector's process-level frontier (already in id order) to the
-		// agent-bearing processes.
 		for _, p := range rep.Degraded {
-			if cfg.Agents[p] != nil {
-				res.Degraded = append(res.Degraded, p)
+			tainted[p] = true
+			// A process can fall behind the frontier after its last batch
+			// (a promised delivery that never came): tell its agent now.
+			if dg, ok := cfg.Agents[p].(Degradable); ok && !dg.Degraded() {
+				dg.Degrade(inj.DegradeReason(p, cfg.Horizon))
 			}
+		}
+	}
+	// Result.Degraded is about withheld actions: the agent-bearing
+	// processes behind the injector's taint frontier, and those whose
+	// agent degraded itself by refuting a bound.
+	for _, p := range cfg.Net.Procs() {
+		agent := cfg.Agents[p]
+		if agent == nil {
+			continue
+		}
+		if dg, ok := agent.(Degradable); tainted[p] || ok && dg.Degraded() {
+			res.Degraded = append(res.Degraded, p)
 		}
 	}
 	return res, nil

@@ -339,6 +339,12 @@ func (net *Network) OutArcs(p ProcID) []Arc {
 	return net.arcs[net.outOff[p-1]:net.outOff[p]]
 }
 
+// OutBase returns the id of process p's first out-arc: p's out-arcs carry
+// the consecutive ids OutBase(p), OutBase(p)+1, ..., so an out-arc's rank
+// among them is its id minus OutBase(p). p must be a process of the
+// network.
+func (net *Network) OutBase(p ProcID) ChanID { return ChanID(net.outOff[p-1]) }
+
 // InIDs returns the ids of process p's incoming channels, sorted by source.
 // The returned slice is shared; callers must not mutate it.
 func (net *Network) InIDs(p ProcID) []ChanID {

@@ -94,7 +94,7 @@ func (bl *Builder) Build() (*Run, error) {
 		return nil, err
 	}
 	rc.tolerant = bl.tolerant
-	rc.r.deliveries = make([]Delivery, 0, len(bl.messages))
+	rc.r.deliveries = make([]delivery, 0, len(bl.messages))
 	msgs := append([]MessageEvent(nil), bl.messages...)
 	sort.Slice(msgs, func(i, j int) bool {
 		a, b := msgs[i], msgs[j]
@@ -131,7 +131,10 @@ func (bl *Builder) Build() (*Run, error) {
 		arrivals, labels = arrivals[:0], labels[:0]
 		for ; len(msgs) > 0 && msgs[0].RecvTime == t && msgs[0].ToProc == p; msgs = msgs[1:] {
 			ev := msgs[0]
-			arrivals = append(arrivals, Arrival{From: r.nodeAtExactly(ev.FromProc, ev.SendTime), Send: ev.SendTime})
+			arrivals = append(arrivals, Arrival{
+				From: r.nodeAtExactly(ev.FromProc, ev.SendTime), Send: ev.SendTime,
+				Chan: bl.net.ChanIDOf(ev.FromProc, ev.ToProc),
+			})
 		}
 		for ; len(exts) > 0 && exts[0].Time == t && exts[0].Proc == p; exts = exts[1:] {
 			labels = append(labels, exts[0].Label)

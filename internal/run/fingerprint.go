@@ -89,7 +89,7 @@ func (r *Run) Fingerprint() uint64 {
 	r.fpOnce.Do(func() {
 		h := fpMix(fpSeed(r.net), uint64(r.horizon))
 		for _, d := range r.deliveries {
-			h = fpDelivery(h, d)
+			h = fpDelivery(h, r.expand(d))
 		}
 		for _, e := range r.externals {
 			h = fpExternal(h, e)

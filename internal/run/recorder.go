@@ -7,11 +7,18 @@ import (
 	"github.com/clockless/zigzag/internal/model"
 )
 
-// Arrival is one message of a receive batch: the node that sent it and its
-// send time.
+// Arrival is one message of a receive batch: the node that sent it, its
+// send time and its channel.
 type Arrival struct {
 	From BasicNode
 	Send model.Time
+	// Chan is the dense id of the channel the message travelled, from
+	// From.Proc to the batch's process: the producer knows it (the
+	// stepper's flood reads it off the out-arc, Builder resolves it with
+	// ChanIDOf), and Append checks it in O(1) instead of searching for it.
+	// model.NoChan, an out-of-range id or another channel's id fails with
+	// ErrChannelMissing.
+	Chan model.ChanID
 }
 
 // Recorder writes a Run one receive batch at a time, in tick order: the
@@ -48,7 +55,7 @@ func NewRecorder(net *model.Network, horizon model.Time) (*Recorder, error) {
 		net:        net,
 		horizon:    horizon,
 		nodes:      make([][]nodeRec, n),
-		deliveries: make([]Delivery, 0, net.NumChannels()),
+		deliveries: make([]delivery, 0, net.NumChannels()),
 	}
 	backing := make([]nodeRec, n*c)
 	for i := range r.nodes {
@@ -74,7 +81,7 @@ func (rc *Recorder) Run() *Run { return rc.r }
 // at tick t: one delivery per arrival and one external per label. It
 // returns the node the batch creates. It fails if the batch breaks tick
 // order (ErrOutOfOrder), lies outside [1, horizon] (ErrOutsideHorizon),
-// is empty (ErrOrphanNode), or if an arrival travels a missing channel
+// is empty (ErrOrphanNode), or if an arrival's Chan is not its channel
 // (ErrChannelMissing), leaves an initial node (ErrInitialSend), breaks its
 // channel's latency window (ErrBadDelivery), does not come from the
 // sender's node at its send time (ErrNoNode) or repeats a message already
@@ -97,7 +104,7 @@ func (rc *Recorder) Append(p model.ProcID, t model.Time, arrivals []Arrival, lab
 	for i, a := range arrivals {
 		if err := rc.claim(a, p, t); err != nil {
 			for _, b := range arrivals[:i] {
-				*r.sentAt(b.From, r.net.ChanIDOf(b.From.Proc, p)) = -1
+				*r.sentAt(b.From, b.Chan) = -1
 			}
 			return BasicNode{}, fmt.Errorf("receipt at %s@%d: %w", next, t, err)
 		}
@@ -113,18 +120,18 @@ func (rc *Recorder) Append(p model.ProcID, t model.Time, arrivals []Arrival, lab
 	rec.in.lo = int32(len(r.deliveries))
 	for _, a := range arrivals {
 		// Insert in sender order, the order of every inbox span.
-		d := Delivery{From: a.From, To: next, SendTime: a.Send, RecvTime: t, Chan: r.net.ChanIDOf(a.From.Proc, p)}
+		d := delivery{fromProc: int32(a.From.Proc), fromIndex: int32(a.From.Index), toIndex: int32(next.Index), ch: a.Chan}
 		i := len(r.deliveries)
 		r.deliveries = append(r.deliveries, d)
-		for ; i > int(rec.in.lo) && senderLess(d.From, r.deliveries[i-1].From); i-- {
+		for ; i > int(rec.in.lo) && senderLess(d, r.deliveries[i-1]); i-- {
 			r.deliveries[i] = r.deliveries[i-1]
 		}
 		r.deliveries[i] = d
 	}
 	rec.in.hi = int32(len(r.deliveries))
 	for i := rec.in.lo; i < rec.in.hi; i++ {
-		d := &r.deliveries[i]
-		*r.sentAt(d.From, d.Chan) = i
+		d := r.deliveries[i]
+		*r.sentAt(d.sender(), d.ch) = i
 	}
 
 	rec.ext.lo = int32(len(r.externals))
@@ -174,18 +181,19 @@ func reserve[T any](s []T, extra int, t, horizon model.Time, bound int) []T {
 	return ns
 }
 
-// senderLess orders the senders of one inbox by process, then index.
-func senderLess(a, b BasicNode) bool {
-	return a.Proc < b.Proc || a.Proc == b.Proc && a.Index < b.Index
+// senderLess orders the deliveries of one inbox by sender process, then
+// sender index.
+func senderLess(a, b delivery) bool {
+	return a.fromProc < b.fromProc || a.fromProc == b.fromProc && a.fromIndex < b.fromIndex
 }
 
 // claim checks one arrival of a batch for process p at tick t and marks
 // its message delivered.
 func (rc *Recorder) claim(a Arrival, p model.ProcID, t model.Time) error {
 	r := rc.r
-	ch := r.net.ChanIDOf(a.From.Proc, p)
-	if ch == model.NoChan {
-		return fmt.Errorf("%w: %d->%d", ErrChannelMissing, a.From.Proc, p)
+	ch := a.Chan
+	if ch < 0 || int(ch) >= r.net.NumChannels() || r.net.ChannelOf(ch) != (model.Channel{From: a.From.Proc, To: p}) {
+		return fmt.Errorf("%w: %d->%d on channel id %d", ErrChannelMissing, a.From.Proc, p, ch)
 	}
 	if a.Send == 0 || a.From.IsInitial() {
 		return fmt.Errorf("%w: send at time %d by %s", ErrInitialSend, a.Send, a.From)

@@ -19,6 +19,9 @@ import (
 // consumers on per-delivery hot paths use it for O(1) bounds lookups via
 // (*model.Network).BoundsOf. Hand-rolled zero-valued literals leave it
 // meaningless.
+//
+// A Run does not store Deliveries: it keeps the compact record delivery
+// and expands it on the way out (Deliveries, Inbox, DeliveryFrom).
 type Delivery struct {
 	From     BasicNode
 	To       BasicNode
@@ -60,6 +63,23 @@ type Pending struct {
 	Chan     model.ChanID
 }
 
+// delivery is a Run's 16-byte record of one message delivery. A message
+// is identified by its sender node and its channel, so the record keeps
+// just those and the receiver's index: the receiver's process is the
+// channel's head, and the send and receive times are the times of the two
+// endpoint nodes, which Recorder.Append checks them against.
+type delivery struct {
+	fromProc  int32
+	fromIndex int32
+	toIndex   int32
+	ch        model.ChanID
+}
+
+// sender returns the node that sent the message.
+func (d delivery) sender() BasicNode {
+	return BasicNode{Proc: model.ProcID(d.fromProc), Index: int(d.fromIndex)}
+}
+
 // span is a half-open range [lo, hi) of indices into one of a Run's event
 // slices; the zero value is the empty span.
 type span struct{ lo, hi int32 }
@@ -88,7 +108,7 @@ type Run struct {
 
 	// deliveries are in tick order: by receive batch (time, then receiving
 	// process), each batch's in sender order, so every inbox is one span.
-	deliveries []Delivery
+	deliveries []delivery
 	// externals are in tick order too, each batch's sorted by label.
 	externals []External
 
@@ -195,9 +215,31 @@ func (r *Run) NodeAt(p model.ProcID, t model.Time) BasicNode {
 }
 
 // Deliveries returns all deliveries in tick order: by receive batch (time,
-// then receiving process), each batch's in sender order. Callers must not
-// mutate the returned slice.
-func (r *Run) Deliveries() []Delivery { return r.deliveries }
+// then receiving process), each batch's in sender order. The slice is
+// freshly expanded from the run's compact table on every call, in O(D) for
+// D deliveries; NumDeliveries counts them without expanding.
+func (r *Run) Deliveries() []Delivery {
+	out := make([]Delivery, len(r.deliveries))
+	for i, d := range r.deliveries {
+		out[i] = r.expand(d)
+	}
+	return out
+}
+
+// NumDeliveries returns the number of recorded deliveries.
+func (r *Run) NumDeliveries() int { return len(r.deliveries) }
+
+// receiverOf returns the node that received the delivery d.
+func (r *Run) receiverOf(d delivery) BasicNode {
+	return BasicNode{Proc: r.net.ChannelOf(d.ch).To, Index: int(d.toIndex)}
+}
+
+// expand returns the full Delivery of a compact record, its times read off
+// its endpoint nodes.
+func (r *Run) expand(d delivery) Delivery {
+	from, to := d.sender(), r.receiverOf(d)
+	return Delivery{From: from, To: to, SendTime: r.node(from).time, RecvTime: r.node(to).time, Chan: d.ch}
+}
 
 // Externals returns all external inputs in tick order, each batch's in
 // label order. Callers must not mutate the returned slice.
@@ -212,7 +254,12 @@ func (r *Run) Inbox(b BasicNode) []Delivery {
 	if !r.Appears(b) {
 		return []Delivery{}
 	}
-	return append([]Delivery{}, r.inboxOf(b)...)
+	in := r.inboxOf(b)
+	out := make([]Delivery, len(in))
+	for i, d := range in {
+		out[i] = r.expand(d)
+	}
+	return out
 }
 
 // ExternalsAt returns the external inputs absorbed by the batch that
@@ -224,7 +271,7 @@ func (r *Run) ExternalsAt(b BasicNode) []External {
 	return append([]External{}, r.externalsOf(b)...)
 }
 
-func (r *Run) inboxOf(b BasicNode) []Delivery {
+func (r *Run) inboxOf(b BasicNode) []delivery {
 	sp := r.node(b).in
 	return r.deliveries[sp.lo:sp.hi]
 }
@@ -237,7 +284,7 @@ func (r *Run) externalsOf(b BasicNode) []External {
 // sentAt returns the slot in sent of the message the appearing non-initial
 // node from sends on its out-arc ch.
 func (r *Run) sentAt(from BasicNode, ch model.ChanID) *int32 {
-	return &r.sent[int(r.node(from).sent)+int(ch-r.net.OutArcs(from.Proc)[0].ID)]
+	return &r.sent[int(r.node(from).sent)+int(ch-r.net.OutBase(from.Proc))]
 }
 
 // receiver returns the node that received the message the appearing
@@ -248,7 +295,7 @@ func (r *Run) receiver(from BasicNode, ch model.ChanID) (BasicNode, bool) {
 	if idx < 0 {
 		return BasicNode{}, false
 	}
-	return r.deliveries[idx].To, true
+	return r.receiverOf(r.deliveries[idx]), true
 }
 
 // DeliveryFrom returns the delivery of the message sent at node from to
@@ -263,7 +310,7 @@ func (r *Run) DeliveryFrom(from BasicNode, to model.ProcID) (Delivery, bool) {
 	if idx < 0 {
 		return Delivery{}, false
 	}
-	return r.deliveries[idx], true
+	return r.expand(r.deliveries[idx]), true
 }
 
 // Resolve computes basic(theta, r) per Definition 4: the basic node reached

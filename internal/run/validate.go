@@ -1,10 +1,6 @@
 package run
 
-import (
-	"fmt"
-
-	"github.com/clockless/zigzag/internal/model"
-)
+import "fmt"
 
 // Validate checks that the recording is the prefix of a legal run of the
 // FFIP in the bounded context:
@@ -59,35 +55,30 @@ func (r *Run) Validate() error {
 		}
 	}
 
-	// 3. Delivery legality. The channel is re-resolved from the endpoint
-	// pair — independently of the recorded dense id, which must agree.
-	for _, d := range r.deliveries {
-		ch := d.Channel()
-		cid := net.ChanIDOf(ch.From, ch.To)
-		if cid == model.NoChan {
-			return fmt.Errorf("%w: %s", ErrChannelMissing, d)
+	// 3. Delivery legality. The record keeps the sender and the channel id;
+	// the channel is re-resolved from the sender and the channel's head —
+	// which must give back the recorded id — and the times are the
+	// endpoint nodes', which must lie within the channel's window.
+	for _, rec := range r.deliveries {
+		from := rec.sender()
+		if rec.ch < 0 || int(rec.ch) >= net.NumChannels() {
+			return fmt.Errorf("%w: %s on channel id %d", ErrChannelMissing, from, rec.ch)
 		}
-		if d.Chan != cid {
-			return fmt.Errorf("%w: %s carries channel id %d, want %d", ErrChannelMissing, d, d.Chan, cid)
+		to := r.receiverOf(rec)
+		if cid := net.ChanIDOf(from.Proc, to.Proc); cid != rec.ch {
+			return fmt.Errorf("%w: %s->%d carries channel id %d, want %d", ErrChannelMissing, from, to.Proc, rec.ch, cid)
 		}
-		bd := net.BoundsOf(cid)
-		if d.From.IsInitial() {
-			return fmt.Errorf("%w: %s", ErrInitialSend, d)
+		if from.IsInitial() {
+			return fmt.Errorf("%w: %s->%d", ErrInitialSend, from, to.Proc)
 		}
-		st, err := r.Time(d.From)
-		if err != nil {
-			return fmt.Errorf("run: delivery %s: %w", d, err)
+		if !r.Appears(from) || !r.Appears(to) {
+			return fmt.Errorf("run: delivery %s -> %s: %w", from, to, ErrNoNode)
 		}
-		if st != d.SendTime {
-			return fmt.Errorf("%w: delivery %s sender node time %d", ErrTimeMismatch, d, st)
+		d := r.expand(rec)
+		if slot := r.sentAt(from, rec.ch); *slot < 0 || r.deliveries[*slot] != rec {
+			return fmt.Errorf("%w: %s", ErrDuplicateSend, d)
 		}
-		rt, err := r.Time(d.To)
-		if err != nil {
-			return fmt.Errorf("run: delivery %s: %w", d, err)
-		}
-		if rt != d.RecvTime {
-			return fmt.Errorf("%w: delivery %s receiver node time %d", ErrTimeMismatch, d, rt)
-		}
+		bd := net.BoundsOf(rec.ch)
 		if lat := d.RecvTime - d.SendTime; lat < bd.Lower || lat > bd.Upper {
 			return fmt.Errorf("%w: %s latency %d outside %s", ErrBadDelivery, d, lat, bd)
 		}

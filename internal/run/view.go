@@ -79,14 +79,14 @@ func (r *Run) raise(members, covered []int, sigma BasicNode, stack []model.ProcI
 		covered[q-1] = hi
 		for k := lo; k <= hi; k++ {
 			for _, d := range r.inboxOf(BasicNode{Proc: q, Index: k}) {
-				f := d.From
-				if f.Index <= members[f.Proc-1] {
+				f, i := d.fromProc-1, int(d.fromIndex)
+				if i <= members[f] {
 					continue
 				}
-				if members[f.Proc-1] == covered[f.Proc-1] {
-					stack = append(stack, f.Proc)
+				if members[f] == covered[f] {
+					stack = append(stack, model.ProcID(d.fromProc))
 				}
-				members[f.Proc-1] = f.Index
+				members[f] = i
 			}
 		}
 	}
@@ -221,7 +221,7 @@ func (v *View) AppendInbox(dst []Delivery, b BasicNode) []Delivery {
 		return dst
 	}
 	for _, d := range v.r.inboxOf(b) {
-		dst = append(dst, Delivery{From: d.From, To: d.To, Chan: d.Chan})
+		dst = append(dst, Delivery{From: d.sender(), To: b, Chan: d.ch})
 	}
 	return dst
 }

@@ -156,7 +156,7 @@ func (g *grower) view(p model.ProcID) *View {
 func (g *grower) append(p model.ProcID, from []BasicNode, labels ...string) (BasicNode, error) {
 	arrivals := make([]Arrival, len(from))
 	for i, f := range from {
-		arrivals[i] = Arrival{From: f, Send: -1}
+		arrivals[i] = Arrival{From: f, Send: -1, Chan: g.rec.Run().Net().ChanIDOf(f.Proc, p)}
 		if g.rec.Run().Appears(f) {
 			arrivals[i].Send = g.rec.Run().MustTime(f)
 		}
@@ -271,11 +271,25 @@ func TestFailedAbsorbLeavesViewUnchanged(t *testing.T) {
 			return err
 		}
 	}
+	// appendOn records a batch of the given arrivals for process 2.
+	appendOn := func(arrivals ...Arrival) func() error {
+		return func() error {
+			_, err := g.rec.Append(2, g.tick+1, arrivals, nil)
+			return err
+		}
+	}
+	// from2 is s2's undelivered message to process 2 claiming channel ch.
+	from2 := func(ch model.ChanID) Arrival { return Arrival{From: s2, Send: r.MustTime(s2), Chan: ch} }
 	cases := []struct {
 		name string
 		call func() error
 		want error
 	}{
+		{"channel id NoChan", appendOn(from2(model.NoChan)), ErrChannelMissing},
+		{"channel id out of range", appendOn(from2(model.ChanID(net.NumChannels()))), ErrChannelMissing},
+		{"another channel's id", appendOn(from2(net.ChanIDOf(2, 3))), ErrChannelMissing},
+		{"valid then another channel's id", appendOn(from2(net.ChanIDOf(1, 2)),
+			Arrival{From: s1, Send: r.MustTime(s1), Chan: net.ChanIDOf(3, 1)}), ErrChannelMissing},
 		{"unknown process", appendErr(2, BasicNode{Proc: 7, Index: 1}), ErrChannelMissing},
 		{"initial sender", appendErr(2, BasicNode{Proc: 1, Index: 0}), ErrInitialSend},
 		{"beyond recorded count", appendErr(2, BasicNode{Proc: 1, Index: 3}), ErrNoNode},

@@ -158,8 +158,9 @@ func (t *Timed) Name() string { return "timed" }
 // Replay reproduces the latencies of an existing run exactly, deferring to
 // fallback (Lazy if nil) for messages the original run never delivered.
 func Replay(r *run.Run, fallback Policy) *Timed {
-	lat := make(map[Send]int, len(r.Deliveries()))
-	for _, d := range r.Deliveries() {
+	ds := r.Deliveries()
+	lat := make(map[Send]int, len(ds))
+	for _, d := range ds {
 		lat[Send{From: d.From.Proc, To: d.To.Proc, SendTime: d.SendTime}] = d.RecvTime - d.SendTime
 	}
 	return &Timed{Latencies: lat, Fallback: fallback}

@@ -8,10 +8,14 @@ import (
 	"github.com/clockless/zigzag/internal/run"
 )
 
-// arrival is one scheduled delivery: the message and its receiving process.
-type arrival struct {
-	run.Arrival
-	to model.ProcID
+// inFlight is one scheduled delivery while it waits in its horizon bucket,
+// in 12 bytes: the sender's state index, the send time and the channel,
+// whose endpoints are the sender's and the receiver's processes. It becomes
+// a run.Arrival when its tick comes.
+type inFlight struct {
+	fromIndex int32
+	send      int32
+	ch        model.ChanID
 }
 
 // Batch is one receive batch: everything process Proc receives at tick
@@ -57,8 +61,8 @@ type Stepper struct {
 	inj    *faults.Injector // nil for fault-free executions
 	rec    *run.Recorder
 
-	arrivals [][]arrival // horizon-indexed buckets
-	free     [][]arrival // recycled bucket backing
+	arrivals [][]inFlight // horizon-indexed buckets
+	free     [][]inFlight // recycled bucket backing
 	extAt    [][]run.ExternalEvent
 
 	procArr [][]run.Arrival // per-process slab for the current tick
@@ -118,7 +122,7 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		}
 		s.extAt[ev.Time] = append(s.extAt[ev.Time], ev)
 	}
-	s.arrivals = make([][]arrival, cfg.Horizon+1)
+	s.arrivals = make([][]inFlight, cfg.Horizon+1)
 	return s, nil
 }
 
@@ -144,7 +148,12 @@ func (s *Stepper) Step() ([]Batch, error) {
 			continue
 		}
 		for _, a := range s.arrivals[t] {
-			s.procArr[a.to-1] = append(s.procArr[a.to-1], a.Arrival)
+			c := s.net.ChannelOf(a.ch)
+			s.procArr[c.To-1] = append(s.procArr[c.To-1], run.Arrival{
+				From: run.BasicNode{Proc: c.From, Index: int(a.fromIndex)},
+				Send: model.Time(a.send),
+				Chan: a.ch,
+			})
 		}
 		if s.arrivals[t] != nil {
 			s.free = append(s.free, s.arrivals[t][:0])
@@ -167,7 +176,7 @@ func (s *Stepper) Step() ([]Batch, error) {
 			}
 			if s.inj != nil {
 				for _, a := range arr {
-					s.inj.Deliver(s.net.ChanIDOf(a.From.Proc, p), a.From.Proc, p, a.Send, t)
+					s.inj.Deliver(a.Chan, a.From.Proc, p, a.Send, t)
 				}
 			}
 			if err := s.flood(node, t); err != nil {
@@ -212,10 +221,10 @@ func (s *Stepper) flood(node run.BasicNode, t model.Time) error {
 			if k := len(s.free); k > 0 {
 				s.arrivals[rt], s.free = s.free[k-1], s.free[:k-1]
 			} else {
-				s.arrivals[rt] = make([]arrival, 0, len(arcs))
+				s.arrivals[rt] = make([]inFlight, 0, len(arcs))
 			}
 		}
-		s.arrivals[rt] = append(s.arrivals[rt], arrival{Arrival: run.Arrival{From: node, Send: t}, to: a.To})
+		s.arrivals[rt] = append(s.arrivals[rt], inFlight{fromIndex: int32(node.Index), send: int32(t), ch: a.ID})
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/model"
@@ -51,5 +52,33 @@ func TestStepperHoldsOneTick(t *testing.T) {
 	}
 	if steps < 100 {
 		t.Fatalf("only %d ticks stepped: the schedule is not long", steps)
+	}
+}
+
+// TestRecordingBytesPerDelivery bounds what recording costs per message on
+// the longest schedule the sweeps run, coord-heavy-m16 under the heavy-tail
+// policy: compact 16-byte delivery records and 12-byte in-flight arrivals
+// keep a whole simulation, tables and buckets included, within 50 bytes
+// allocated per recorded delivery.
+func TestRecordingBytesPerDelivery(t *testing.T) {
+	sc := scenario.MultiAgentHeavy(16)
+	cfg := sim.Config{Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewHeavyTail(7), Externals: sc.Externals}
+	const runs, limit = 3, 50.0
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	deliveries := 0
+	for i := 0; i < runs; i++ {
+		r, err := sim.Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deliveries += r.NumDeliveries()
+	}
+	runtime.ReadMemStats(&after)
+	if got := float64(after.TotalAlloc-before.TotalAlloc) / float64(deliveries); got > limit {
+		t.Errorf("recording allocates %.1f bytes per delivery, want <= %.0f", got, limit)
+	} else {
+		t.Logf("%.1f bytes per delivery over %d deliveries", got, deliveries)
 	}
 }

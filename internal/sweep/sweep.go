@@ -448,7 +448,7 @@ func simCell(sc *scenario.Scenario, spec PolicySpec, seed int64) Result {
 		return res
 	}
 	res.Nodes = r.NumNodes()
-	res.Deliveries = len(r.Deliveries())
+	res.Deliveries = r.NumDeliveries()
 	res.Pending = len(r.PendingMessages())
 	if sc.Task == nil {
 		return res
@@ -514,7 +514,7 @@ func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.Ne
 		}
 	}
 	res.Nodes = out.Run.NumNodes()
-	res.Deliveries = len(out.Run.Deliveries())
+	res.Deliveries = out.Run.NumDeliveries()
 	res.Pending = len(out.Run.PendingMessages())
 	res.Agents = len(tasks)
 	res.AgentsActed = len(out.Actions) // each Protocol2 acts at most once
@@ -577,7 +577,7 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bou
 	for v := range rs {
 		res := &rs[v]
 		res.Nodes = out.Run.NumNodes()
-		res.Deliveries = len(out.Run.Deliveries())
+		res.Deliveries = out.Run.NumDeliveries()
 		res.Pending = len(out.Run.PendingMessages())
 		res.Agents = len(tasks)
 		for j := range agents {

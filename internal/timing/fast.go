@@ -208,8 +208,9 @@ func BuildFast(r *run.Run, sigma run.BasicNode, theta1 run.GeneralNode, gamma in
 	}
 
 	// Prescribed latencies: in-past deliveries replay at their fast times.
-	prescribed := make(map[sim.Send]int, len(r.Deliveries()))
-	for _, del := range r.Deliveries() {
+	ds := r.Deliveries()
+	prescribed := make(map[sim.Send]int, len(ds))
+	for _, del := range ds {
 		if !ps.Contains(del.To) {
 			continue
 		}
