@@ -42,6 +42,27 @@ func TestExitCodes(t *testing.T) {
 			code: 2, stderr: `unknown kind "bogus"`},
 		{name: "unknown fault family", args: []string{"-scenario", "coord-m4", "-engine", "online", "-faults", "meteor"},
 			code: 2, stderr: `unknown fault family "meteor"`},
+		{name: "engine with sweep", args: []string{"-sweep", "-engine", "online"},
+			code: 2, stderr: "-engine applies to single-scenario runs"},
+		{name: "sweep faults without live", args: []string{"-sweep", "-sweep-faults"},
+			code: 2, stderr: "-sweep-faults needs -sweep -live"},
+		{name: "faults with sweep", args: []string{"-sweep", "-live", "-faults", "chaos"},
+			code: 2, stderr: "-faults applies to single-scenario -engine runs"},
+		{name: "faults on the offline engine", args: []string{"-faults", "chaos"},
+			code: 2, stderr: "-faults needs a live engine"},
+		{name: "bad sweep-x entry", args: []string{"-sweep", "-sweep-x", "1,two"},
+			code: 2, stderr: `bad -sweep-x entry "two"`},
+		{name: "bad sweep-rand entry", args: []string{"-sweep", "-sweep-rand", "8:12"},
+			code: 2, stderr: `bad -sweep-rand entry "8:12"`},
+		{name: "unknown scenario", args: []string{"-scenario", "bogus"},
+			code: 2, stderr: `unknown scenario "bogus"`},
+		{name: "unknown policy", args: []string{"-policy", "bogus"},
+			code: 2, stderr: `unknown policy "bogus"`},
+		{name: "live engine on a taskless scenario", args: []string{"-scenario", "figure3", "-engine", "online"},
+			code: 1, stderr: "poses no coordination task"},
+		{name: "faulted shared-engine run",
+			args: []string{"-scenario", "coord-m4", "-engine", "shared", "-faults", "chaos"},
+			code: 0, stdout: "\nfaults: "},
 		{name: "non-finite sweep scale", args: []string{"-sweep", "-sweep-scale", "NaN", "-seeds", "1"},
 			code: 1, stderr: "scenario: bad bound scale"},
 		{name: "untabulable sweep scale", args: []string{"-sweep", "-sweep-scale", "1e7", "-seeds", "1"},

@@ -741,21 +741,13 @@ func (h *Handle) weight(theta1, theta2 run.GeneralNode, d *EngineStats) (kw int,
 	return w, true, nil
 }
 
-// Knows reports whether K_sigma(theta1 --x--> theta2) holds at the agent's
-// current state, agreeing exactly with Extended.Knows on a fresh build.
-func (h *Handle) Knows(theta1 run.GeneralNode, x int, theta2 run.GeneralNode) (bool, error) {
-	kw, known, err := h.KnowledgeWeight(theta1, theta2)
-	if err != nil {
-		return false, err
-	}
-	return known && kw >= x, nil
-}
-
 // KnowsAt evaluates a threshold grid against one weight computation:
-// holds[i] is set to Knows(theta1, xs[i], theta2) for the price of a single
-// (possibly cache-warm) restricted SPFA. holds must have at least len(xs)
-// entries. The grid answers count as batched queries: len(xs) served,
-// len(xs)-1 of them without their own relaxation.
+// holds[i] reports K_sigma(theta1 --xs[i]--> theta2) at the agent's current
+// state, agreeing exactly with Extended.KnowsAt on a fresh build, for the
+// price of a single (possibly cache-warm) restricted SPFA. holds must have
+// at least len(xs) entries. A grid of two or more thresholds counts as
+// batched queries: len(xs) served, len(xs)-1 of them without their own
+// relaxation; a one-threshold query counts only its weight computation.
 func (h *Handle) KnowsAt(theta1 run.GeneralNode, xs []int, theta2 run.GeneralNode, holds []bool) (kw int, known bool, err error) {
 	var d EngineStats
 	kw, known, err = h.weight(theta1, theta2, &d)
@@ -763,8 +755,10 @@ func (h *Handle) KnowsAt(theta1 run.GeneralNode, xs []int, theta2 run.GeneralNod
 		for i, x := range xs {
 			holds[i] = known && kw >= x
 		}
-		d.BatchQueries = int64(len(xs))
-		d.BatchHits = int64(len(xs) - 1)
+		if len(xs) > 1 {
+			d.BatchQueries = int64(len(xs))
+			d.BatchHits = int64(len(xs) - 1)
+		}
 	}
 	h.count(d)
 	return kw, known, err

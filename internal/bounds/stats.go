@@ -43,9 +43,9 @@ type EngineStats struct {
 	// ReplayBatches counts the receive batches driven by live executions
 	// subscribed to the engine (live.Replay with Config.Engine set).
 	ReplayBatches int64
-	// BatchQueries / BatchHits count threshold grids answered through
-	// Handle.KnowsAt, and the subset answered from an already-computed
-	// weight (no SPFA of their own).
+	// BatchQueries / BatchHits count the thresholds of grids (two or more
+	// thresholds) answered through Handle.KnowsAt, and the subset answered
+	// from an already-computed weight (no SPFA of their own).
 	BatchQueries int64
 	BatchHits    int64
 	// XFanout counts live executions saved by x-axis fanout: sweep cells

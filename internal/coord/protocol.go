@@ -156,7 +156,7 @@ func (t Task) RunBaseline(r *run.Run) (*Outcome, error) {
 		if !ps.Contains(w.ABasic) {
 			continue
 		}
-		bound, err := causalLowerBound(r, ps, w.ABasic, sigma)
+		bound, err := causalLowerBound(ps, w.ABasic, sigma)
 		if err != nil {
 			return nil, err
 		}
@@ -199,16 +199,16 @@ func (t Task) checkSpec(out *Outcome) error {
 
 // causalLowerBound computes the heaviest happened-before chain from src to
 // dst using only forward edges (successor steps of weight 1 and message
-// deliveries at their lower bound), restricted to past(r, dst). This is all
-// the timing an asynchronous reasoner can certify.
-func causalLowerBound(r *run.Run, ps *run.View, src, dst run.BasicNode) (int, error) {
+// deliveries at their lower bound), restricted to the view ps = past(r,
+// dst). This is all the timing an asynchronous reasoner can certify.
+func causalLowerBound(ps *run.View, src, dst run.BasicNode) (int, error) {
 	// Map past nodes to dense vertices.
 	nodes := ps.Nodes()
 	index := make(map[run.BasicNode]int, len(nodes))
 	for i, n := range nodes {
 		index[n] = i
 	}
-	g := graphForward(r, nodes, index)
+	g := graphForward(ps, nodes, index)
 	u, okU := index[src]
 	v, okV := index[dst]
 	if !okU || !okV {

@@ -82,8 +82,8 @@ type Degradable interface {
 // advances and OnState is no longer called, so a finished agent costs
 // nothing per state. Degrade still reaches a finished Degradable agent on
 // every degraded batch, so fault reports do not depend on when it
-// finished. Protocol2 is finished once it has acted, settled, decided its
-// whole XGrid, degraded or failed.
+// finished. Protocol2 is finished once it has decided every threshold (a
+// plain agent: acted), settled, degraded or failed.
 type Finisher interface {
 	Finished() bool
 }

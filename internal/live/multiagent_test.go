@@ -86,9 +86,9 @@ func TestProtocol2SharedMultiAgentMatchesOffline(t *testing.T) {
 					sc.Name, i, act.Node, act.Time, offline.ActNode, offline.ActTime)
 			}
 		}
-		shared := sharedAgents[0].Shared
+		shared := sharedAgents[0].shared
 		for i, a := range sharedAgents {
-			if a.Shared == nil || a.Shared != shared {
+			if a.shared == nil || a.shared != shared {
 				t.Fatalf("%s: agent %d not on the run's one shared engine", sc.Name, i)
 			}
 		}
@@ -226,7 +226,8 @@ func TestProtocol2SharedGuards(t *testing.T) {
 	}
 
 	shared := bounds.NewNetworkEngine(sc.Net).NewRun()
-	agent := &Protocol2{Task: sc.Tasks[0], Shared: shared}
+	agent := &Protocol2{Task: sc.Tasks[0]}
+	agent.UseShared(shared)
 	// goView records one run in which B's first batch is the go label and
 	// returns B's view there.
 	goView := func() *run.View {

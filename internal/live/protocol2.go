@@ -26,45 +26,51 @@ var errDifferentView = errors.New("live: Protocol2 observed a different view tha
 // its past) it stops querying for good. It is the live counterpart of
 // (coord.Task).RunOptimal, and the two must agree exactly.
 //
+// The agent decides a grid of thresholds: XGrid when set, else the one
+// threshold Task.X. By Theorem 4, σ knows θ1 --x--> θ2 exactly when
+// kw(θ1, θ2) >= x, so at each state one KnowsAt answers the whole grid,
+// and the state where threshold x first holds is where a dedicated agent
+// with Task.X = x acts. XDecisions records that state per threshold. A
+// plain agent (no XGrid) also emits its act label there; a grid agent
+// emits nothing, its trajectory standing in for one dedicated agent per
+// threshold.
+//
 // The agent always queries through a bounds.Handle, which maintains the
 // graph incrementally across states and pays only for the view's growth
 // per state. By default the handle is the only subscriber of a private
-// one-handle run. When a run hosts many knowledge-based agents, setting
-// Shared (or Config.Engine, whose per-run engine Replay hands to every
-// subscribing agent) subscribes the agent to one per-run bounds.Shared
-// engine instead, so the standing graph is built once and the agent keeps
-// only its frontier, E” overlay and leased scratch. Rebuild swaps the handle for a fresh
-// bounds.Extended per state. Every configuration answers exactly as a
-// fresh per-state build, so the agreement theorem is engine-independent.
+// one-handle run. UseShared (which Replay calls with the per-run engine
+// stamped from Config.Engine) subscribes the agent to one per-run
+// bounds.Shared engine instead, so the standing graph is built once and the
+// agent keeps only its frontier, E” overlay and leased scratch. Rebuild
+// swaps the handle for a fresh bounds.Extended per state. Every
+// configuration answers exactly as a fresh per-state build, so the
+// agreement theorem is engine-independent.
 type Protocol2 struct {
 	Task coord.Task
 	// ActLabel is the action recorded when b is performed ("b" if empty).
 	ActLabel string
 	// Rebuild forces a fresh NewExtendedFromView at every state instead of
 	// the incremental engine — the rebuild-per-state baseline that
-	// benchmarks and differential tests compare against.
+	// benchmarks and differential tests compare against. An engine handed
+	// in by UseShared takes precedence.
 	Rebuild bool
-	// Shared subscribes the agent to a per-run shared knowledge engine
-	// instead of a private one-handle run; it takes precedence over Rebuild.
-	Shared *bounds.Shared
-	// XGrid, when non-empty, switches the agent into batched x-fanout mode:
-	// at every state it computes the knowledge weight ONCE (the weight-only
-	// plane, KnowsAt) and evaluates every threshold of the grid against it,
-	// recording per threshold the first state at which the required
-	// precedence became known (XDecisions). The agent emits no actions in
-	// this mode — its recorded decision trajectory stands in for the acts of
-	// one dedicated agent per grid entry, which is sound exactly when acting
-	// cannot feed back into the delivery schedule (terminal acts; see
-	// scenario.Scenario.ActFeedback). Knowledge gain is monotone, so the
-	// recorded state for threshold x is precisely where a dedicated agent
-	// with Task.X = x would have acted.
+	// XGrid, when non-empty, replaces Task.X as the agent's thresholds: the
+	// agent records per threshold the first state at which the required
+	// precedence became known (XDecisions) and emits no actions. Knowledge
+	// gain is monotone, so the recorded state for threshold x is precisely
+	// where a dedicated agent with Task.X = x would have acted, provided
+	// acting cannot feed back into the delivery schedule (it cannot in
+	// Replay: agents only emit labels).
 	XGrid []int
 
-	acted    bool
+	// decided, settled, degraded and err end the agent (Finished); the
+	// driver reads them at every batch, so they sit together up front.
+	decided  bool
 	settled  bool
-	err      error
 	degraded bool
+	err      error
 	reason   error
+	shared   *bounds.Shared
 	handle   *bounds.Handle
 
 	// goFound memoizes the resolution of C's go node: the view's external
@@ -73,14 +79,20 @@ type Protocol2 struct {
 	goFound bool
 	aNode   run.GeneralNode
 
-	// Batched x-fanout working state: per-grid-entry decisions, the count of
-	// still-undecided entries, and the reusable KnowsAt verdict buffer.
+	// Decision state over the thresholds xs (XGrid, or [Task.X]): per
+	// threshold decisions, the count still undecided, and the reusable
+	// KnowsAt verdict buffer. A plain agent's one-entry grid lives in the
+	// one* arrays, so it allocates nothing.
+	xs       []int
 	xDecided []XDecision
 	xLeft    int
 	holds    []bool
+	oneX     [1]int
+	oneD     [1]XDecision
+	oneH     [1]bool
 }
 
-// XDecision records, for one XGrid threshold, the first agent state at which
+// XDecision records, for one threshold, the first agent state at which
 // the required precedence became known. Node identifies that state's origin
 // on the agent's timeline; the agent is clockless, so harvesters derive the
 // act TIME from the recording (run.Run.Time), never from the agent.
@@ -90,7 +102,8 @@ type XDecision struct {
 }
 
 // XDecisions returns the agent's per-threshold decision trajectory, indexed
-// like XGrid (nil before the first state of a batched run).
+// like XGrid, or one entry for Task.X when XGrid is empty (nil before the
+// state where C's go node enters the agent's view).
 func (p *Protocol2) XDecisions() []XDecision { return p.xDecided }
 
 // TaskLabel is the canonical act label of the i-th task of a multi-agent
@@ -113,20 +126,16 @@ func NewTaskAgents(tasks []coord.Task) ([]*Protocol2, map[model.ProcID]Agent) {
 	return agents, byProc
 }
 
-// UseShared implements SharedUser: Replay hands the per-run engine to the
-// agent before the first state. An engine set directly on the struct wins.
-func (p *Protocol2) UseShared(s *bounds.Shared) {
-	if p.Shared == nil {
-		p.Shared = s
-	}
-}
+// UseShared implements SharedUser: it subscribes the agent to s, the
+// per-run engine Replay hands it before the first state.
+func (p *Protocol2) UseShared(s *bounds.Shared) { p.shared = s }
 
 // Finished implements Finisher: the agent will never query or act again
-// once it has acted, settled (coord.Task.Settled: its task can never become
-// known), decided its whole XGrid, degraded or failed.
+// once it has decided every threshold (a plain agent: acted), settled
+// (coord.Task.Settled: its open thresholds can never become known),
+// degraded or failed.
 func (p *Protocol2) Finished() bool {
-	return p.acted || p.settled || p.degraded || p.err != nil ||
-		(p.xDecided != nil && p.xLeft == 0)
+	return p.decided || p.settled || p.degraded || p.err != nil
 }
 
 // release returns the handle's leased scratch to the engine pool for later
@@ -179,15 +188,14 @@ func (p *Protocol2) Stats() bounds.EngineStats {
 // incremental *bounds.Handle and by the rebuild baseline's
 // *bounds.Extended.
 type knower interface {
-	Knows(theta1 run.GeneralNode, x int, theta2 run.GeneralNode) (bool, error)
 	KnowsAt(theta1 run.GeneralNode, xs []int, theta2 run.GeneralNode, holds []bool) (kw int, known bool, err error)
 }
 
 // engineFor resolves the engine serving this state: a fresh build for the
 // rebuild baseline, otherwise the agent's handle — subscribed on first use
-// to the Shared engine, or to a private one-handle run.
+// to the shared engine, or to a private one-handle run.
 func (p *Protocol2) engineFor(v *run.View) (knower, error) {
-	if p.Rebuild && p.Shared == nil {
+	if p.Rebuild && p.shared == nil {
 		ext, err := bounds.NewExtendedFromView(v)
 		if err != nil {
 			return nil, err
@@ -195,7 +203,7 @@ func (p *Protocol2) engineFor(v *run.View) (knower, error) {
 		return ext, nil
 	}
 	if p.handle == nil {
-		s := p.Shared
+		s := p.shared
 		if s == nil {
 			s = bounds.NewNetworkEngine(v.Net()).NewRun()
 		}
@@ -230,7 +238,10 @@ func (p *Protocol2) noteQueryErr(err error) {
 	p.err = err
 }
 
-// OnState implements Agent.
+// OnState implements Agent: one KnowsAt answers every undecided threshold,
+// and newly satisfied ones are stamped with this state. The agent queries
+// until every threshold is decided or every open one is settled, or until
+// the run ends with part of the grid open.
 func (p *Protocol2) OnState(v *run.View, _ []string) []string {
 	if p.Finished() {
 		return nil
@@ -248,78 +259,54 @@ func (p *Protocol2) OnState(v *run.View, _ []string) []string {
 		// chain node it induces at A are fixed for the rest of the run.
 		p.goFound = true
 		p.aNode = run.At(sigmaC).Hop(p.Task.A)
-	}
-	sigma := run.At(v.Origin())
-	var theta1, theta2 run.GeneralNode
-	if p.Task.Kind == coord.Late {
-		theta1, theta2 = p.aNode, sigma
-	} else {
-		theta1, theta2 = sigma, p.aNode
-	}
-	if len(p.XGrid) > 0 {
-		return p.onStateGrid(v, theta1, theta2)
-	}
-	if p.Task.Settled(v, p.aNode) {
-		p.settled = true
-		p.release()
-		return nil
-	}
-	eng, err := p.engineFor(v)
-	var knows bool
-	if err == nil {
-		knows, err = eng.Knows(theta1, p.Task.X, theta2)
-	}
-	if err != nil {
-		p.noteQueryErr(err)
-		return nil
-	}
-	if !knows {
-		return nil
-	}
-	p.acted = true
-	p.release()
-	if p.ActLabel == "" {
-		return []string{"b"}
-	}
-	return []string{p.ActLabel}
-}
-
-// onStateGrid is the batched x-fanout state step: one weight computation,
-// every grid threshold compared against it, newly satisfied thresholds
-// stamped with this state. The agent acts for no threshold — the decision
-// trajectory IS the deliverable — and keeps querying until the whole grid is
-// decided or every open threshold is settled, or until the run ends with
-// part of it open.
-func (p *Protocol2) onStateGrid(v *run.View, theta1, theta2 run.GeneralNode) []string {
-	if p.xDecided == nil {
-		p.xDecided = make([]XDecision, len(p.XGrid))
-		p.holds = make([]bool, len(p.XGrid))
-		p.xLeft = len(p.XGrid)
+		if len(p.XGrid) > 0 {
+			p.xs = p.XGrid
+			p.xDecided = make([]XDecision, len(p.XGrid))
+			p.holds = make([]bool, len(p.XGrid))
+		} else {
+			p.oneX[0] = p.Task.X
+			p.xs, p.xDecided, p.holds = p.oneX[:], p.oneD[:], p.oneH[:]
+		}
+		p.xLeft = len(p.xs)
 	}
 	if p.gridSettled(v) {
 		p.settled = true
 		p.release()
 		return nil
 	}
+	sigma := run.At(v.Origin())
+	theta1, theta2 := p.aNode, sigma
+	if p.Task.Kind != coord.Late {
+		theta1, theta2 = sigma, p.aNode
+	}
 	eng, err := p.engineFor(v)
 	if err == nil {
-		_, _, err = eng.KnowsAt(theta1, p.XGrid, theta2, p.holds)
+		_, _, err = eng.KnowsAt(theta1, p.xs, theta2, p.holds)
 	}
 	if err != nil {
 		p.noteQueryErr(err)
 		return nil
 	}
 	node := v.Origin()
-	for i := range p.XGrid {
+	for i := range p.xs {
 		if !p.xDecided[i].Decided && p.holds[i] {
 			p.xDecided[i] = XDecision{Decided: true, Node: node}
 			p.xLeft--
 		}
 	}
-	if p.xLeft == 0 {
-		p.release()
+	if p.xLeft > 0 {
+		return nil
 	}
-	return nil
+	p.decided = true
+	p.release()
+	switch {
+	case len(p.XGrid) > 0:
+		return nil
+	case p.ActLabel == "":
+		return []string{"b"}
+	default:
+		return []string{p.ActLabel}
+	}
 }
 
 // gridSettled reports whether every undecided threshold of the grid is
@@ -328,7 +315,7 @@ func (p *Protocol2) onStateGrid(v *run.View, theta1, theta2 run.GeneralNode) []s
 func (p *Protocol2) gridSettled(v *run.View) bool {
 	task := p.Task
 	task.X = math.MaxInt
-	for i, x := range p.XGrid {
+	for i, x := range p.xs {
 		if !p.xDecided[i].Decided && x < task.X {
 			task.X = x
 		}

@@ -42,18 +42,13 @@ type Scenario struct {
 	// axis: XBase names the base scenario (identical network, externals and
 	// horizon across the whole family — only task thresholds differ) and
 	// XValue is the applied override. sweep.Axes sets both when it expands a
-	// multi-x grid; sweeps use them to collapse the x axis of live cells,
-	// since variants differing only in task X record identical runs and one
-	// batched execution can answer the whole family.
+	// multi-x grid; sweeps use them to collapse the x axis of fault-free
+	// live cells, since variants differing only in task X record identical
+	// runs (agents only emit labels; an act never feeds back into the
+	// schedule) and one execution deciding the whole threshold grid answers
+	// the family.
 	XBase  string
 	XValue int
-	// ActFeedback declares that agent actions feed back into the delivery
-	// schedule (a chained-coordination family, where one agent's act
-	// triggers another's go, would set it). Recordings are then no longer
-	// act-independent, so x-batched sweep cells must fall back to dedicated
-	// per-x executions. Every current family is terminal-act: the flag
-	// stays false.
-	ActFeedback bool
 }
 
 // TaskList returns the scenario's concurrent coordination tasks, falling

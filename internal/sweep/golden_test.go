@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"github.com/clockless/zigzag/internal/bounds"
+	"github.com/clockless/zigzag/internal/scenario"
 	"github.com/clockless/zigzag/internal/sim"
 )
 
@@ -20,7 +21,10 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // executions with x-fanout) under eager (standing-prefix traffic) and random
 // (seeded schedules), one seed. The axis includes x = -2, where the Early
 // agents query and act: with x >= 1 they settle as soon as a's node enters
-// their past (coord.Task.Settled) and the reverse cache stays idle.
+// their past (coord.Task.Settled) and the reverse cache stays idle. Plain
+// coord-m2 and coord-early-m2 cells and one coord-faulty-m4-chaos cell
+// follow, so the grid also pins live cells that form no x-group: fault-free
+// ones and a faulted one (degradations, crashes, violations).
 func goldenGrid(t *testing.T) Grid {
 	t.Helper()
 	scs, err := Axes{Xs: []int{-2, 3}, MaxCoordM: 2}.Scenarios()
@@ -37,6 +41,13 @@ func goldenGrid(t *testing.T) Grid {
 	}
 	for _, sc := range scs {
 		if sc.XBase == "coord-m2" || sc.XBase == "coord-early-m2" {
+			g.Live = append(g.Live, sc)
+		}
+	}
+	reg := scenario.Registry(0)
+	g.Live = append(g.Live, reg["coord-m2"], reg["coord-early-m2"])
+	for _, sc := range scenario.FaultyFamily() {
+		if sc.Name == "coord-faulty-m4-chaos" {
 			g.Live = append(g.Live, sc)
 		}
 	}
@@ -57,8 +68,8 @@ const goldenCSVHeader = "scenario,mode,policy,runs,errors," +
 // -update to rewrite testdata/ after an intended format change.
 func TestExportsGolden(t *testing.T) {
 	g := goldenGrid(t)
-	if len(g.Live) != 4 {
-		t.Fatalf("golden grid has %d live scenarios, want 4", len(g.Live))
+	if len(g.Live) != 7 {
+		t.Fatalf("golden grid has %d live scenarios, want 7", len(g.Live))
 	}
 	results, err := g.Run()
 	if err != nil {

@@ -72,7 +72,10 @@ type Grid struct {
 	// per-run bounds.Shared handles) to ONE bounds.NetworkEngine per
 	// distinct network content (see RunWithEngines). Live cells enumerate
 	// after the sim cells, scenario-major, then policy, then seed, and
-	// report as ModeReplay.
+	// report as ModeReplay. Fault-free x-axis variants of one base
+	// scenario (scenario.Scenario.XBase) under one policy and seed form an
+	// x-group that one execution answers; every other live cell is a group
+	// of one (liveUnit).
 	Live []*scenario.Scenario
 	// LiveMode must be empty or ModeReplay, the one live execution mode;
 	// any other value fails the run.
@@ -81,20 +84,6 @@ type Grid struct {
 	Seeds    []int64
 	// Workers bounds concurrent cells; <= 0 means GOMAXPROCS.
 	Workers int
-	// NoXBatch disables the x-axis collapse of live cells: every per-x
-	// variant runs its own dedicated execution, as before the batched
-	// knowledge-query plane. The differential tests and the per-x baseline
-	// benchmark run with it set; sweeps leave it false.
-	NoXBatch bool
-}
-
-// xBatchable reports whether a live cell may join an x-batched group: it
-// must be a marked x-axis variant (sweep.Axes sets XBase), fault-free (a
-// faulted execution's degradation timing may depend on when agents stop
-// querying, which differs per x) and terminal-act (an ActFeedback scenario's
-// recordings depend on the acts themselves, so per-x runs genuinely differ).
-func (g Grid) xBatchable(sc *scenario.Scenario) bool {
-	return !g.NoXBatch && sc.XBase != "" && sc.FaultFamily == "" && !sc.ActFeedback
 }
 
 // xJoinable reports whether two x-axis variants of one base scenario record
@@ -103,7 +92,7 @@ func (g Grid) xBatchable(sc *scenario.Scenario) bool {
 // is allowed to move. An axis point whose override leaked further (a
 // scenario builder deriving bounds or schedules from x, like the domain
 // scenarios' hold times) must not share an execution; its variants fall
-// back to dedicated cells.
+// back to groups of one.
 func xJoinable(a, b *scenario.Scenario) bool {
 	if a.Net.Fingerprint() != b.Net.Fingerprint() || a.Horizon != b.Horizon {
 		return false
@@ -186,11 +175,11 @@ type Result struct {
 	Crashed    int
 	Violations int
 
-	// XFanout, on the primary row of an x-batched group, is the number of
-	// per-x result rows answered by this cell's single execution (its own
-	// included); zero on fanned-out rows and in dedicated mode. Execution
-	// attribution — Prefix and Stats — also lands on the primary row: the
-	// fanned rows ran no execution of their own.
+	// XFanout, on the primary row of an x-group of two or more, is the
+	// number of per-x result rows answered by this cell's single execution
+	// (its own included); zero on the other rows and on groups of one.
+	// Execution attribution — Prefix and Stats — also lands on the primary
+	// row: the fanned rows ran no execution of their own.
 	XFanout int
 }
 
@@ -225,9 +214,9 @@ func (g Grid) Run() ([]Result, error) {
 //
 // A fault-free cell of a Deterministic policy records the same run under
 // every seed and its agents decide from their views alone, so only the
-// first seed of such a unit (a sim cell, a live cell or an x-batched group)
-// executes; once the pool drains, each other seed's row is copied from it
-// with Seed rewritten. A copy carrying a prefix verdict reports a hit, noted
+// first seed of such a unit (a sim cell or a live unit) executes; once the
+// pool drains, each other seed's row is copied from it with Seed
+// rewritten. A copy carrying a prefix verdict reports a hit, noted
 // on its engine with a copied primary's x-fanout, so prefix_hits,
 // prefix_misses and x_fanout keep their per-cell meaning while the work
 // counters count only what ran.
@@ -264,8 +253,8 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 		}
 	}
 
-	// Group the executing cells into units first: an x-batched group (every
-	// per-x variant of one base scenario under one policy and seed — their
+	// Group the executing cells into units first: an x-group (every per-x
+	// variant of one base scenario under one policy and seed — their
 	// recordings are identical, so ONE execution answers all of them) or a
 	// single cell. Variants enumerate scenario-major, so the group's cells
 	// accumulate in x-axis order with the first variant as the primary.
@@ -285,7 +274,10 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 			copies = append(copies, i)
 			continue
 		}
-		if isLive && g.xBatchable(sc) {
+		// A fault-free x-axis variant (sweep.Axes sets XBase) may join its
+		// base's group: a faulted execution's degradation timing may depend
+		// on when agents stop querying, which differs per x.
+		if isLive && sc.XBase != "" && sc.FaultFamily == "" {
 			k := xkey{base: sc.XBase, pol: (i / nSeeds) % nPols, seed: i % nSeeds}
 			if ui, ok := groupOf[k]; ok {
 				first, _, _, _ := g.decode(units[ui].cells[0])
@@ -400,8 +392,8 @@ func predict(sc *scenario.Scenario, spec PolicySpec, seed int64) (uint64, error)
 	return r.Fingerprint(), nil
 }
 
-// execute runs one unit of the enumeration — a single cell, or an
-// x-batched group of live cells (xBatchCells) — and scatters its rows into
+// execute runs one unit of the enumeration — a sim cell, or a live unit
+// (liveUnit) of one or more live cells — and scatters its rows into
 // results. A panic escaping the unit — a malformed scenario, a bug surfaced
 // by an adversarial fault plan — is recovered into every cell's Err, so one
 // bad unit degrades its rows of the grid instead of killing the whole sweep.
@@ -425,16 +417,12 @@ func (g Grid) execute(cells []int, engines map[uint64]*bounds.NetworkEngine, res
 			}
 		}
 	}()
-	eng := engines[scs[0].Net.Fingerprint()]
-	switch {
-	case len(cells) > 1:
-		for j, res := range xBatchCells(scs, spec, seed, eng) {
-			results[cells[j]] = res
-		}
-	case isLive:
-		results[cells[0]] = liveCell(scs[0], spec, seed, eng)
-	default:
+	if !isLive {
 		results[cells[0]] = simCell(scs[0], spec, seed)
+		return
+	}
+	for j, res := range liveUnit(scs, spec, seed, engines[scs[0].Net.Fingerprint()]) {
+		results[cells[j]] = res
 	}
 }
 
@@ -468,75 +456,23 @@ func simCell(sc *scenario.Scenario, spec PolicySpec, seed int64) Result {
 	return res
 }
 
-// liveCell executes one live-mode cell: the scenario's tasks become
-// live.Protocol2 agents (one per task, acting with labels b1, b2, ...), the
-// run subscribes to the network's shared engine, and the cell reports the
-// recorded run's shape plus how many agents acted. Scenarios without tasks
-// still execute (pure FFIP relay runs) and report shape only. Cells of
-// deterministic policies learn their run fingerprint up front (predict) and
+// liveUnit executes one live unit and returns its rows, one per scenario:
+// a plain or faulted live cell is a group of one, an x-group holds every
+// per-x variant of one base scenario under one policy and seed. The
+// scenarios' tasks become live.Protocol2 agents (one per task, labelled b1,
+// b2, ...) subscribing to the network's shared engine. The variants differ
+// only in task thresholds and record the identical run, so ONE execution
+// serves the group: each agent of a group of two or more decides its
+// per-variant thresholds as an XGrid, and every row is derived from the
+// agents' decision trajectories — the state where threshold x became known
+// is where a dedicated agent with that threshold acts. Scenarios without
+// tasks still execute (pure FFIP relay runs) and report shape only.
+// Deterministic units learn their run fingerprint up front (predict) and
 // route their per-run engine through the network engine's standing-prefix
-// cache.
-func liveCell(sc *scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine) Result {
-	res := Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeReplay}
-	var plan *faults.Plan
-	if sc.FaultFamily != "" {
-		p, err := faults.NewPlan(sc.FaultFamily, sc.Net, sc.Horizon, seed)
-		if err != nil {
-			res.Err = err
-			return res
-		}
-		plan = p
-	}
-	runFP, err := predict(sc, spec, seed)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	tasks := sc.TaskList()
-	agents, agentMap := live.NewTaskAgents(tasks)
-	out, err := live.Replay(live.Config{
-		Net: sc.Net, Horizon: sc.Horizon, Policy: spec.New(seed),
-		Externals: sc.Externals, Agents: agentMap, Engine: eng,
-		Fingerprint: runFP, Faults: plan,
-	})
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Degraded = len(out.Degraded)
-	res.Crashed = len(out.Crashed)
-	res.Violations = len(out.Violations)
-	attribute(&res, out, runFP, agents)
-	for i := range agents {
-		if aerr := agents[i].Err(); aerr != nil {
-			res.Err = fmt.Errorf("agent %s: %w", live.TaskLabel(i), aerr)
-			return res
-		}
-	}
-	res.Nodes = out.Run.NumNodes()
-	res.Deliveries = out.Run.NumDeliveries()
-	res.Pending = len(out.Run.PendingMessages())
-	res.Agents = len(tasks)
-	res.AgentsActed = len(out.Actions) // each Protocol2 acts at most once
-	if len(out.Actions) > 0 {
-		// Actions are recorded in (time, process) order.
-		res.ActTime = int(out.Actions[0].Time)
-	}
-	return res
-}
-
-// xBatchCells is the batched counterpart of liveCell. The group's variants
-// differ only in task thresholds, and acts are terminal in x-batchable
-// scenarios (no feedback into the delivery schedule), so every variant
-// records the identical run: ONE execution is driven with each agent in
-// batched x-fanout mode (live.Protocol2.XGrid holding its per-variant
-// thresholds), and the per-variant act rows are derived from the agents'
-// decision trajectories — knowledge gain is monotone, so the state at which
-// threshold x became known is exactly where a dedicated agent with that
-// threshold acts. Execution-level attribution (run shape is shared; prefix,
-// replay batches and agent counters are real once) lands on the primary
-// (first) variant row, which also carries XFanout = group size.
-func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine) []Result {
+// cache. Execution attribution (prefix, replay batches and agent counters
+// are real once) lands on the primary (first) row, which in a group of two
+// or more also carries XFanout = group size.
+func liveUnit(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine) []Result {
 	rs := make([]Result, len(scs))
 	for j := range rs {
 		rs[j] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed, Mode: ModeReplay}
@@ -547,24 +483,35 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bou
 		}
 		return rs
 	}
-	sc0 := scs[0]
-	runFP, err := predict(sc0, spec, seed)
+	sc := scs[0]
+	var plan *faults.Plan
+	if sc.FaultFamily != "" {
+		p, err := faults.NewPlan(sc.FaultFamily, sc.Net, sc.Horizon, seed)
+		if err != nil {
+			return fail(err)
+		}
+		plan = p
+	}
+	runFP, err := predict(sc, spec, seed)
 	if err != nil {
 		return fail(err)
 	}
-	tasks := sc0.TaskList()
+	tasks := sc.TaskList()
 	agents, agentMap := live.NewTaskAgents(tasks)
-	for j := range agents {
-		grid := make([]int, len(scs))
-		for v := range scs {
-			grid[v] = scs[v].TaskList()[j].X
+	if len(scs) > 1 {
+		for j := range agents {
+			agents[j].XGrid = make([]int, len(scs))
 		}
-		agents[j].XGrid = grid
+		for v := range scs {
+			for j, t := range scs[v].TaskList() {
+				agents[j].XGrid[v] = t.X
+			}
+		}
 	}
 	out, err := live.Replay(live.Config{
-		Net: sc0.Net, Horizon: sc0.Horizon, Policy: spec.New(seed),
-		Externals: sc0.Externals, Agents: agentMap, Engine: eng,
-		Fingerprint: runFP,
+		Net: sc.Net, Horizon: sc.Horizon, Policy: spec.New(seed),
+		Externals: sc.Externals, Agents: agentMap, Engine: eng,
+		Fingerprint: runFP, Faults: plan,
 	})
 	if err != nil {
 		return fail(err)
@@ -580,6 +527,9 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bou
 		res.Deliveries = out.Run.NumDeliveries()
 		res.Pending = len(out.Run.PendingMessages())
 		res.Agents = len(tasks)
+		res.Degraded = len(out.Degraded)
+		res.Crashed = len(out.Crashed)
+		res.Violations = len(out.Violations)
 		for j := range agents {
 			d := agents[j].XDecisions()
 			if d == nil || !d[v].Decided {
@@ -595,29 +545,28 @@ func xBatchCells(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bou
 			res.AgentsActed++
 		}
 	}
-	attribute(&rs[0], out, runFP, agents)
-	rs[0].XFanout = len(scs)
-	if eng != nil {
-		eng.Note(bounds.EngineStats{XFanout: int64(len(scs) - 1)})
-	}
-	return rs
-}
-
-// attribute records one live execution on its result row: the
-// standing-prefix verdict (runFP != 0 means the execution went through the
-// cache), the receive batches driven and the agents' query counters.
-func attribute(res *Result, out *live.Result, runFP uint64, agents []*live.Protocol2) {
+	// The primary row carries the execution: the standing-prefix verdict
+	// (runFP != 0 means it went through the cache), the receive batches
+	// driven and the agents' query counters.
+	prim := &rs[0]
 	switch {
 	case runFP == 0:
 	case out.PrefixHit:
-		res.Prefix, res.Stats.PrefixHits = PrefixHit, 1
+		prim.Prefix, prim.Stats.PrefixHits = PrefixHit, 1
 	default:
-		res.Prefix, res.Stats.PrefixMisses = PrefixMiss, 1
+		prim.Prefix, prim.Stats.PrefixMisses = PrefixMiss, 1
 	}
-	res.Stats.ReplayBatches = int64(out.ReplayBatches)
+	prim.Stats.ReplayBatches = int64(out.ReplayBatches)
 	for _, a := range agents {
-		res.Stats.Add(a.Stats())
+		prim.Stats.Add(a.Stats())
 	}
+	if len(scs) > 1 {
+		prim.XFanout = len(scs)
+		if eng != nil {
+			eng.Note(bounds.EngineStats{XFanout: int64(len(scs) - 1)})
+		}
+	}
+	return rs
 }
 
 // Aggregate summarizes all cells of one (scenario, policy, mode) triple.
@@ -647,7 +596,7 @@ type Aggregate struct {
 	Stats bounds.EngineStats
 
 	// XFanout sums the per-x rows answered by the group's x-batched
-	// executions (zero in dedicated mode); the CSV's x-fanout column
+	// executions (zero for groups of one); the CSV's x-fanout column
 	// exports it.
 	XFanout int
 

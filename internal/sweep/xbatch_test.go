@@ -49,17 +49,33 @@ func xVariantScenarios(t *testing.T) []*scenario.Scenario {
 	return scs
 }
 
-func xGrid(t *testing.T, noXBatch bool) sweep.Grid {
-	return sweep.Grid{
-		Live: xVariantScenarios(t),
-		Policies: []sweep.PolicySpec{
-			{Name: "eager", New: func(int64) sim.Policy { return sim.Eager{} }, Deterministic: true},
-			{Name: "random", New: func(seed int64) sim.Policy { return sim.NewRandom(seed) }},
-		},
-		Seeds:    []int64{1},
-		Workers:  0,
-		NoXBatch: noXBatch,
+// xPolicies are the policies of the batched-x differentials: one
+// deterministic (standing-prefix traffic, copied seeds) and one seeded.
+var xPolicies = []sweep.PolicySpec{
+	{Name: "eager", New: func(int64) sim.Policy { return sim.Eager{} }, Deterministic: true},
+	{Name: "random", New: func(seed int64) sim.Policy { return sim.NewRandom(seed) }},
+}
+
+func xGrid(t *testing.T) sweep.Grid {
+	return sweep.Grid{Live: xVariantScenarios(t), Policies: xPolicies, Seeds: []int64{1}}
+}
+
+// dedicatedRun runs every scenario of g in its own one-scenario grid, which
+// cannot form an x-group, and returns the rows in g's enumeration order:
+// the dedicated per-x baseline.
+func dedicatedRun(t *testing.T, g sweep.Grid) []sweep.Result {
+	t.Helper()
+	var out []sweep.Result
+	for _, sc := range g.Live {
+		one := g
+		one.Live = []*scenario.Scenario{sc}
+		rs, err := one.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rs...)
 	}
+	return out
 }
 
 // semantic strips a Result down to the fields with run-level meaning,
@@ -83,14 +99,12 @@ func semantic(r sweep.Result) sweep.Result {
 // to a dedicated per-x execution of the same cell; batchable families actually collapse (XFanout
 // covers the whole x axis) and the faulted cells are refused batching.
 func TestXBatchMatchesDedicatedCells(t *testing.T) {
-	batched, err := xGrid(t, false).Run()
+	g := xGrid(t)
+	batched, err := g.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	dedicated, err := xGrid(t, true).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	dedicated := dedicatedRun(t, g)
 	if len(batched) != len(dedicated) {
 		t.Fatalf("result counts differ: %d batched, %d dedicated", len(batched), len(dedicated))
 	}
@@ -153,56 +167,6 @@ func TestXBatchMatchesDedicatedCells(t *testing.T) {
 		if fanout[key] != rows[key] || rows[key] != len(xAxisXs) {
 			t.Errorf("%s: fanout %d over %d rows, want full %d-point collapse",
 				key, fanout[key], rows[key], len(xAxisXs))
-		}
-	}
-}
-
-// TestXBatchActFeedbackGate pins the chained-coordination escape hatch: a
-// scenario family declaring ActFeedback — its recordings depend on the acts
-// themselves, so per-x runs genuinely differ — is refused batching even
-// with XBase set, and its results match the dedicated path exactly.
-func TestXBatchActFeedbackGate(t *testing.T) {
-	var fam []*scenario.Scenario
-	for _, x := range xAxisXs {
-		base := scenario.MultiAgent(4)
-		cp := *base
-		cp.Name = fmt.Sprintf("%s@x=%d", base.Name, x)
-		cp.XBase = base.Name
-		cp.XValue = x
-		cp.ActFeedback = true
-		if x != 0 {
-			cp.Tasks = append([]coord.Task(nil), base.Tasks...)
-			for i := range cp.Tasks {
-				cp.Tasks[i].X = x
-			}
-			cp.Task = &cp.Tasks[0]
-		}
-		fam = append(fam, &cp)
-	}
-	grid := sweep.Grid{
-		Live: fam,
-		Policies: []sweep.PolicySpec{
-			{Name: "eager", New: func(int64) sim.Policy { return sim.Eager{} }, Deterministic: true},
-		},
-		Seeds: []int64{1},
-	}
-	gated, err := grid.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	grid.NoXBatch = true
-	dedicated, err := grid.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range gated {
-		if gated[i].XFanout != 0 {
-			t.Errorf("%s: ActFeedback cell joined an x batch (fanout %d)",
-				gated[i].Scenario, gated[i].XFanout)
-		}
-		if !reflect.DeepEqual(gated[i], dedicated[i]) {
-			t.Errorf("cell %d differs:\n gated     %+v\n dedicated %+v",
-				i, gated[i], dedicated[i])
 		}
 	}
 }
