@@ -19,6 +19,7 @@ import (
 	"github.com/clockless/zigzag/internal/run"
 	"github.com/clockless/zigzag/internal/scenario"
 	"github.com/clockless/zigzag/internal/sim"
+	"github.com/clockless/zigzag/internal/sweep"
 	"github.com/clockless/zigzag/internal/timing"
 	"github.com/clockless/zigzag/internal/workload"
 )
@@ -569,6 +570,33 @@ func BenchmarkSweepPerX(b *testing.B) {
 		c := bench.SweepPerX(16, nx)
 		b.Run(fmt.Sprintf("xs=%d", nx), c.Run)
 	}
+}
+
+// BenchmarkSweepOffline (B1): the flagship's sim cells at one seed — every
+// registry scenario up to coord-m16 under the four default policies — as
+// one grid on one worker: the schedule, the recording and the offline
+// optimum, no knowledge engine. Each execution records into the tables the
+// previous one recycled, which -benchmem shows as bytes per op.
+func BenchmarkSweepOffline(b *testing.B) {
+	scs, err := sweep.Axes{MaxCoordM: 16}.Scenarios()
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := sweep.Grid{Scenarios: scs, Policies: sweep.DefaultPolicies(), Seeds: []int64{1}, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		results, err := g.Run()
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := range results {
+			if results[j].Err != nil {
+				b.Fatal(results[j].Err)
+			}
+		}
+	}
+	b.ReportMetric(float64(g.Size()), "cells")
 }
 
 // BenchmarkFacadeRoundTrip exercises the public API end to end, as the

@@ -7,6 +7,7 @@ import (
 
 	"github.com/clockless/zigzag/internal/model"
 	"github.com/clockless/zigzag/internal/run"
+	"github.com/clockless/zigzag/internal/sim"
 )
 
 // appendErrors are the typed errors Recorder.Append may report.
@@ -62,13 +63,8 @@ func FuzzRecorderAppend(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		twin, err := run.NewRecorder(net, horizon)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if data[2]&2 != 0 {
 			rc.Tolerate()
-			twin.Tolerate()
 		}
 		r := rc.Run()
 		var ok []batch
@@ -101,6 +97,20 @@ func FuzzRecorderAppend(f *testing.F) {
 				t.Fatalf("append %+v recorded node %s with %d deliveries, had %d", b, node, r.NumDeliveries(), dels)
 			}
 			ok = append(ok, b)
+		}
+		run.DrainFreeTables()
+		donor, err := sim.Simulate(sim.Config{Net: model.MustComplete(2+(n+1)%3, 1, upper), Horizon: horizon + 3,
+			Policy: sim.NewRandom(int64(data[1])), Externals: sim.GoAt(1, 1, "go")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		donor.Recycle()
+		twin, err := run.NewRecorder(net, horizon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if data[2]&2 != 0 {
+			twin.Tolerate()
 		}
 		for _, b := range ok {
 			if _, err := twin.Append(b.p, b.t, b.arrivals, b.labels); err != nil {

@@ -1,8 +1,10 @@
 package run
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"runtime"
+	"slices"
 
 	"github.com/clockless/zigzag/internal/model"
 )
@@ -42,6 +44,8 @@ const initialCap = 64
 
 // NewRecorder returns a recorder of a run over net up to horizon, holding
 // the n initial nodes. It fails with ErrBadHorizon as CheckHorizon does.
+// The run records into the tables of a recycled run (Run.Recycle) when
+// the free list holds some, and into fresh ones otherwise.
 func NewRecorder(net *model.Network, horizon model.Time) (*Recorder, error) {
 	n := net.N()
 	if err := CheckHorizon(n, horizon); err != nil {
@@ -51,17 +55,68 @@ func NewRecorder(net *model.Network, horizon model.Time) (*Recorder, error) {
 	if int(horizon)+1 < c {
 		c = int(horizon) + 1
 	}
-	r := &Run{
-		net:        net,
-		horizon:    horizon,
-		nodes:      make([][]nodeRec, n),
-		deliveries: make([]delivery, 0, net.NumChannels()),
-	}
-	backing := make([]nodeRec, n*c)
-	for i := range r.nodes {
-		r.nodes[i] = append(backing[i*c:i*c:(i+1)*c], nodeRec{})
+	r := &Run{net: net, horizon: horizon}
+	select {
+	case tb := <-freeTables:
+		r.reuse(tb, n, c)
+	default:
+		r.nodes = make([][]nodeRec, n)
+		r.deliveries = make([]delivery, 0, net.NumChannels())
+		backing := make([]nodeRec, n*c)
+		for i := range r.nodes {
+			r.nodes[i] = append(backing[i*c:i*c:(i+1)*c], nodeRec{})
+		}
 	}
 	return &Recorder{r: r}, nil
+}
+
+// freeTables holds the tables of recycled runs. A sweep worker holds one
+// run at a time, so one entry per processor covers a pool of workers;
+// Recycle drops the tables of a run that finds the list full.
+var freeTables = make(chan tables, runtime.GOMAXPROCS(0))
+
+// reuse gives r the recycled tables tb for n processes: every table
+// truncated to length 0 with its capacity kept, and each timeline holding
+// its initial node. Tables are overwritten in append order, so only the
+// external index, a map, needs clearing. Timelines of processes past the
+// donor's count get c nodes of room.
+func (r *Run) reuse(tb tables, n, c int) {
+	nodes := tb.nodes[:cap(tb.nodes)]
+	for len(nodes) < n {
+		nodes = append(nodes, nil)
+	}
+	r.nodes = nodes[:n]
+	for i, ns := range r.nodes {
+		if cap(ns) == 0 {
+			ns = make([]nodeRec, 0, c)
+		}
+		r.nodes[i] = append(ns[:0], nodeRec{})
+	}
+	r.deliveries = tb.deliveries[:0]
+	r.externals = tb.externals[:0]
+	r.sent = tb.sent[:0]
+	r.pending = tb.pending[:0]
+	clear(tb.extFirst)
+	r.extFirst = tb.extFirst
+}
+
+// Recycle hands the run's tables to the next NewRecorder and zeroes the
+// run, so that any later use of it panics instead of reading another
+// execution. Only the owner of a finished run may call it, once nothing
+// reads the run any more: no View, engine handle or slice from Externals
+// or PendingMessages may outlive the call. A sweep owns the runs it
+// derives its rows from; runs handed to callers are never recycled.
+// Recycling a zeroed run does nothing.
+func (r *Run) Recycle() {
+	if r.net == nil {
+		return
+	}
+	tb := r.tables
+	*r = Run{}
+	select {
+	case freeTables <- tb:
+	default:
+	}
 }
 
 // Tolerate relaxes Append's latency-window check to latency >= 1, admitting
@@ -234,15 +289,16 @@ func (rc *Recorder) Finish() *Run {
 			}
 		}
 	}
-	sort.Slice(r.pending, func(i, j int) bool {
-		a, b := r.pending[i], r.pending[j]
+	// (send time, sender, receiver) is a total order: a process has at
+	// most one node per tick and one channel per receiver.
+	slices.SortFunc(r.pending, func(a, b Pending) int {
 		if a.SendTime != b.SendTime {
-			return a.SendTime < b.SendTime
+			return cmp.Compare(a.SendTime, b.SendTime)
 		}
 		if a.From.Proc != b.From.Proc {
-			return a.From.Proc < b.From.Proc
+			return cmp.Compare(a.From.Proc, b.From.Proc)
 		}
-		return a.To < b.To
+		return cmp.Compare(a.To, b.To)
 	})
 	return r
 }

@@ -102,7 +102,17 @@ type nodeRec struct {
 type Run struct {
 	net     *model.Network
 	horizon model.Time
+	tables
 
+	// fingerprint is the content hash of the recording, computed once by
+	// the first Fingerprint call.
+	fpOnce      sync.Once
+	fingerprint uint64
+}
+
+// tables is the storage of a recording, the part of a Run that Recycle
+// hands to the next NewRecorder.
+type tables struct {
 	// nodes[p-1][k] is node (p, k); nodes[p-1][0] is the initial node.
 	nodes [][]nodeRec
 
@@ -120,11 +130,6 @@ type Run struct {
 	extFirst map[extKey]int
 
 	pending []Pending
-
-	// fingerprint is the content hash of the recording, computed once by
-	// the first Fingerprint call.
-	fpOnce      sync.Once
-	fingerprint uint64
 }
 
 // extKey identifies an external-input lookup: which process absorbed which

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 
 	"github.com/clockless/zigzag/internal/faults"
 	"github.com/clockless/zigzag/internal/model"
@@ -60,7 +61,15 @@ type Stepper struct {
 	hor    model.Time
 	inj    *faults.Injector // nil for fault-free executions
 	rec    *run.Recorder
+	scratch
 
+	t model.Time // next tick to process
+}
+
+// scratch is a stepper's schedule storage. None of it escapes the
+// stepper (batches are valid until the next Step), so Finish hands it to
+// the next NewStepper through freeScratch.
+type scratch struct {
 	arrivals [][]inFlight // horizon-indexed buckets
 	free     [][]inFlight // recycled bucket backing
 	extAt    [][]run.ExternalEvent
@@ -68,8 +77,34 @@ type Stepper struct {
 	procArr [][]run.Arrival // per-process slab for the current tick
 	procExt [][]string
 	batches []Batch
+}
 
-	t model.Time // next tick to process
+// freeScratch holds the scratch of finished steppers, one entry per
+// processor; Finish drops the scratch of a stepper that finds it full.
+var freeScratch = make(chan scratch, runtime.GOMAXPROCS(0))
+
+// fit returns the scratch sized for n processes up to horizon. Every
+// horizon slot of a finished stepper's scratch is nil and every slab
+// empty, so fit only resizes; the batch buffer is capped at n.
+func (sc scratch) fit(n int, horizon model.Time) scratch {
+	sc.arrivals = resize(sc.arrivals, int(horizon)+1)
+	sc.extAt = resize(sc.extAt, int(horizon)+1)
+	sc.procArr = resize(sc.procArr, n)
+	sc.procExt = resize(sc.procExt, n)
+	if cap(sc.batches) < n {
+		sc.batches = make([]Batch, 0, n)
+	}
+	sc.batches = sc.batches[:0:n]
+	return sc
+}
+
+// resize returns s at length k, keeping the elements it holds up to its
+// capacity and appending zero ones past it.
+func resize[T any](s []T, k int) []T {
+	if k <= cap(s) {
+		return s[:k]
+	}
+	return append(s[:cap(s)], make([]T, k-cap(s))...)
 }
 
 // NewStepper validates the configuration and prepares its first tick. A
@@ -87,14 +122,17 @@ func NewStepper(cfg Config) (*Stepper, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadConfig, err)
 	}
+	var sc scratch
+	select {
+	case sc = <-freeScratch:
+	default:
+	}
 	s := &Stepper{
 		net:     cfg.Net,
 		policy:  cfg.Policy,
 		hor:     cfg.Horizon,
 		rec:     rec,
-		procArr: make([][]run.Arrival, n),
-		procExt: make([][]string, n),
-		batches: make([]Batch, 0, n),
+		scratch: sc.fit(n, cfg.Horizon),
 		t:       1,
 	}
 	if s.policy == nil {
@@ -108,7 +146,6 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		s.inj = inj
 		s.rec.Tolerate()
 	}
-	s.extAt = make([][]run.ExternalEvent, cfg.Horizon+1)
 	for _, ev := range cfg.Externals {
 		if !cfg.Net.ValidProc(ev.Proc) {
 			return nil, fmt.Errorf("%w: external %q to process %d", ErrBadConfig, ev.Label, ev.Proc)
@@ -122,7 +159,6 @@ func NewStepper(cfg Config) (*Stepper, error) {
 		}
 		s.extAt[ev.Time] = append(s.extAt[ev.Time], ev)
 	}
-	s.arrivals = make([][]inFlight, cfg.Horizon+1)
 	return s, nil
 }
 
@@ -133,8 +169,19 @@ func (s *Stepper) Injector() *faults.Injector { return s.inj }
 func (s *Stepper) Run() *run.Run { return s.rec.Run() }
 
 // Finish returns the finished run, with its pending messages and
-// fingerprint. Call it once Step has returned nil.
-func (s *Stepper) Finish() *run.Run { return s.rec.Finish() }
+// fingerprint. Call it once Step has returned nil: the stepper's scratch
+// then goes to the next NewStepper.
+func (s *Stepper) Finish() *run.Run {
+	if s.t > s.hor {
+		// Step has emptied every bucket and external slot.
+		select {
+		case freeScratch <- s.scratch:
+		default:
+		}
+		s.scratch = scratch{}
+	}
+	return s.rec.Finish()
+}
 
 // Step advances to the next tick at which some process receives something
 // and returns that tick's batches in process order, at most one per
@@ -162,6 +209,7 @@ func (s *Stepper) Step() ([]Batch, error) {
 		for _, e := range s.extAt[t] {
 			s.procExt[e.Proc-1] = append(s.procExt[e.Proc-1], e.Label)
 		}
+		s.extAt[t] = nil
 		for p := model.ProcID(1); int(p) <= len(s.procArr); p++ {
 			arr, ext := s.procArr[p-1], s.procExt[p-1]
 			if len(arr) == 0 && len(ext) == 0 {

@@ -14,13 +14,19 @@ import (
 // Step yields exactly one tick's batches — at most one per process, in
 // process order, from a buffer that never grows past n — ticks strictly
 // increase, and the batches number exactly the run's non-initial nodes.
+// A stepper on a larger network finishes first, so the checked stepper
+// schedules in the scratch it hands over.
 func TestStepperHoldsOneTick(t *testing.T) {
 	sc := scenario.MultiAgentHeavy(16)
+	n := sc.Net.N()
+	sim.DrainFreeScratch()
+	if _, err := sim.Simulate(sim.Config{Net: model.MustComplete(n+8, 1, 2), Horizon: 6, Externals: sim.GoAt(1, 1, "go")}); err != nil {
+		t.Fatal(err)
+	}
 	s, err := sim.NewStepper(sim.Config{Net: sc.Net, Horizon: sc.Horizon, Policy: sim.NewHeavyTail(3), Externals: sc.Externals})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := sc.Net.N()
 	last, total, steps := model.Time(0), 0, 0
 	for {
 		batches, err := s.Step()

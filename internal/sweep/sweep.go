@@ -389,7 +389,9 @@ func predict(sc *scenario.Scenario, spec PolicySpec, seed int64) (uint64, error)
 	if err != nil {
 		return 0, err
 	}
-	return r.Fingerprint(), nil
+	fp := r.Fingerprint()
+	r.Recycle()
+	return fp, nil
 }
 
 // execute runs one unit of the enumeration — a sim cell, or a live unit
@@ -427,7 +429,8 @@ func (g Grid) execute(cells []int, engines map[uint64]*bounds.NetworkEngine, res
 }
 
 // simCell runs one sim cell: the scenario's run under the policy, plus the
-// offline optimum of its task.
+// offline optimum of its task. The row holds no part of the run, so the
+// run's tables go to the next execution (run.Run.Recycle).
 func simCell(sc *scenario.Scenario, spec PolicySpec, seed int64) Result {
 	res := Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeSim}
 	r, err := sc.Simulate(spec.New(seed))
@@ -439,10 +442,12 @@ func simCell(sc *scenario.Scenario, spec PolicySpec, seed int64) Result {
 	res.Deliveries = r.NumDeliveries()
 	res.Pending = len(r.PendingMessages())
 	if sc.Task == nil {
+		r.Recycle()
 		return res
 	}
 	res.HasTask = true
 	out, err := sc.Task.RunOptimal(r)
+	r.Recycle()
 	if err != nil {
 		res.Err = err
 		return res
@@ -471,7 +476,8 @@ func simCell(sc *scenario.Scenario, spec PolicySpec, seed int64) Result {
 // route their per-run engine through the network engine's standing-prefix
 // cache. Execution attribution (prefix, replay batches and agent counters
 // are real once) lands on the primary (first) row, which in a group of two
-// or more also carries XFanout = group size.
+// or more also carries XFanout = group size. Once the rows are derived the
+// run's tables go to the next execution (run.Run.Recycle).
 func liveUnit(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bounds.NetworkEngine) []Result {
 	rs := make([]Result, len(scs))
 	for j := range rs {
@@ -545,6 +551,9 @@ func liveUnit(scs []*scenario.Scenario, spec PolicySpec, seed int64, eng *bounds
 			res.AgentsActed++
 		}
 	}
+	// The agents' views and engine handles are done with the run: its
+	// tables go to the next execution.
+	out.Run.Recycle()
 	// The primary row carries the execution: the standing-prefix verdict
 	// (runFP != 0 means it went through the cache), the receive batches
 	// driven and the agents' query counters.
