@@ -24,7 +24,9 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // their past (coord.Task.Settled) and the reverse cache stays idle. Plain
 // coord-m2 and coord-early-m2 cells and one coord-faulty-m4-chaos cell
 // follow, so the grid also pins live cells that form no x-group: fault-free
-// ones and a faulted one (degradations, crashes, violations).
+// ones and a faulted one (degradations, crashes, violations). The same six
+// coord-m2 and coord-early-m2 scenarios also run as sim cells, which record
+// one run per policy and read each task's offline optimum from it.
 func goldenGrid(t *testing.T) Grid {
 	t.Helper()
 	scs, err := Axes{Xs: []int{-2, 3}, MaxCoordM: 2}.Scenarios()
@@ -39,12 +41,14 @@ func goldenGrid(t *testing.T) Grid {
 		Seeds:   []int64{1},
 		Workers: 1,
 	}
+	reg := scenario.Registry(0)
 	for _, sc := range scs {
 		if sc.XBase == "coord-m2" || sc.XBase == "coord-early-m2" {
+			g.Scenarios = append(g.Scenarios, sc)
 			g.Live = append(g.Live, sc)
 		}
 	}
-	reg := scenario.Registry(0)
+	g.Scenarios = append(g.Scenarios, reg["coord-m2"], reg["coord-early-m2"])
 	g.Live = append(g.Live, reg["coord-m2"], reg["coord-early-m2"])
 	for _, sc := range scenario.FaultyFamily() {
 		if sc.Name == "coord-faulty-m4-chaos" {

@@ -18,6 +18,7 @@ import (
 	"github.com/clockless/zigzag/internal/bounds"
 	"github.com/clockless/zigzag/internal/faults"
 	"github.com/clockless/zigzag/internal/live"
+	"github.com/clockless/zigzag/internal/model"
 	"github.com/clockless/zigzag/internal/scenario"
 	"github.com/clockless/zigzag/internal/sim"
 	"github.com/clockless/zigzag/internal/stats"
@@ -66,6 +67,12 @@ func DefaultPolicies() []PolicySpec {
 // (one Protocol2 agent per coordination task) instead of the offline
 // simulate-and-analyze path.
 type Grid struct {
+	// Scenarios lists the sim cells' scenarios: each cell reports its run's
+	// shape and its Task's offline optimum. Fault-free sim cells of one
+	// policy and seed whose scenarios record the same run (sameRecording:
+	// equal network content, horizon and externals) form a sim unit that
+	// ONE simulation answers, each task's optimum read from that run
+	// (simUnit); the others are units of one.
 	Scenarios []*scenario.Scenario
 	// Live lists scenarios additionally executed as live cells: live.Replay
 	// drives one live.Protocol2 agent per task, all subscribing (through
@@ -86,14 +93,11 @@ type Grid struct {
 	Workers int
 }
 
-// xJoinable reports whether two x-axis variants of one base scenario record
-// the identical run: same network content, externals and horizon, and task
-// vectors equal modulo the per-task separation X — the one field the x axis
-// is allowed to move. An axis point whose override leaked further (a
-// scenario builder deriving bounds or schedules from x, like the domain
-// scenarios' hold times) must not share an execution; its variants fall
-// back to groups of one.
-func xJoinable(a, b *scenario.Scenario) bool {
+// sameRecording reports whether two scenarios record the identical run under
+// one policy: same network content, horizon and externals — everything
+// Scenario.Simulate reads besides the policy. Tasks never feed back into the
+// schedule, so scenarios that differ only in their tasks share a recording.
+func sameRecording(a, b *scenario.Scenario) bool {
 	if a.Net.Fingerprint() != b.Net.Fingerprint() || a.Horizon != b.Horizon {
 		return false
 	}
@@ -104,6 +108,20 @@ func xJoinable(a, b *scenario.Scenario) bool {
 		if a.Externals[i] != b.Externals[i] {
 			return false
 		}
+	}
+	return true
+}
+
+// xJoinable reports whether two x-axis variants of one base scenario can
+// share a live execution: they record the same run (sameRecording) and
+// their task vectors are equal modulo the per-task separation X — the one
+// field the x axis is allowed to move. An axis point whose override leaked
+// further (a scenario builder deriving bounds or schedules from x, like the
+// domain scenarios' hold times) must not share an execution; its variants
+// fall back to groups of one.
+func xJoinable(a, b *scenario.Scenario) bool {
+	if !sameRecording(a, b) {
+		return false
 	}
 	ta, tb := a.TaskList(), b.TaskList()
 	if len(ta) != len(tb) {
@@ -212,9 +230,17 @@ func (g Grid) Run() ([]Result, error) {
 // RunWithEngines is Run, additionally reporting the knowledge-engine work
 // behind the grid's live cells.
 //
+// Cells execute in units, each one execution whose rows scatter back by
+// cell index: a sim unit (the fault-free sim cells of one policy and seed
+// that record the same run, answered by one simulation), a live x-group
+// (the fault-free x-axis variants of one base scenario under one policy
+// and seed, answered by one replay), or a single cell. So neither the rows
+// nor their order depend on how cells share executions or on the worker
+// count.
+//
 // A fault-free cell of a Deterministic policy records the same run under
 // every seed and its agents decide from their views alone, so only the
-// first seed of such a unit (a sim cell or a live unit) executes; once the
+// first seed of such a unit (a sim unit or a live unit) executes; once the
 // pool drains, each other seed's row is copied from it with Seed
 // rewritten. A copy carrying a prefix verdict reports a hit, noted
 // on its engine with a copied primary's x-fanout, so prefix_hits,
@@ -253,40 +279,59 @@ func (g Grid) RunWithEngines() ([]Result, EngineReport, error) {
 		}
 	}
 
-	// Group the executing cells into units first: an x-group (every per-x
-	// variant of one base scenario under one policy and seed — their
-	// recordings are identical, so ONE execution answers all of them) or a
-	// single cell. Variants enumerate scenario-major, so the group's cells
-	// accumulate in x-axis order with the first variant as the primary.
-	// Later seeds of deterministic cells are copies, not units.
+	// Group the executing cells into units first. A live unit is an x-group
+	// (every per-x variant of one base scenario under one policy and seed —
+	// their recordings are identical, so ONE execution answers all of them)
+	// or a single cell. A sim unit holds the fault-free sim cells of one
+	// policy and seed that record the same run as its first cell
+	// (sameRecording): one simulation answers every task's offline optimum.
+	// Cells enumerate scenario-major, so a unit's cells accumulate in
+	// enumeration order (x-axis order for an x-group) with the first as the
+	// primary. Later seeds of deterministic cells are copies, not units.
 	nSeeds, nPols := len(g.Seeds), len(g.Policies)
 	type unit struct{ cells []int }
-	type xkey struct {
+	// A cell may join the unit of its key: a live cell's x-axis base, or a
+	// sim cell's network content and horizon (base empty), under one policy
+	// and seed. The unit's first cell must pass join.
+	type key struct {
 		base      string
+		net       uint64
+		horizon   model.Time
 		pol, seed int
 	}
 	var units []unit
 	var copies []int
-	groupOf := make(map[xkey]int)
+	unitOf := make(map[key]int)
 	for i := 0; i < g.Size(); i++ {
 		sc, spec, _, isLive := g.decode(i)
 		if i%nSeeds > 0 && deterministic(sc, spec) {
 			copies = append(copies, i)
 			continue
 		}
-		// A fault-free x-axis variant (sweep.Axes sets XBase) may join its
-		// base's group: a faulted execution's degradation timing may depend
-		// on when agents stop querying, which differs per x.
-		if isLive && sc.XBase != "" && sc.FaultFamily == "" {
-			k := xkey{base: sc.XBase, pol: (i / nSeeds) % nPols, seed: i % nSeeds}
-			if ui, ok := groupOf[k]; ok {
+		// Only a fault-free cell joins a unit: a faulted live execution's
+		// degradation timing may depend on when agents stop querying, which
+		// differs per x. A live cell joins only x-axis variants of its base
+		// scenario (sweep.Axes sets XBase): its agents are one per task's B,
+		// so different task vectors cannot share a replay.
+		var k key
+		var join func(a, b *scenario.Scenario) bool
+		switch {
+		case sc.FaultFamily != "":
+		case isLive && sc.XBase != "":
+			k, join = key{base: sc.XBase}, xJoinable
+		case !isLive:
+			k, join = key{net: sc.Net.Fingerprint(), horizon: sc.Horizon}, sameRecording
+		}
+		if join != nil {
+			k.pol, k.seed = (i/nSeeds)%nPols, i%nSeeds
+			if ui, ok := unitOf[k]; ok {
 				first, _, _, _ := g.decode(units[ui].cells[0])
-				if xJoinable(first, sc) {
+				if join(first, sc) {
 					units[ui].cells = append(units[ui].cells, i)
 					continue
 				}
 			} else {
-				groupOf[k] = len(units)
+				unitOf[k] = len(units)
 			}
 		}
 		units = append(units, unit{cells: []int{i}})
@@ -394,11 +439,12 @@ func predict(sc *scenario.Scenario, spec PolicySpec, seed int64) (uint64, error)
 	return fp, nil
 }
 
-// execute runs one unit of the enumeration — a sim cell, or a live unit
-// (liveUnit) of one or more live cells — and scatters its rows into
-// results. A panic escaping the unit — a malformed scenario, a bug surfaced
-// by an adversarial fault plan — is recovered into every cell's Err, so one
-// bad unit degrades its rows of the grid instead of killing the whole sweep.
+// execute runs one unit of the enumeration — a sim unit (simUnit) or a
+// live unit (liveUnit), each of one or more cells — and scatters its rows
+// into results. A panic escaping the unit — a malformed scenario, a bug
+// surfaced by an adversarial fault plan — is recovered into every cell's
+// Err, so one bad unit degrades its rows of the grid instead of killing the
+// whole sweep.
 func (g Grid) execute(cells []int, engines map[uint64]*bounds.NetworkEngine, results []Result) {
 	scs := make([]*scenario.Scenario, len(cells))
 	var spec PolicySpec
@@ -419,46 +465,59 @@ func (g Grid) execute(cells []int, engines map[uint64]*bounds.NetworkEngine, res
 			}
 		}
 	}()
-	if !isLive {
-		results[cells[0]] = simCell(scs[0], spec, seed)
-		return
+	var rows []Result
+	if isLive {
+		rows = liveUnit(scs, spec, seed, engines[scs[0].Net.Fingerprint()])
+	} else {
+		rows = simUnit(scs, spec, seed)
 	}
-	for j, res := range liveUnit(scs, spec, seed, engines[scs[0].Net.Fingerprint()]) {
+	for j, res := range rows {
 		results[cells[j]] = res
 	}
 }
 
-// simCell runs one sim cell: the scenario's run under the policy, plus the
-// offline optimum of its task. The row holds no part of the run, so the
-// run's tables go to the next execution (run.Run.Recycle).
-func simCell(sc *scenario.Scenario, spec PolicySpec, seed int64) Result {
-	res := Result{Scenario: sc.Name, Policy: spec.Name, Seed: seed, Mode: ModeSim}
-	r, err := sc.Simulate(spec.New(seed))
+// simUnit executes one sim unit and returns its rows, one per scenario: the
+// scenarios record the same run (sameRecording), so ONE simulation under the
+// policy serves the unit, and each row reads its run shape and its task's
+// offline optimum from it (Theorem 4: the optimum depends on the recorded
+// run and the task alone). An optimum that fails marks its own row only; a
+// failed simulation marks every row. The rows hold no part of the run, so
+// once the last is derived the run's tables go to the next execution
+// (run.Run.Recycle).
+func simUnit(scs []*scenario.Scenario, spec PolicySpec, seed int64) []Result {
+	rs := make([]Result, len(scs))
+	for j := range rs {
+		rs[j] = Result{Scenario: scs[j].Name, Policy: spec.Name, Seed: seed, Mode: ModeSim}
+	}
+	r, err := scs[0].Simulate(spec.New(seed))
 	if err != nil {
-		res.Err = err
-		return res
+		for j := range rs {
+			rs[j].Err = err
+		}
+		return rs
 	}
-	res.Nodes = r.NumNodes()
-	res.Deliveries = r.NumDeliveries()
-	res.Pending = len(r.PendingMessages())
-	if sc.Task == nil {
-		r.Recycle()
-		return res
+	nodes, deliveries, pending := r.NumNodes(), r.NumDeliveries(), len(r.PendingMessages())
+	for j, sc := range scs {
+		res := &rs[j]
+		res.Nodes, res.Deliveries, res.Pending = nodes, deliveries, pending
+		if sc.Task == nil {
+			continue
+		}
+		res.HasTask = true
+		out, err := sc.Task.RunOptimal(r)
+		if err != nil {
+			res.Err = err
+			continue
+		}
+		res.Acted = out.Acted
+		if out.Acted {
+			res.ActTime = int(out.ActTime)
+			res.Gap = out.Gap
+			res.KnownBound = out.KnownBound
+		}
 	}
-	res.HasTask = true
-	out, err := sc.Task.RunOptimal(r)
 	r.Recycle()
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Acted = out.Acted
-	if out.Acted {
-		res.ActTime = int(out.ActTime)
-		res.Gap = out.Gap
-		res.KnownBound = out.KnownBound
-	}
-	return res
+	return rs
 }
 
 // liveUnit executes one live unit and returns its rows, one per scenario:

@@ -60,20 +60,28 @@ func xGrid(t *testing.T) sweep.Grid {
 	return sweep.Grid{Live: xVariantScenarios(t), Policies: xPolicies, Seeds: []int64{1}}
 }
 
-// dedicatedRun runs every scenario of g in its own one-scenario grid, which
-// cannot form an x-group, and returns the rows in g's enumeration order:
-// the dedicated per-x baseline.
+// dedicatedRun runs every scenario of g, sim cells first, in its own
+// one-scenario grid, which can form neither an x-group nor a sim unit, and
+// returns the rows in g's enumeration order: the dedicated baseline.
 func dedicatedRun(t *testing.T, g sweep.Grid) []sweep.Result {
 	t.Helper()
 	var out []sweep.Result
-	for _, sc := range g.Live {
-		one := g
-		one.Live = []*scenario.Scenario{sc}
+	run := func(one sweep.Grid) {
 		rs, err := one.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
 		out = append(out, rs...)
+	}
+	for _, sc := range g.Scenarios {
+		one := g
+		one.Scenarios, one.Live = []*scenario.Scenario{sc}, nil
+		run(one)
+	}
+	for _, sc := range g.Live {
+		one := g
+		one.Scenarios, one.Live = nil, []*scenario.Scenario{sc}
+		run(one)
 	}
 	return out
 }
