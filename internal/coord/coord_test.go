@@ -2,9 +2,12 @@ package coord
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/model"
+	"github.com/clockless/zigzag/internal/run"
 	"github.com/clockless/zigzag/internal/sim"
 )
 
@@ -63,6 +66,20 @@ func TestWireErrors(t *testing.T) {
 	}
 	if _, err := task.Wire(r3); !errors.Is(err, ErrNoA) {
 		t.Errorf("got %v, want ErrNoA", err)
+	}
+	// B outside the network: the error names the task's B and the
+	// network's size.
+	r4, err := task.Simulate(net, sim.Lazy{}, 30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []model.ProcID{0, 4} {
+		bad := task
+		bad.B = b
+		_, err := bad.Wire(r4)
+		if !errors.Is(err, run.ErrNoNode) || !strings.Contains(err.Error(), fmt.Sprintf("B=%d outside the 3-process network", b)) {
+			t.Errorf("B=%d: got %v, want run.ErrNoNode naming B and the network size", b, err)
+		}
 	}
 }
 

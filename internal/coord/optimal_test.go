@@ -1,11 +1,14 @@
 package coord_test
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
 	"github.com/clockless/zigzag/internal/bounds"
 	"github.com/clockless/zigzag/internal/coord"
+	"github.com/clockless/zigzag/internal/live"
+	"github.com/clockless/zigzag/internal/model"
 	"github.com/clockless/zigzag/internal/run"
 	"github.com/clockless/zigzag/internal/scenario"
 	"github.com/clockless/zigzag/internal/sim"
@@ -16,8 +19,9 @@ import (
 // rebuild-per-state oracle on every registry scenario up to coord-m8 and
 // coord-early-m8, every default policy and seeds 1-3: the outcomes agree
 // field by field, and the witness is a sigma-visible zigzag in the run
-// whose weight is the known bound. (m16 stays out: the oracle costs about
-// 2 s per cell there.)
+// whose weight is the known bound. A Decider walked with the threshold
+// grid X-2..X+2 decides each x where the oracle with Task.X = x acts.
+// (m16 stays out: the oracle costs about 2 s per cell there.)
 func TestRunOptimalMatchesRebuild(t *testing.T) {
 	for _, sc := range scenario.All(scenario.RegistrySized(0, 8)) {
 		for _, pol := range sweep.DefaultPolicies() {
@@ -47,6 +51,7 @@ func TestRunOptimalMatchesRebuild(t *testing.T) {
 						got.KnownBound != want.KnownBound || got.NodesExamined != want.NodesExamined {
 						t.Fatalf("%s: RunOptimal %+v, rebuild %+v", cell, *got, *want)
 					}
+					checkDecisionGrid(t, cell, task, r)
 					if !got.Acted {
 						continue
 					}
@@ -78,6 +83,103 @@ func TestRunOptimalMatchesRebuild(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkDecisionGrid walks a Decider with the thresholds X-2..X+2 over B's
+// timeline and holds each threshold's decision (node, or none) to the
+// rebuild oracle run with Task.X = x.
+func checkDecisionGrid(t *testing.T, cell string, task coord.Task, r *run.Run) {
+	t.Helper()
+	xs := []int{task.X - 2, task.X - 1, task.X, task.X + 1, task.X + 2}
+	view, err := run.ViewOf(r, run.BasicNode{Proc: task.B})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := coord.Decider{Task: task, Xs: xs}
+	defer d.Release()
+	for k := 1; k <= r.LastIndex(task.B); k++ {
+		if _, err := view.Advance(r); err != nil {
+			t.Fatal(err)
+		}
+		verdict, err := d.Step(view)
+		if err != nil {
+			t.Fatalf("%s: decider: %v", cell, err)
+		}
+		if verdict != coord.Open {
+			break
+		}
+	}
+	decisions := d.XDecisions()
+	for i, x := range xs {
+		xt := task
+		xt.X = x
+		want, err := coord.RebuildOptimal(xt, r)
+		if err != nil {
+			t.Fatalf("%s x=%d: rebuild: %v", cell, x, err)
+		}
+		var got coord.XDecision
+		if decisions != nil {
+			got = decisions[i]
+		}
+		if got.Decided != want.Acted || got.Node != want.ActNode {
+			t.Fatalf("%s x=%d: decider %+v, rebuild acted=%v at %s", cell, x, got, want.Acted, want.ActNode)
+		}
+	}
+}
+
+// TestGoNodeIsEarliestGoInput runs a task whose C receives go twice, at 1
+// and 6. Protocol 2 recognises C's earliest go node, so with GoTime 6 the
+// task's go node does not exist in the run: Wire, RunOptimal and AuditAct
+// fail with ErrNoGo. With GoTime 1, live.Replay's Protocol2 and RunOptimal
+// act at the same node for both kinds, x in [-6, 8] and the eager and
+// lazy policies.
+func TestGoNodeIsEarliestGoInput(t *testing.T) {
+	net := model.NewBuilder(3).Chan(1, 2, 1, 3).Chan(1, 3, 8, 12).Chan(2, 3, 1, 2).
+		Chan(3, 1, 1, 2).Chan(2, 1, 1, 2).Chan(3, 2, 1, 2).MustBuild()
+	exts := []run.ExternalEvent{{Proc: 1, Time: 1, Label: "go"}, {Proc: 1, Time: 6, Label: "go"}}
+	acted, cases := 0, 0
+	for _, pol := range []sim.Policy{sim.Eager{}, sim.Lazy{}} {
+		for _, kind := range []coord.Kind{coord.Late, coord.Early} {
+			for x := -6; x <= 8; x++ {
+				task := coord.Task{Kind: kind, X: x, A: 2, B: 3, C: 1, GoTime: 1}
+				_, agents := live.NewTaskAgents([]coord.Task{task})
+				res, err := live.Replay(live.Config{Net: net, Horizon: 40, Policy: pol, Externals: exts, Agents: agents})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cell := fmt.Sprintf("%s %v x=%d", pol.Name(), kind, x)
+				late := task
+				late.GoTime = 6
+				if _, err := late.Wire(res.Run); !errors.Is(err, coord.ErrNoGo) {
+					t.Fatalf("%s, GoTime 6: Wire returned %v, want ErrNoGo", cell, err)
+				}
+				if _, err := late.RunOptimal(res.Run); !errors.Is(err, coord.ErrNoGo) {
+					t.Fatalf("%s, GoTime 6: RunOptimal returned %v, want ErrNoGo", cell, err)
+				}
+				if err := late.AuditAct(res.Run, 10); !errors.Is(err, coord.ErrNoGo) {
+					t.Fatalf("%s, GoTime 6: AuditAct returned %v, want ErrNoGo", cell, err)
+				}
+				offline, err := task.RunOptimal(res.Run)
+				if err != nil {
+					t.Fatalf("%s: RunOptimal: %v", cell, err)
+				}
+				var node run.BasicNode
+				for _, act := range res.Actions {
+					node = act.Node
+				}
+				if len(res.Actions) > 1 || (len(res.Actions) == 1) != offline.Acted || node != offline.ActNode {
+					t.Fatalf("%s: live acts %+v, offline acted=%v at %s", cell, res.Actions, offline.Acted, offline.ActNode)
+				}
+				if offline.Acted {
+					acted++
+				}
+				cases++
+			}
+		}
+	}
+	if acted == 0 || acted == cases {
+		t.Fatalf("%d of %d cases acted: the test tells acting from withholding nowhere", acted, cases)
 	}
 }
 

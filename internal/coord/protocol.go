@@ -35,22 +35,14 @@ type Outcome struct {
 }
 
 // RunOptimal executes Protocol 2 for B offline over a recorded run: it
-// scans B's local states in order and acts at the first state sigma that
-// recognizes sigma_C and knows the required precedence — computed, per
-// Theorem 4, as a knowledge-weight query on GE(r, sigma). The returned
-// outcome carries the witnessing sigma-visible zigzag.
-//
-// The scan is exactly what an online B would do: everything consulted is
-// inside past(r, sigma). It walks B's timeline once: one view, advanced a
-// state at a time (run.View.Advance), feeds one bounds.Handle on a private
-// one-handle run — the engine live.Protocol2 uses by default — so each
-// state costs only its delta over the previous one. The scan stops at the
-// first state where the decision is settled (Task.Settled: an Early task
-// whose target a is already in B's past), since no later state can act.
-// The witness is
-// extracted once, at the acting state, from a fresh GE(r, sigma) whose
-// knowledge weight must equal the handle's. An inconsistent GE(r, sigma)
-// surfaces as an error wrapping graph.ErrPositiveCycle.
+// walks B's timeline with one view, advanced a state at a time
+// (run.View.Advance), and feeds each state to a Decider on a private
+// one-handle run, the rule and engine live.Protocol2 uses by default. B
+// acts at the first state that decides Task.X; a Settled decision means B
+// never acts. The witness is extracted once, at the acting state, from a
+// fresh GE(r, sigma) whose knowledge weight must equal the handle's. An
+// inconsistent GE(r, sigma) surfaces as an error wrapping
+// graph.ErrPositiveCycle.
 func (t Task) RunOptimal(r *run.Run) (*Outcome, error) {
 	return t.runOptimal(r, bounds.NewNetworkEngine(r.Net()))
 }
@@ -67,40 +59,28 @@ func (t Task) runOptimal(r *run.Run, eng *bounds.NetworkEngine) (*Outcome, error
 	if err != nil {
 		return nil, err
 	}
-	h, err := eng.NewRun().NewHandle(view)
-	if err != nil {
-		return nil, err
-	}
-	defer h.Release()
+	d := Decider{Task: t, Shared: eng.NewRun()}
+	defer d.Release()
 	for k := 1; k <= r.LastIndex(t.B); k++ {
 		sigma, err := view.Advance(r)
 		if err != nil {
 			return nil, err
 		}
 		out.NodesExamined++
-		if !view.Contains(w.SigmaC) {
-			continue // B has not heard (transitively) from sigma_C yet
-		}
-		if t.Settled(view, w.ANode) {
+		verdict, err := d.Step(view)
+		switch {
+		case err != nil:
+			return nil, err
+		case verdict == Settled:
 			// No later state can know the precedence: B never acts.
 			out.NodesExamined = r.LastIndex(t.B)
 			return out, nil
-		}
-		var theta1, theta2 run.GeneralNode
-		if t.Kind == Late {
-			theta1, theta2 = w.ANode, run.At(sigma)
-		} else {
-			theta1, theta2 = run.At(sigma), w.ANode
-		}
-		kw, known, err := h.KnowledgeWeight(theta1, theta2)
-		if err != nil {
-			return nil, err
-		}
-		if !known || kw < t.X {
+		case verdict == Open:
 			continue
 		}
 		// Handles answer weights only: the witness comes from one fresh
 		// GE(r, sigma) at the acting state, which must agree on kw.
+		theta1, theta2, kw := d.Query()
 		ext, err := bounds.NewExtended(r, sigma)
 		if err != nil {
 			return nil, err

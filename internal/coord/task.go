@@ -20,6 +20,7 @@ package coord
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/clockless/zigzag/internal/model"
 	"github.com/clockless/zigzag/internal/run"
@@ -89,20 +90,19 @@ type Wiring struct {
 	ATime  model.Time
 }
 
-// Wire resolves the task against a run.
+// Wire resolves the task against a run. sigma_C is C's earliest go node,
+// the node Protocol 2 finds in B's view (Decider); the task requires it to
+// come at GoTime, so a run where it does not fails with ErrNoGo.
 func (t Task) Wire(r *run.Run) (*Wiring, error) {
-	var sigmaC run.BasicNode
-	found := false
-	for _, e := range r.Externals() {
-		if e.To.Proc == t.C && e.Time == t.GoTime && e.Label == t.label() {
-			sigmaC = e.To
-			found = true
-			break
-		}
+	if n := r.Net().N(); t.B < 1 || int(t.B) > n {
+		return nil, fmt.Errorf("%w: task B=%d outside the %d-process network", run.ErrNoNode, t.B, n)
 	}
-	if !found {
-		return nil, fmt.Errorf("%w: %q at %d", ErrNoGo, t.label(), t.GoTime)
+	exts := r.Externals() // in tick order: the first match is the earliest
+	i := slices.IndexFunc(exts, func(e run.External) bool { return e.To.Proc == t.C && e.Label == t.label() })
+	if i < 0 || exts[i].Time != t.GoTime {
+		return nil, fmt.Errorf("%w: C=%d's first %q is not at %d", ErrNoGo, t.C, t.label(), t.GoTime)
 	}
+	sigmaC := exts[i].To
 	if !r.Net().HasChan(t.C, t.A) {
 		return nil, fmt.Errorf("coord: no channel C=%d -> A=%d", t.C, t.A)
 	}
@@ -128,9 +128,9 @@ func (t Task) Wire(r *run.Run) (*Wiring, error) {
 // the knowledge engines even on a run that breaks its bounds: GE(r,
 // sigma') contains the causal chain aNode -> sigma' at weight >= 0, so a
 // knowledge weight kw >= 1 for sigma' -> aNode would close a positive
-// cycle. Both deciders, RunOptimal and live.Protocol2, stop querying at
-// the first state where Settled holds. It resolves aNode hop by hop
-// through the view's deliveries and does not allocate.
+// cycle. Decider stops querying at the first state where Settled holds.
+// It resolves aNode hop by hop through the view's deliveries and does not
+// allocate.
 func (t Task) Settled(v *run.View, aNode run.GeneralNode) bool {
 	if t.Kind != Early || t.X < 1 || !v.Contains(aNode.Base) {
 		return false
@@ -156,7 +156,7 @@ func (t Task) Settled(v *run.View, aNode run.GeneralNode) bool {
 func (t Task) AuditAct(r *run.Run, actTime model.Time) error {
 	w, err := t.Wire(r)
 	if err != nil {
-		return fmt.Errorf("%w: b performed but a's wiring failed: %v", ErrSpecViolated, err)
+		return fmt.Errorf("%w: b performed but a's wiring failed: %w", ErrSpecViolated, err)
 	}
 	gap := int(actTime - w.ATime)
 	switch t.Kind {

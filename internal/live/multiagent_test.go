@@ -86,9 +86,9 @@ func TestProtocol2SharedMultiAgentMatchesOffline(t *testing.T) {
 					sc.Name, i, act.Node, act.Time, offline.ActNode, offline.ActTime)
 			}
 		}
-		shared := sharedAgents[0].shared
+		shared := sharedAgents[0].dec.Shared
 		for i, a := range sharedAgents {
-			if a.shared == nil || a.shared != shared {
+			if a.dec.Shared == nil || a.dec.Shared != shared {
 				t.Fatalf("%s: agent %d not on the run's one shared engine", sc.Name, i)
 			}
 		}
@@ -212,8 +212,7 @@ func TestNetworkEngineConcurrentLiveRuns(t *testing.T) {
 
 // TestProtocol2SharedGuards: a run must not subscribe to a Config.Engine
 // built for another network, and an agent driven with a different view than
-// its handle was built on reports errDifferentView rather than answering
-// stale.
+// its handle was built on fails rather than answering stale.
 func TestProtocol2SharedGuards(t *testing.T) {
 	sc := scenario.MultiAgent(2)
 	other := model.MustComplete(3, 1, 2)
